@@ -23,6 +23,7 @@ from .mdp import (
     Hyperparameters,
     MappingEnvironment,
     MappingEpisodeState,
+    capacity_ratios,
 )
 from .metrics import EpisodeLog, RunRecord
 from .scenario import Scenario
@@ -59,6 +60,11 @@ class AgentVariant(Enum):
         return self in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR)
 
 
+def state_key(state: MappingEpisodeState) -> tuple[int, int]:
+    """Zero-based (component index, anchor machine) row of the per-state tables."""
+    return state.next_component_index - 1, state.anchor_vm - 1
+
+
 class QTable:
     """Dense action values keyed by (next component index, anchor machine)."""
 
@@ -68,16 +74,62 @@ class QTable:
         self.values = np.zeros((num_components, num_vms, num_vms))
         self.visits = np.zeros((num_components, num_vms, num_vms), dtype=np.int64)
 
-    def state_key(self, state: MappingEpisodeState) -> tuple[int, int]:
-        return state.next_component_index - 1, state.anchor_vm - 1
+    def action_values(self, state: MappingEpisodeState) -> np.ndarray:
+        return self.values[state_key(state)]
+
+    def greedy_action(self, state: MappingEpisodeState) -> int:
+        return int(np.argmax(self.action_values(state))) + 1
+
+    def max_value(self, state: MappingEpisodeState) -> float:
+        return float(self.action_values(state).max())
+
+
+class LinearQ:
+    """Linear value estimates over the fixed 7-dimensional feature map.
+
+    Feature layout: bias, compute and storage demand-to-capacity ratios
+    (capped at 2), predicted compute and storage idle fractions (clamped to
+    [0, 1]), a capacity-fit bit, and the placement progress fraction.
+
+    The map is deliberately occupancy-blind: a machine's features do not
+    change when it gets taken, so the linear agents generalize aggressively
+    across placement stages and keep re-ranking already-used machines. This
+    coarseness is what caps their attainable reward well below the tabular
+    agents'.
+    """
+
+    def __init__(self, scenario: Scenario, num_components: Optional[int] = None):
+        if num_components is None:
+            num_components = len(scenario.subnet.components)
+        self.num_components = num_components
+        self.num_vms = scenario.num_vms
+        self.weights = np.zeros(FEATURE_DIM)
+        self.updates = 0
+
+        ratio_c, ratio_s, fits = capacity_ratios(
+            scenario.subnet.components[:num_components], scenario.vms
+        )
+        # Feature blocks depend only on the component index, so they are
+        # assembled once and reused for every state at that placement stage.
+        self._blocks = np.empty((num_components, self.num_vms, FEATURE_DIM))
+        self._blocks[:, :, 0] = 1.0
+        self._blocks[:, :, 1] = np.minimum(ratio_c, 2.0)
+        self._blocks[:, :, 2] = np.minimum(ratio_s, 2.0)
+        self._blocks[:, :, 3] = np.clip(1.0 - ratio_c, 0.0, 1.0)
+        self._blocks[:, :, 4] = np.clip(1.0 - ratio_s, 0.0, 1.0)
+        self._blocks[:, :, 5] = fits
+        self._blocks[:, :, 6] = (np.arange(num_components) / num_components)[:, None]
+        self._blocks.flags.writeable = False
+
+    def feature_matrix(self, state: MappingEpisodeState) -> np.ndarray:
+        """Features of every action in one read-only (m, 7) block."""
+        return self._blocks[state.next_component_index - 1]
+
+    def feature_vector(self, state: MappingEpisodeState, action: Action) -> np.ndarray:
+        return self.feature_matrix(state)[action.target_vm - 1]
 
     def action_values(self, state: MappingEpisodeState) -> np.ndarray:
-        i, a = self.state_key(state)
-        return self.values[i, a]
-
-    def value(self, state: MappingEpisodeState, action: Action) -> float:
-        i, a = self.state_key(state)
-        return float(self.values[i, a, action.target_vm - 1])
+        return self.feature_matrix(state) @ self.weights
 
     def greedy_action(self, state: MappingEpisodeState) -> int:
         return int(np.argmax(self.action_values(state))) + 1
@@ -92,90 +144,8 @@ def feature_map(
     scenario: Scenario,
     num_components: Optional[int] = None,
 ) -> np.ndarray:
-    """Feature vector for one (state, action) pair.
-
-    Layout: bias, compute and storage demand-to-capacity ratios (capped at 2),
-    predicted compute and storage idle fractions (clamped to [0, 1]), a
-    capacity-fit bit, and the placement progress fraction.
-
-    The map is deliberately occupancy-blind: a machine's features do not
-    change when it gets taken, so the linear agents generalize aggressively
-    across placement stages and keep re-ranking already-used machines. This
-    coarseness is what caps their attainable reward well below the tabular
-    agents'.
-    """
-    k = num_components if num_components is not None else len(scenario.subnet.components)
-    comp = scenario.subnet.components[state.next_component_index - 1]
-    vm = scenario.vms[action.target_vm - 1]
-    return np.array(
-        [
-            1.0,
-            min(comp.compute_req / vm.compute_cap, 2.0),
-            min(comp.storage_req / vm.storage_cap, 2.0),
-            min(max(1.0 - comp.compute_req / vm.compute_cap, 0.0), 1.0),
-            min(max(1.0 - comp.storage_req / vm.storage_cap, 0.0), 1.0),
-            1.0 if vm.fits(comp) else 0.0,
-            (state.next_component_index - 1) / k,
-        ]
-    )
-
-
-class LinearQ:
-    """Linear value estimates over the fixed 7-dimensional feature map."""
-
-    def __init__(self, scenario: Scenario, num_components: Optional[int] = None):
-        comps = scenario.subnet.components
-        if num_components is None:
-            num_components = len(comps)
-        comps = comps[:num_components]
-        self.num_components = num_components
-        self.num_vms = scenario.num_vms
-        self.weights = np.zeros(FEATURE_DIM)
-        self.updates = 0
-
-        req_c = np.array([c.compute_req for c in comps], dtype=float)
-        req_s = np.array([c.storage_req for c in comps], dtype=float)
-        cap_c = np.array([v.compute_cap for v in scenario.vms], dtype=float)
-        cap_s = np.array([v.storage_cap for v in scenario.vms], dtype=float)
-        ratio_c = req_c[:, None] / cap_c[None, :]
-        ratio_s = req_s[:, None] / cap_s[None, :]
-        self._ratio_c = np.minimum(ratio_c, 2.0)
-        self._ratio_s = np.minimum(ratio_s, 2.0)
-        self._waste_c = np.clip(1.0 - ratio_c, 0.0, 1.0)
-        self._waste_s = np.clip(1.0 - ratio_s, 0.0, 1.0)
-        self._sufficient = (ratio_c <= 1.0) & (ratio_s <= 1.0)
-
-        # Feature blocks depend only on the component index, so they are
-        # assembled once and reused for every state at that placement stage.
-        self._blocks = np.empty((num_components, self.num_vms, FEATURE_DIM))
-        for i in range(num_components):
-            self._blocks[i, :, 0] = 1.0
-            self._blocks[i, :, 1] = self._ratio_c[i]
-            self._blocks[i, :, 2] = self._ratio_s[i]
-            self._blocks[i, :, 3] = self._waste_c[i]
-            self._blocks[i, :, 4] = self._waste_s[i]
-            self._blocks[i, :, 5] = self._sufficient[i].astype(float)
-            self._blocks[i, :, 6] = i / num_components
-        self._blocks.flags.writeable = False
-
-    def feature_matrix(self, state: MappingEpisodeState) -> np.ndarray:
-        """Features of every action in one read-only (m, 7) block."""
-        return self._blocks[state.next_component_index - 1]
-
-    def feature_vector(self, state: MappingEpisodeState, action: Action) -> np.ndarray:
-        return self.feature_matrix(state)[action.target_vm - 1]
-
-    def action_values(self, state: MappingEpisodeState) -> np.ndarray:
-        return self.feature_matrix(state) @ self.weights
-
-    def value(self, state: MappingEpisodeState, action: Action) -> float:
-        return float(self.feature_vector(state, action) @ self.weights)
-
-    def greedy_action(self, state: MappingEpisodeState) -> int:
-        return int(np.argmax(self.action_values(state))) + 1
-
-    def max_value(self, state: MappingEpisodeState) -> float:
-        return float(self.action_values(state).max())
+    """Feature vector for one (state, action) pair; layout as in ``LinearQ``."""
+    return LinearQ(scenario, num_components).feature_vector(state, action)
 
 
 ValueEstimator = Union[QTable, LinearQ]
@@ -187,27 +157,33 @@ class PolicyMode(Enum):
 
 
 class PolicyTable:
-    """Explicit per-state action distributions.
+    """Per-state action distributions, derived from the greedy action each
+    state had at its last policy update.
 
-    Rows start from the all-zero value estimates, so the exploit mass sits on
-    the lowest machine id until a state is first updated.
+    Only that action is stored; ``row`` and ``probs`` render it as an
+    epsilon-greedy or a one-hot distribution. Unvisited states hold the
+    lowest machine id, the greedy pick of all-zero value estimates.
     """
 
     def __init__(self, num_components: int, num_vms: int, mode: PolicyMode, epsilon: float = 0.0):
         self.mode = mode
         self.num_vms = num_vms
-        self.probs = np.zeros((num_components, num_vms, num_vms))
-        if mode is PolicyMode.EPSILON_GREEDY:
-            self.probs[:, :, :] = epsilon / num_vms
-            self.probs[:, :, 0] = 1.0 - (epsilon / num_vms) * (num_vms - 1)
-        else:
-            self.probs[:, :, 0] = 1.0
+        self.epsilon = epsilon
+        self.greedy_index = np.zeros((num_components, num_vms), dtype=np.int64)
+
+    def _render(self, greedy_index: np.ndarray) -> np.ndarray:
+        m = self.num_vms
+        explore = self.epsilon / m if self.mode is PolicyMode.EPSILON_GREEDY else 0.0
+        exploit = 1.0 - explore * (m - 1)
+        return np.where(np.arange(m) == greedy_index[..., None], exploit, explore)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """All rows as a fresh (components, machines, machines) array."""
+        return self._render(self.greedy_index)
 
     def row(self, state: MappingEpisodeState) -> np.ndarray:
-        return self.probs[state.next_component_index - 1, state.anchor_vm - 1]
-
-    def greedy_action(self, state: MappingEpisodeState) -> int:
-        return int(np.argmax(self.row(state))) + 1
+        return self._render(self.greedy_index[state_key(state)])
 
 
 def epsilon_greedy_policy_update(
@@ -220,10 +196,9 @@ def epsilon_greedy_policy_update(
     action keeps the uniform exploration share."""
     if policy.mode is not PolicyMode.EPSILON_GREEDY:
         raise ValueError("policy is not in epsilon-greedy mode")
-    m = policy.num_vms
-    row = policy.row(state)
-    row[:] = epsilon / m
-    row[q.greedy_action(state) - 1] = 1.0 - (epsilon / m) * (m - 1)
+    if epsilon != policy.epsilon:
+        raise ValueError(f"epsilon {epsilon} differs from the policy's {policy.epsilon}")
+    policy.greedy_index[state_key(state)] = q.greedy_action(state) - 1
 
 
 def greedy_target_update(
@@ -234,9 +209,7 @@ def greedy_target_update(
     """Unit mass on the current best action."""
     if policy.mode is not PolicyMode.GREEDY_TARGET:
         raise ValueError("policy is not in greedy-target mode")
-    row = policy.row(state)
-    row[:] = 0.0
-    row[q.greedy_action(state) - 1] = 1.0
+    policy.greedy_index[state_key(state)] = q.greedy_action(state) - 1
 
 
 def _explore_index(u: float, epsilon: float, num_vms: int) -> int:
@@ -280,7 +253,7 @@ def tabular_update(
     Terminal successors contribute nothing. Returns the temporal-difference
     error before the step was applied.
     """
-    i, a = q.state_key(state)
+    i, a = state_key(state)
     j = action.target_vm - 1
     bootstrap = 0.0 if next_state.terminal else q.max_value(next_state)
     target = reward + hyper.gamma * bootstrap

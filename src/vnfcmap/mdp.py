@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .model import VirtualMachine, VnfComponent
 from .scenario import Scenario
 
 INFEASIBLE_PENALTY = -1.0
@@ -74,8 +75,32 @@ class Action:
 class StepOutcome:
     reward: float
     next_state: MappingEpisodeState
-    terminated: bool
     feasible: bool
+
+    @property
+    def terminated(self) -> bool:
+        return self.next_state.terminal
+
+
+def capacity_ratios(
+    components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compute and storage demand-to-capacity ratios of every (component,
+    machine) pair, plus the capacity-fit mask (both capacities at least the
+    demand), each of shape (components, machines)."""
+    req_c = np.array([c.compute_req for c in components], dtype=float)
+    req_s = np.array([c.storage_req for c in components], dtype=float)
+    cap_c = np.array([v.compute_cap for v in vms], dtype=float)
+    cap_s = np.array([v.storage_cap for v in vms], dtype=float)
+    fits = (cap_c[None, :] >= req_c[:, None]) & (cap_s[None, :] >= req_s[:, None])
+    return req_c[:, None] / cap_c[None, :], req_s[:, None] / cap_s[None, :], fits
+
+
+def _placement_reward(ratio_c, ratio_s, mode: RewardMode):
+    """Reward of a feasible placement from its demand-to-capacity ratios;
+    elementwise on arrays."""
+    utilization = ratio_c + ratio_s
+    return 2.0 - utilization if mode is RewardMode.WASTAGE else utilization
 
 
 class MappingEnvironment:
@@ -104,18 +129,10 @@ class MappingEnvironment:
         self.reward_mode = reward_mode
         self._rng = rng
 
-        comps = scenario.subnet.components[:num_components]
-        req_c = np.array([c.compute_req for c in comps], dtype=float)
-        req_s = np.array([c.storage_req for c in comps], dtype=float)
-        cap_c = np.array([v.compute_cap for v in scenario.vms], dtype=float)
-        cap_s = np.array([v.storage_cap for v in scenario.vms], dtype=float)
-
-        self.sufficient = (cap_c[None, :] >= req_c[:, None]) & (cap_s[None, :] >= req_s[:, None])
-        utilization = req_c[:, None] / cap_c[None, :] + req_s[:, None] / cap_s[None, :]
-        if reward_mode is RewardMode.WASTAGE:
-            self._reward = 2.0 - utilization
-        else:
-            self._reward = utilization
+        ratio_c, ratio_s, self.sufficient = capacity_ratios(
+            scenario.subnet.components[:num_components], scenario.vms
+        )
+        self._reward = _placement_reward(ratio_c, ratio_s, reward_mode)
 
     def reset(self) -> MappingEpisodeState:
         anchor = int(self._rng.integers(1, self.num_vms + 1))
@@ -139,7 +156,7 @@ class MappingEnvironment:
                 occupied=state.occupied,
                 terminal=True,
             )
-            return StepOutcome(INFEASIBLE_PENALTY, next_state, terminated=True, feasible=False)
+            return StepOutcome(INFEASIBLE_PENALTY, next_state, feasible=False)
 
         reward = float(self._reward[i - 1, j - 1])
         done = i == self.num_components
@@ -149,21 +166,18 @@ class MappingEnvironment:
             occupied=state.occupied | {j},
             terminal=done,
         )
-        return StepOutcome(reward, next_state, terminated=done, feasible=True)
+        return StepOutcome(reward, next_state, feasible=True)
 
 
 def step_reward(
     compute_req: float, storage_req: float, compute_cap: float, storage_cap: float,
     mode: RewardMode = RewardMode.WASTAGE,
 ) -> float:
-    """Reward for one feasible placement, straight from the margin formulas."""
+    """Reward for one feasible placement; the environment's reward table holds
+    the same values."""
     if compute_cap <= 0 or storage_cap <= 0:
         raise ValueError("capacities must be positive")
-    storage_term = 1.0 - storage_req / storage_cap
-    compute_term = 1.0 - compute_req / compute_cap
-    if mode is RewardMode.WASTAGE:
-        return storage_term + compute_term
-    return (1.0 - storage_term) + (1.0 - compute_term)
+    return float(_placement_reward(compute_req / compute_cap, storage_req / storage_cap, mode))
 
 
 def discounted_return(rewards: Sequence[float], gamma: float) -> float:

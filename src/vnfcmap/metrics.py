@@ -127,9 +127,6 @@ class RunRecord:
             out.append(running)
         return out
 
-    def exploration_ratios(self) -> list[float]:
-        return [exploration_ratio(log) for log in self.episodes]
-
 
 def hyper_to_dict(hyper: Hyperparameters) -> dict:
     return {

@@ -80,6 +80,8 @@ def pair_cost(component: VnfComponent, vm: VirtualMachine, mode: ObjectiveMode) 
     """Surplus cost of hosting one component on one machine (must fit)."""
     if mode is ObjectiveMode.ABSOLUTE_SURPLUS:
         return (vm.compute_cap - component.compute_req) + (vm.storage_cap - component.storage_req)
+    # Equals the wastage reward mathematically, but keeps its own summation
+    # order so that oracle objectives stay bit-identical.
     return (1.0 - component.compute_req / vm.compute_cap) + (
         1.0 - component.storage_req / vm.storage_cap
     )

@@ -166,12 +166,12 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
             request.scenario, request.policy, default_model, request.objective_mode
         )
     try:
+        problem = AssignmentProblem(
+            request.scenario.subnet.components,
+            request.scenario.vms,
+            request.objective_mode,
+        )
         if request.policy == "oracle":
-            problem = AssignmentProblem(
-                request.scenario.subnet.components,
-                request.scenario.vms,
-                request.objective_mode,
-            )
             solution = solve_exact_matching(problem)
             pairs = solution.pairs
             objective = solution.objective_value
@@ -180,11 +180,6 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
                 pairs = _greedy_best_fit(request.scenario)
             else:
                 pairs = _trained_pairs(request)
-            problem = AssignmentProblem(
-                request.scenario.subnet.components,
-                request.scenario.vms,
-                request.objective_mode,
-            )
             objective = assignment_objective(problem, pairs)
     except InfeasibleAssignmentError as exc:
         return 200, {"status": "infeasible", "rule": exc.rule, "detail": exc.detail}
@@ -224,8 +219,12 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/map":
             self._send_json(404, {"error": {"field": "<path>", "detail": f"unknown {self.path}"}})
             return
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            detail = f"must be a non-negative integer, got {length!r}"
+            self._send_json(400, {"error": {"field": "<headers>.Content-Length", "detail": detail}})
+            return
+        raw = self.rfile.read(int(length))
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:

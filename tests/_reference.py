@@ -41,6 +41,21 @@ def _reward(comp, vm, mode: RewardMode) -> float:
     return 2.0 - used if mode is RewardMode.WASTAGE else used
 
 
+def features(comp, vm, component_index: int, num_components: int) -> list[float]:
+    """The linear agents' 7 features of placing ``comp`` on ``vm``, one scalar at a time."""
+    ratio_c = comp.compute_req / vm.compute_cap
+    ratio_s = comp.storage_req / vm.storage_cap
+    return [
+        1.0,
+        min(ratio_c, 2.0),
+        min(ratio_s, 2.0),
+        min(max(1.0 - ratio_c, 0.0), 1.0),
+        min(max(1.0 - ratio_s, 0.0), 1.0),
+        1.0 if _fits(comp, vm) else 0.0,
+        (component_index - 1) / num_components,
+    ]
+
+
 def two_step_q_star(
     scenario: Scenario, gamma: float, mode: RewardMode
 ) -> dict[tuple[int, int, int], float]:

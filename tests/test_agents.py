@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _reference import tiny_scenario, two_step_q_star
+from _reference import features, tiny_scenario, two_step_q_star
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
     AgentVariant,
@@ -213,6 +213,10 @@ def test_policy_mode_mismatch_raises():
         greedy_target_update(PolicyTable(1, 3, PolicyMode.EPSILON_GREEDY, 0.1), _state(), q)
     with pytest.raises(ValueError):
         epsilon_greedy_policy_update(PolicyTable(1, 3, PolicyMode.GREEDY_TARGET), _state(), q, 0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        epsilon_greedy_policy_update(
+            PolicyTable(1, 3, PolicyMode.EPSILON_GREEDY, 0.1), _state(), q, 0.2
+        )
 
 
 def test_rows_remain_distributions_during_training():
@@ -223,6 +227,19 @@ def test_rows_remain_distributions_during_training():
         sums = learner.policy.probs.sum(axis=2)
         assert np.all(np.abs(sums - 1.0) < 1e-12)
         assert np.all(learner.policy.probs >= 0.0)
+
+
+def test_tabular_policy_rows_point_at_q_argmax():
+    # Every policy row is refreshed right after its Q row changes, and the
+    # all-zero rows of unvisited states share their argmax with the initial
+    # policy, so the policy is a function of Q for every state.
+    scenario = generate(50)
+    hyper = Hyperparameters(episodes=40)
+    for variant in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR):
+        _, learner = train(variant, scenario, hyper, seed=1)
+        assert np.array_equal(
+            np.argmax(learner.policy.probs, axis=2), np.argmax(learner.q.values, axis=2)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +304,13 @@ def test_linear_q_matches_feature_map():
     lq = LinearQ(scenario)
     rng = np.random.default_rng(41)
     for _ in range(50):
-        state = _state(int(rng.integers(1, 9)), int(rng.integers(1, 101)))
+        index = int(rng.integers(1, 9))
         action = Action(int(rng.integers(1, 101)))
-        assert np.array_equal(lq.feature_vector(state, action), feature_map(state, action, scenario))
+        expected = features(
+            scenario.subnet.components[index - 1], scenario.vms[action.target_vm - 1], index, 8
+        )
+        state = _state(index, int(rng.integers(1, 101)))
+        assert lq.feature_vector(state, action).tolist() == expected
 
 
 def test_linear_update_from_zero_weights():

@@ -6,6 +6,7 @@ from vnfcmap.mdp import (
     Action,
     Hyperparameters,
     MappingEnvironment,
+    MappingEpisodeState,
     RewardMode,
     constant_reward_return,
     delayed_constant_return,
@@ -74,6 +75,21 @@ def test_feasible_step_advances_and_occupies():
     assert outcome.next_state.next_component_index == 2
     assert outcome.next_state.anchor_vm == 2
     assert outcome.next_state.occupied == frozenset({2})
+
+
+def test_env_reward_equals_step_reward_exactly():
+    scenario = generate(5)
+    for mode in RewardMode:
+        env = _env(scenario, mode=mode)
+        for comp in scenario.subnet.components:
+            state = MappingEpisodeState(comp.id, 1, frozenset())
+            for vm in scenario.vms:
+                if not vm.fits(comp):
+                    continue
+                expected = step_reward(
+                    comp.compute_req, comp.storage_req, vm.compute_cap, vm.storage_cap, mode
+                )
+                assert env.step(state, Action(vm.id)).reward == expected
 
 
 def test_perfect_fit_pays_zero():

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -162,7 +163,9 @@ def test_descriptor_validation():
 @pytest.fixture()
 def server():
     srv = make_server(0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()
@@ -214,3 +217,21 @@ def test_http_invalid_json(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req)
     assert err.value.code == 400
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_http_bad_content_length(server, content_length):
+    # urllib always sends a valid header, so the request goes over a raw socket.
+    port = server.server_address[1]
+    request = (
+        f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Length: {content_length}\r\n\r\n{{}}"
+    )
+    response = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request.encode())
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    assert json.loads(body)["error"]["field"] == "<headers>.Content-Length"
