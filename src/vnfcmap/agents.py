@@ -23,9 +23,9 @@ from .mdp import (
     Hyperparameters,
     MappingEnvironment,
     MappingEpisodeState,
-    capacity_ratios,
 )
 from .metrics import EpisodeLog, RunRecord
+from .model import capacity_ratios
 from .scenario import Scenario
 
 FEATURE_DIM = 7

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import VirtualMachine, VnfComponent
+from .model import capacity_ratios
 from .scenario import Scenario
 
 INFEASIBLE_PENALTY = -1.0
@@ -80,20 +80,6 @@ class StepOutcome:
     @property
     def terminated(self) -> bool:
         return self.next_state.terminal
-
-
-def capacity_ratios(
-    components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute and storage demand-to-capacity ratios of every (component,
-    machine) pair, plus the capacity-fit mask (both capacities at least the
-    demand), each of shape (components, machines)."""
-    req_c = np.array([c.compute_req for c in components], dtype=float)
-    req_s = np.array([c.storage_req for c in components], dtype=float)
-    cap_c = np.array([v.compute_cap for v in vms], dtype=float)
-    cap_s = np.array([v.storage_cap for v in vms], dtype=float)
-    fits = (cap_c[None, :] >= req_c[:, None]) & (cap_s[None, :] >= req_s[:, None])
-    return req_c[:, None] / cap_c[None, :], req_s[:, None] / cap_s[None, :], fits
 
 
 def _placement_reward(ratio_c, ratio_s, mode: RewardMode):

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 class VnfcKind(Enum):
     """The eight micro-functions of a slice subnet, in processing order.
@@ -201,3 +203,28 @@ def classify_vms(
         else:
             labels[vm.id] = VmLabel.AVAILABLE_INSUFFICIENT
     return VmClassification(labels=labels, primary=primary, target=target)
+
+
+def resource_grid(
+    components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Compute and storage demands as (components, 1) columns, capacities as
+    (1, machines) rows, so that elementwise arithmetic on them covers every
+    (component, machine) pair, plus the capacity-fit mask (both capacities at
+    least the demand) of shape (components, machines)."""
+    req_c = np.array([c.compute_req for c in components], dtype=float)[:, None]
+    req_s = np.array([c.storage_req for c in components], dtype=float)[:, None]
+    cap_c = np.array([v.compute_cap for v in vms], dtype=float)[None, :]
+    cap_s = np.array([v.storage_cap for v in vms], dtype=float)[None, :]
+    fits = (cap_c >= req_c) & (cap_s >= req_s)
+    return req_c, req_s, cap_c, cap_s, fits
+
+
+def capacity_ratios(
+    components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compute and storage demand-to-capacity ratios of every (component,
+    machine) pair, plus the capacity-fit mask, each of shape (components,
+    machines)."""
+    req_c, req_s, cap_c, cap_s, fits = resource_grid(components, vms)
+    return req_c / cap_c, req_s / cap_s, fits

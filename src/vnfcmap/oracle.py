@@ -12,12 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import VirtualMachine, VnfComponent
+from .model import VirtualMachine, VnfComponent, resource_grid
 
 # Assignment rule identifiers, mirrored in service responses.
 RULE_COMPONENT_PLACED = "component-placed-once"
@@ -76,14 +75,19 @@ class Assignment:
     objective_mode: ObjectiveMode
 
 
-def pair_cost(component: VnfComponent, vm: VirtualMachine, mode: ObjectiveMode) -> float:
-    """Surplus cost of hosting one component on one machine (must fit)."""
+def _surplus(req_c, req_s, cap_c, cap_s, mode: ObjectiveMode):
+    """Surplus cost of hosting a demand on a capacity; elementwise on arrays."""
     if mode is ObjectiveMode.ABSOLUTE_SURPLUS:
-        return (vm.compute_cap - component.compute_req) + (vm.storage_cap - component.storage_req)
+        return (cap_c - req_c) + (cap_s - req_s)
     # Equals the wastage reward mathematically, but keeps its own summation
     # order so that oracle objectives stay bit-identical.
-    return (1.0 - component.compute_req / vm.compute_cap) + (
-        1.0 - component.storage_req / vm.storage_cap
+    return (1.0 - req_c / cap_c) + (1.0 - req_s / cap_s)
+
+
+def pair_cost(component: VnfComponent, vm: VirtualMachine, mode: ObjectiveMode) -> float:
+    """Surplus cost of hosting one component on one machine (must fit)."""
+    return _surplus(
+        component.compute_req, component.storage_req, vm.compute_cap, vm.storage_cap, mode
     )
 
 
@@ -118,19 +122,32 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
             )
 
 
-def _check_edges(problem: AssignmentProblem) -> None:
-    vms = problem.available_vms
+def _cost_matrix(
+    problem: AssignmentProblem,
+) -> tuple[list[VnfComponent], list[VirtualMachine], np.ndarray]:
+    """The id-sorted components and available machines, and the surplus cost
+    matrix between them, ``inf`` where the component does not fit.
+
+    Raises when there are fewer available machines than components, or when
+    some component fits none of them.
+    """
+    vms = sorted(problem.available_vms, key=lambda v: v.id)
     if len(problem.components) > len(vms):
         raise InfeasibleAssignmentError(
             f"{len(problem.components)} components but only {len(vms)} available vms",
             rule=RULE_VM_EXCLUSIVE,
         )
+    comps = sorted(problem.components, key=lambda c: c.id)
+    req_c, req_s, cap_c, cap_s, fits = resource_grid(comps, vms)
+    hostless = {comp.id for comp, hostable in zip(comps, fits.any(axis=1)) if not hostable}
     for comp in problem.components:
-        if not any(vm.fits(comp) for vm in vms):
+        if comp.id in hostless:
             raise InfeasibleAssignmentError(
                 f"no available vm can host component {comp.id} "
                 f"(needs compute {comp.compute_req}, storage {comp.storage_req})"
             )
+    cost = np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, problem.objective_mode), np.inf)
+    return comps, vms, cost
 
 
 def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
@@ -143,10 +160,7 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_COMPONENTS} components")
     if len(problem.vms) > ENUMERATION_MAX_VMS:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_VMS} vms")
-    _check_edges(problem)
-
-    comps = sorted(problem.components, key=lambda c: c.id)
-    vms = sorted(problem.available_vms, key=lambda v: v.id)
+    comps, vms, _ = _cost_matrix(problem)
     best_pairs: dict[int, int] | None = None
     best_value = math.inf
     for chosen in itertools.permutations(vms, len(comps)):
@@ -165,21 +179,11 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
     return Assignment(best_pairs, assignment_objective(problem, best_pairs), problem.objective_mode)
 
 
-def _matching_cost(
-    comps: Sequence[VnfComponent],
-    vms: Sequence[VirtualMachine],
-    mode: ObjectiveMode,
-) -> float:
-    """Optimal matching cost for a sub-instance, inf when none exists."""
-    if not comps:
+def _matching_cost(cost: np.ndarray) -> float:
+    """Optimal matching cost of a matrix with no more rows than columns, inf
+    when none exists."""
+    if not len(cost):
         return 0.0
-    if len(comps) > len(vms):
-        return math.inf
-    cost = np.full((len(comps), len(vms)), np.inf)
-    for i, comp in enumerate(comps):
-        for j, vm in enumerate(vms):
-            if vm.fits(comp):
-                cost[i, j] = pair_cost(comp, vm, mode)
     try:
         rows, cols = linear_sum_assignment(cost)
     except ValueError:
@@ -187,47 +191,46 @@ def _matching_cost(
     return float(cost[rows, cols].sum())
 
 
+def has_feasible_assignment(problem: AssignmentProblem) -> bool:
+    """Whether an injective, capacity-feasible assignment exists; one
+    assignment solve and no canonicalization."""
+    try:
+        _, _, cost = _cost_matrix(problem)
+    except InfeasibleAssignmentError:
+        return False
+    return not math.isinf(_matching_cost(cost))
+
+
 def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
     """Globally optimal assignment via minimum-cost bipartite matching.
 
     Polynomial in the instance size, so it covers the production shape of
     8 components against hundreds of machines. The optimum is then
-    canonicalized to the same tie order the enumeration route uses.
+    canonicalized to the same tie order the enumeration route uses; every
+    sub-problem of that walk is a slice of the one cost matrix.
     """
-    _check_edges(problem)
-    comps = sorted(problem.components, key=lambda c: c.id)
-    vms = sorted(problem.available_vms, key=lambda v: v.id)
-    mode = problem.objective_mode
-
-    total = _matching_cost(comps, vms, mode)
+    comps, vms, cost = _cost_matrix(problem)
+    total = _matching_cost(cost)
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
 
     # Fix components one at a time onto the lowest-id machine that keeps the
     # remainder optimal; this reproduces the enumeration tie-breaking order.
     pairs: dict[int, int] = {}
-    remaining = list(vms)
+    remaining = np.arange(len(vms))
     target = total
     for pos, comp in enumerate(comps):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
-        chosen_index = None
-        sub_target = None
-        for idx, vm in enumerate(remaining):
-            if not vm.fits(comp):
-                continue
-            rest = remaining[:idx] + remaining[idx + 1 :]
-            sub = _matching_cost(comps[pos + 1 :], rest, mode)
-            if math.isinf(sub):
-                continue
-            if abs(pair_cost(comp, vm, mode) + sub - target) <= tolerance:
-                chosen_index = idx
-                sub_target = sub
+        row = cost[pos, remaining]
+        for idx in np.flatnonzero(np.isfinite(row)):
+            rest = np.concatenate((remaining[:idx], remaining[idx + 1 :]))
+            sub = _matching_cost(cost[pos + 1 :, rest])
+            if abs(row[idx] + sub - target) <= tolerance:
                 break
-        if chosen_index is None:
+        else:
             raise RuntimeError("canonicalization failed to reconstruct the optimum")
-        pairs[comp.id] = remaining[chosen_index].id
-        remaining.pop(chosen_index)
-        target = sub_target
+        pairs[comp.id] = vms[remaining[idx]].id
+        remaining, target = rest, sub
 
     validate_assignment(problem, pairs)
     return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)

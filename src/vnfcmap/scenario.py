@@ -24,7 +24,8 @@ from .model import (
     VnfComponent,
     make_slice,
 )
-from .oracle import AssignmentProblem, InfeasibleAssignmentError, solve_exact_matching
+from .oracle import AssignmentProblem, has_feasible_assignment
+from .oracle import solve_exact_matching  # noqa: F401 (perfbench/layers.py wraps it here)
 
 SCHEMA_VERSION = 1
 MAX_RESAMPLES = 1000
@@ -112,7 +113,7 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
 
     Demands are uniform integers over ``req_range`` (dominance enforced by
     rejection), capacities uniform integers over ``cap_range``. Capacity draws
-    are resampled until the matching solver finds an assignment.
+    are resampled until a feasible assignment exists.
     """
     rng = np.random.default_rng(seed)
     compute_reqs = _draw_requirements(rng, *params.req_range)
@@ -126,11 +127,8 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
             VirtualMachine(id=j + 1, compute_cap=int(caps[j, 0]), storage_cap=int(caps[j, 1]))
             for j in range(params.num_vms)
         )
-        try:
-            solve_exact_matching(AssignmentProblem(subnet.components, vms))
-        except InfeasibleAssignmentError:
-            continue
-        return Scenario(subnet=subnet, vms=vms, seed=seed, params=params)
+        if has_feasible_assignment(AssignmentProblem(subnet.components, vms)):
+            return Scenario(subnet=subnet, vms=vms, seed=seed, params=params)
     raise ScenarioGenerationError(
         f"no feasible capacity draw within {MAX_RESAMPLES} attempts for params {params}"
     )

@@ -200,6 +200,9 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "vnfcmap"
+    # Socket timeout in seconds for every read, so a body shorter than its
+    # Content-Length cannot hold a handler thread.
+    timeout = 10.0
 
     def _send_json(self, status: int, body: dict) -> None:
         payload = json.dumps(body).encode()
@@ -224,7 +227,12 @@ class _Handler(BaseHTTPRequestHandler):
             detail = f"must be a non-negative integer, got {length!r}"
             self._send_json(400, {"error": {"field": "<headers>.Content-Length", "detail": detail}})
             return
-        raw = self.rfile.read(int(length))
+        try:
+            raw = self.rfile.read(int(length))
+        except TimeoutError:
+            detail = f"declared {length} bytes but the body did not arrive within {self.timeout} s"
+            self._send_json(408, {"error": {"field": "<body>", "detail": detail}})
+            return
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:

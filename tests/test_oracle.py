@@ -1,11 +1,15 @@
 import itertools
 import json
-
+import math
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import _fits
 from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
@@ -13,12 +17,15 @@ from vnfcmap.oracle import (
     InfeasibleAssignmentError,
     ObjectiveMode,
     SizeLimitError,
+    _cost_matrix,
     assignment_objective,
+    has_feasible_assignment,
+    pair_cost,
     solve_exact_enumeration,
     solve_exact_matching,
     validate_assignment,
 )
-from vnfcmap.scenario import identity_scenario, load
+from vnfcmap.scenario import GenerationParams, generate, identity_scenario, load
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -226,3 +233,107 @@ def test_validate_assignment_rules():
     tight = _problem([(3, 3)], [(2, 2), (4, 4)])
     with pytest.raises(InfeasibleAssignmentError, match="capacity-fit"):
         validate_assignment(tight, {1: 1})
+
+
+@st.composite
+def small_problems(draw):
+    """Integer instances small enough for enumeration, some machines occupied."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 9))
+    demand = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    capacity = st.tuples(st.integers(1, 8), st.integers(1, 8))
+    comp_specs = draw(st.lists(demand, min_size=k, max_size=k))
+    vm_specs = draw(st.lists(capacity, min_size=m, max_size=m))
+    occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
+    vms = tuple(vm.occupy(1) if taken else vm for vm, taken in zip(problem.vms, occupied))
+    return AssignmentProblem(problem.components, vms, problem.objective_mode)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(small_problems())
+def test_matching_reproduces_enumeration_tie_order(problem):
+    try:
+        by_enum = solve_exact_enumeration(problem)
+    except InfeasibleAssignmentError as enum_err:
+        with pytest.raises(InfeasibleAssignmentError) as match_err:
+            solve_exact_matching(problem)
+        assert match_err.value.rule == enum_err.rule
+        return
+    by_match = solve_exact_matching(problem)
+    if problem.objective_mode is ObjectiveMode.ABSOLUTE_SURPLUS:
+        assert by_match.pairs == by_enum.pairs
+        assert by_match.objective_value.hex() == by_enum.objective_value.hex()
+    else:
+        assert by_match.objective_value == pytest.approx(by_enum.objective_value, abs=1e-12)
+
+
+def test_cost_matrix_entries_equal_pair_cost():
+    scenario = generate(5)
+    for mode in ObjectiveMode:
+        problem = AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
+        comps, vms, cost = _cost_matrix(problem)
+        assert cost.shape == (len(scenario.subnet.components), scenario.num_vms)
+        for i, comp in enumerate(comps):
+            for j, vm in enumerate(vms):
+                if _fits(comp, vm):
+                    assert cost[i, j] == pair_cost(comp, vm, mode)
+                else:
+                    assert cost[i, j] == math.inf
+    comp, vm = scenario.subnet.components[0], scenario.vms[0]
+    assert isinstance(pair_cost(comp, vm, ObjectiveMode.ABSOLUTE_SURPLUS), int)
+
+
+def _hopcroft_karp_feasible(problem):
+    """A matching that places every component on the fit graph of the
+    available machines."""
+    graph = nx.Graph()
+    top = [("c", c.id) for c in problem.components]
+    graph.add_nodes_from(top)
+    graph.add_nodes_from(("v", v.id) for v in problem.vms)
+    graph.add_edges_from(
+        (("c", c.id), ("v", v.id))
+        for c in problem.components
+        for v in problem.vms
+        if v.available and _fits(c, v)
+    )
+    matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=top)
+    return len(matching) // 2 == len(problem.components)
+
+
+def test_feasibility_check_agrees_with_hopcroft_karp():
+    rng = np.random.default_rng(25)
+    verdicts = []
+    for _ in range(300):
+        k = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 10))
+        problem = _problem(
+            rng.integers(1, 6, size=(k, 2)).tolist(), rng.integers(1, 7, size=(m, 2)).tolist()
+        )
+        taken = rng.random(m) < 0.2
+        problem = AssignmentProblem(
+            problem.components,
+            tuple(vm.occupy(1) if t else vm for vm, t in zip(problem.vms, taken)),
+        )
+        verdict = has_feasible_assignment(problem)
+        assert verdict == _hopcroft_karp_feasible(problem)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_generate_feasibility_draws_agree_with_hopcroft_karp(monkeypatch):
+    import vnfcmap.scenario as scenario_mod
+
+    seen = []
+
+    def recording(problem):
+        verdict = has_feasible_assignment(problem)
+        seen.append((problem, verdict))
+        return verdict
+
+    monkeypatch.setattr(scenario_mod, "has_feasible_assignment", recording)
+    for seed in range(20):
+        generate(seed, GenerationParams(num_vms=8, cap_range=(2, 6)))
+    assert any(not verdict for _, verdict in seen)
+    for problem, verdict in seen:
+        assert verdict == _hopcroft_karp_feasible(problem)

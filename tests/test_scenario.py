@@ -31,6 +31,11 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
     assert generate(123) == generate(123)
 
 
+def test_generate_reproduces_canonical_fixture():
+    recorded = json.loads((FIXTURES / "canonical_scenario.json").read_text())
+    assert scenario_to_dict(generate(42)) == recorded
+
+
 def test_different_seeds_differ():
     assert generate(1) != generate(2)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from vnfcmap import service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
@@ -219,19 +220,33 @@ def test_http_invalid_json(server):
     assert err.value.code == 400
 
 
-@pytest.mark.parametrize("content_length", ["abc", "-1"])
-def test_http_bad_content_length(server, content_length):
-    # urllib always sends a valid header, so the request goes over a raw socket.
-    port = server.server_address[1]
+def _raw_post(port, content_length, body):
+    """POST /map over a raw socket, since urllib always sends a valid
+    Content-Length; returns the status and the decoded JSON body."""
     request = (
         f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-        f"Content-Length: {content_length}\r\n\r\n{{}}"
+        f"Content-Length: {content_length}\r\n\r\n{body}"
     )
     response = b""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         sock.sendall(request.encode())
         while chunk := sock.recv(4096):
             response += chunk
-    head, _, body = response.partition(b"\r\n\r\n")
-    assert head.split()[1] == b"400"
-    assert json.loads(body)["error"]["field"] == "<headers>.Content-Length"
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_http_bad_content_length(server, content_length):
+    status, body = _raw_post(server.server_address[1], content_length, "{}")
+    assert status == 400
+    assert body["error"]["field"] == "<headers>.Content-Length"
+
+
+def test_http_short_body_times_out(server, monkeypatch):
+    # The body is 2 bytes against a declared 100; the client keeps the
+    # connection open, so only the handler's socket timeout ends the read.
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    status, body = _raw_post(server.server_address[1], 100, "{}")
+    assert status == 408
+    assert body["error"]["field"] == "<body>"
