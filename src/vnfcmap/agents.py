@@ -18,6 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .mdp import (
+    INFEASIBLE_PENALTY,
     Action,
     AlphaSchedule,
     Hyperparameters,
@@ -157,11 +158,13 @@ class PolicyMode(Enum):
 
 
 class PolicyTable:
-    """Per-state action distributions, derived from the greedy action each
-    state had at its last policy update.
+    """Per-state action distributions, derived from one greedy action per
+    state.
 
     Only that action is stored; ``row`` and ``probs`` render it as an
-    epsilon-greedy or a one-hot distribution. Unvisited states hold the
+    epsilon-greedy or a one-hot distribution. Training keeps it equal to the
+    argmax of a tabular learner's Q-values, and to the greedy action of a
+    linear learner at the state's last update. Unvisited states hold the
     lowest machine id, the greedy pick of all-zero value estimates.
     """
 
@@ -240,6 +243,19 @@ def _effective_alpha(hyper: Hyperparameters, visits: int) -> float:
     return hyper.alpha
 
 
+def _backup(
+    q: QTable, i: int, a: int, j: int, target: float, hyper: Hyperparameters
+) -> tuple[float, float]:
+    """Move ``values[i, a, j]`` toward ``target`` and count the visit; returns
+    the entry's old and new value."""
+    current = q.values.item(i, a, j)
+    count = q.visits.item(i, a, j)
+    updated = current - _effective_alpha(hyper, count) * (current - target)
+    q.values[i, a, j] = updated
+    q.visits[i, a, j] = count + 1
+    return current, updated
+
+
 def tabular_update(
     q: QTable,
     state: MappingEpisodeState,
@@ -253,15 +269,29 @@ def tabular_update(
     Terminal successors contribute nothing. Returns the temporal-difference
     error before the step was applied.
     """
-    i, a = state_key(state)
-    j = action.target_vm - 1
     bootstrap = 0.0 if next_state.terminal else q.max_value(next_state)
     target = reward + hyper.gamma * bootstrap
-    current = q.values[i, a, j]
-    alpha = _effective_alpha(hyper, int(q.visits[i, a, j]))
-    q.values[i, a, j] = current - alpha * (current - target)
-    q.visits[i, a, j] += 1
+    current, _ = _backup(q, *state_key(state), action.target_vm - 1, target, hyper)
     return target - current
+
+
+def _semi_gradient_step(
+    lq: LinearQ,
+    phi: np.ndarray,
+    reward: float,
+    next_features: Optional[np.ndarray],
+    hyper: Hyperparameters,
+) -> float:
+    """``linear_update`` given the taken action's features and the next
+    state's feature block (None when the successor is terminal)."""
+    bootstrap = 0.0 if next_features is None else float((next_features @ lq.weights).max())
+    td_error = reward + hyper.gamma * bootstrap - float(lq.weights @ phi)
+    alpha = _effective_alpha(hyper, lq.updates)
+    lq.weights += alpha * td_error * phi
+    lq.updates += 1
+    if (np.abs(lq.weights) > DIVERGENCE_LIMIT).any():
+        raise DivergenceError(lq.weights, lq.updates)
+    return td_error
 
 
 def linear_update(
@@ -274,15 +304,8 @@ def linear_update(
 ) -> float:
     """Semi-gradient step: the features of the taken action are the gradient
     of the linear estimate, so the weights move by alpha * td_error * features."""
-    phi = lq.feature_vector(state, action)
-    bootstrap = 0.0 if next_state.terminal else lq.max_value(next_state)
-    td_error = reward + hyper.gamma * bootstrap - float(lq.weights @ phi)
-    alpha = _effective_alpha(hyper, lq.updates)
-    lq.weights += alpha * td_error * phi
-    lq.updates += 1
-    if np.any(np.abs(lq.weights) > DIVERGENCE_LIMIT):
-        raise DivergenceError(lq.weights, lq.updates)
-    return td_error
+    next_features = None if next_state.terminal else lq.feature_matrix(next_state)
+    return _semi_gradient_step(lq, lq.feature_vector(state, action), reward, next_features, hyper)
 
 
 @dataclass
@@ -315,38 +338,81 @@ def run_episode(
     rng: np.random.Generator,
     episode_index: int = 1,
 ) -> EpisodeLog:
-    """Play one episode, updating values and the policy after every step."""
-    state = env.reset()
+    """Play one episode, updating values and the policy after every step.
+
+    This is the training loop. It does what one call per step of
+    ``select_action``, ``MappingEnvironment.step``, the variant's TD update
+    and its policy update would do, with the same arithmetic in the same
+    order, but it holds the state as zero-based ints (component index i,
+    anchor a) plus a set of occupied machines and creates no objects per
+    step. Both flavours of a family write the same greedy index; they differ
+    only in how their ``PolicyTable`` renders it.
+
+    Tabular: ``greedy_index[i, a]`` is kept as the exact argmax of
+    ``values[i, a]`` (lowest id on ties), so the greedy pick and the
+    bootstrap max are lookups. Linear: the greedy pick is ``LinearQ``'s
+    ``blocks[i] @ w`` argmax and the update is ``linear_update``'s own step;
+    their numpy expressions must stay as written, because computing the same
+    dot products in another order moves the weights in the last bit.
+    """
+    q = learner.q
+    greedy = learner.policy.greedy_index
+    fit_mask, reward_table = env.fit_mask, env.reward_table
+    last_index, num_vms = env.num_components - 1, env.num_vms
+    epsilon, gamma = hyper.epsilon, hyper.gamma
+    tabular = isinstance(q, QTable)
+    if tabular:
+        values = q.values
+    else:
+        blocks = q._blocks
+    i, a = 0, env.reset().anchor_vm - 1
+    occupied: set[int] = set()
     total = 0.0
     length = 0
     exploratory = 0
-    all_feasible = True
-    while not state.terminal:
-        # Both families act epsilon-greedily on the current value estimates;
-        # they differ in the policy object they keep updated (stochastic
-        # epsilon-greedy rows versus a one-hot greedy target).
-        action, explored = select_action(learner.q, state, hyper.epsilon, rng)
-        outcome = env.step(state, action)
-        if learner.variant.tabular:
-            tabular_update(learner.q, state, action, outcome.reward, outcome.next_state, hyper)
+    while True:
+        u = rng.random()
+        if u < epsilon:
+            j = _explore_index(u, epsilon, num_vms)
+            exploratory += 1
+        elif tabular:
+            j = greedy.item(i, a)
         else:
-            linear_update(learner.q, state, action, outcome.reward, outcome.next_state, hyper)
-        if learner.variant.on_policy:
-            epsilon_greedy_policy_update(learner.policy, state, learner.q, hyper.epsilon)
+            j = int((blocks[i] @ q.weights).argmax())
+        feasible = j not in occupied and fit_mask[i][j]
+        reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
+        done = not feasible or i == last_index
+
+        if tabular:
+            bootstrap = 0.0 if done else values.item(i + 1, j, greedy.item(i + 1, j))
+            current, updated = _backup(q, i, a, j, reward + gamma * bootstrap, hyper)
+            g = greedy.item(i, a)
+            if j == g:
+                if updated < current:
+                    greedy[i, a] = values[i, a].argmax()
+            else:
+                best = values.item(i, a, g)
+                if updated > best or (updated == best and j < g):
+                    greedy[i, a] = j
         else:
-            greedy_target_update(learner.policy, state, learner.q)
-        total += outcome.reward
+            next_features = None if done else blocks[i + 1]
+            _semi_gradient_step(q, blocks[i][j], reward, next_features, hyper)
+            greedy[i, a] = (blocks[i] @ q.weights).argmax()
+
+        total += reward
         length += 1
-        exploratory += int(explored)
-        all_feasible = all_feasible and outcome.feasible
-        state = outcome.next_state
-    return EpisodeLog(
-        episode_index=episode_index,
-        total_reward=total,
-        length=length,
-        exploratory_actions=exploratory,
-        success=all_feasible and length == env.num_components,
-    )
+        if done:
+            # Only a feasible placement of the last component ends an episode
+            # successfully.
+            return EpisodeLog(
+                episode_index=episode_index,
+                total_reward=total,
+                length=length,
+                exploratory_actions=exploratory,
+                success=feasible,
+            )
+        occupied.add(j)
+        i, a = i + 1, j
 
 
 def train(
@@ -424,6 +490,12 @@ class PolicySnapshot:
     weights: Optional[np.ndarray] = None
 
     def estimator_for(self, scenario: Scenario) -> ValueEstimator:
+        components = len(scenario.subnet.components)
+        if self.num_components != components:
+            raise ValueError(
+                f"num_components: policy trained for {self.num_components} components, "
+                f"scenario has {components}"
+            )
         if self.kind == "tabular":
             if self.num_vms != scenario.num_vms:
                 raise ValueError(
@@ -437,16 +509,33 @@ class PolicySnapshot:
         return lq
 
 
+def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    """``doc[name]`` as a float array of ``shape`` with finite entries only;
+    anything else raises a ValueError that names the field."""
+    try:
+        array = np.array(doc[name], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{name}: missing or not an array of numbers") from None
+    if array.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: every entry must be finite")
+    return array
+
+
 def load_policy(path: str | Path) -> PolicySnapshot:
     doc = json.loads(Path(path).read_text())
     if doc.get("version") != POLICY_FILE_VERSION:
         raise ValueError(f"unsupported policy file version {doc.get('version')!r}")
     kind = doc["kind"]
+    if kind not in ("tabular", "linear"):
+        raise ValueError(f"kind: must be 'tabular' or 'linear', got {kind!r}")
+    k, m = doc["num_components"], doc["num_vms"]
     return PolicySnapshot(
         variant=doc["variant"],
         kind=kind,
-        num_components=doc["num_components"],
-        num_vms=doc["num_vms"],
-        values=np.array(doc["values"]) if kind == "tabular" else None,
-        weights=np.array(doc["weights"]) if kind == "linear" else None,
+        num_components=k,
+        num_vms=m,
+        values=_checked_array(doc, "values", (k, m, m)) if kind == "tabular" else None,
+        weights=_checked_array(doc, "weights", (FEATURE_DIM,)) if kind == "linear" else None,
     )

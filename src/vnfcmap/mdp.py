@@ -115,10 +115,15 @@ class MappingEnvironment:
         self.reward_mode = reward_mode
         self._rng = rng
 
-        ratio_c, ratio_s, self.sufficient = capacity_ratios(
+        ratio_c, ratio_s, fits = capacity_ratios(
             scenario.subnet.components[:num_components], scenario.vms
         )
-        self._reward = _placement_reward(ratio_c, ratio_s, reward_mode)
+        # Nested lists indexed [component index - 1][machine id - 1]; plain
+        # Python reads are what the training loop's per-step lookups need.
+        self.fit_mask: list[list[bool]] = fits.tolist()
+        self.reward_table: list[list[float]] = _placement_reward(
+            ratio_c, ratio_s, reward_mode
+        ).tolist()
 
     def reset(self) -> MappingEpisodeState:
         anchor = int(self._rng.integers(1, self.num_vms + 1))
@@ -134,7 +139,7 @@ class MappingEnvironment:
         if not 1 <= j <= self.num_vms:
             raise ValueError(f"target vm {j} outside 1..{self.num_vms}")
 
-        feasible = j not in state.occupied and bool(self.sufficient[i - 1, j - 1])
+        feasible = j not in state.occupied and self.fit_mask[i - 1][j - 1]
         if not feasible:
             next_state = MappingEpisodeState(
                 next_component_index=i,
@@ -144,7 +149,7 @@ class MappingEnvironment:
             )
             return StepOutcome(INFEASIBLE_PENALTY, next_state, feasible=False)
 
-        reward = float(self._reward[i - 1, j - 1])
+        reward = self.reward_table[i - 1][j - 1]
         done = i == self.num_components
         next_state = MappingEpisodeState(
             next_component_index=i if done else i + 1,

@@ -2,12 +2,25 @@
 
 The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
-an oracle for the learners.
+an oracle for the learners. The step-by-step training loop is written against
+the public environment and agent functions only, so it can serve as an oracle
+for the training kernel in ``agents.run_episode``.
 """
 
 from __future__ import annotations
 
-from vnfcmap.mdp import RewardMode
+import numpy as np
+
+from vnfcmap.agents import (
+    epsilon_greedy_policy_update,
+    greedy_target_update,
+    linear_update,
+    make_learner,
+    select_action,
+    tabular_update,
+)
+from vnfcmap.mdp import MappingEnvironment, RewardMode
+from vnfcmap.metrics import EpisodeLog
 from vnfcmap.model import VirtualMachine, make_slice
 from vnfcmap.scenario import Scenario
 
@@ -94,3 +107,44 @@ def two_step_q_star(
             else:
                 q[(1, anchor.id, vm.id)] = PENALTY
     return q
+
+
+def reference_episode(env, learner, hyper, rng, episode_index=1) -> EpisodeLog:
+    """One episode stepped through ``env.step`` with one call per step to
+    ``select_action``, the variant's TD update and its policy update."""
+    state = env.reset()
+    total = 0.0
+    length = 0
+    exploratory = 0
+    all_feasible = True
+    while not state.terminal:
+        action, explored = select_action(learner.q, state, hyper.epsilon, rng)
+        outcome = env.step(state, action)
+        update = tabular_update if learner.variant.tabular else linear_update
+        update(learner.q, state, action, outcome.reward, outcome.next_state, hyper)
+        if learner.variant.on_policy:
+            epsilon_greedy_policy_update(learner.policy, state, learner.q, hyper.epsilon)
+        else:
+            greedy_target_update(learner.policy, state, learner.q)
+        total += outcome.reward
+        length += 1
+        exploratory += int(explored)
+        all_feasible = all_feasible and outcome.feasible
+        state = outcome.next_state
+    return EpisodeLog(
+        episode_index=episode_index,
+        total_reward=total,
+        length=length,
+        exploratory_actions=exploratory,
+        success=all_feasible and length == env.num_components,
+    )
+
+
+def reference_train(variant, scenario, hyper, seed, num_components=None):
+    """``agents.train`` with ``reference_episode`` in place of the kernel;
+    returns the episode logs and the learner."""
+    rng = np.random.default_rng(seed)
+    env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
+    learner = make_learner(variant, scenario, hyper, num_components)
+    logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, hyper.episodes + 1)]
+    return logs, learner

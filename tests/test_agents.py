@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _reference import features, tiny_scenario, two_step_q_star
+from _reference import features, reference_train, tiny_scenario, two_step_q_star
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
     AgentVariant,
@@ -36,7 +37,7 @@ from vnfcmap.mdp import (
 )
 from vnfcmap.model import VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_enumeration
-from vnfcmap.scenario import Scenario, generate
+from vnfcmap.scenario import GenerationParams, Scenario, generate
 
 
 def _state(index=1, anchor=1, occupied=()):
@@ -421,6 +422,101 @@ def test_exploratory_count_bounded_by_length():
     for log in record.episodes:
         assert 0 <= log.exploratory_actions <= log.length
         assert 1 <= log.length <= 8
+
+
+# One 20-machine scenario: small enough that Q rows are revisited often, so the
+# running argmax meets ties and decreases of its greedy entry.
+_KERNEL_SCENARIO = generate(81, GenerationParams(num_vms=20))
+
+
+def _kernel_cases():
+    grid = itertools.product(AgentVariant, RewardMode, AlphaSchedule, (0.0, 0.1, 1.0), (2, 8))
+    for variant, reward_mode, schedule, epsilon, k in grid:
+        case_id = f"{variant.value}-{reward_mode.value}-{schedule.value}-eps{epsilon}-k{k}"
+        yield pytest.param(variant, reward_mode, schedule, epsilon, k, id=case_id)
+
+
+def _assert_same_learner(kernel, reference):
+    assert np.array_equal(kernel.policy.greedy_index, reference.policy.greedy_index)
+    if kernel.variant.tabular:
+        assert kernel.q.values.tobytes() == reference.q.values.tobytes()
+        assert kernel.q.visits.tobytes() == reference.q.visits.tobytes()
+    else:
+        assert kernel.q.weights.tobytes() == reference.q.weights.tobytes()
+        assert kernel.q.updates == reference.q.updates
+
+
+@pytest.mark.parametrize("variant,reward_mode,schedule,epsilon,k", _kernel_cases())
+def test_kernel_matches_step_by_step_reference(variant, reward_mode, schedule, epsilon, k):
+    hyper = Hyperparameters(
+        epsilon=epsilon, episodes=150, reward_mode=reward_mode, alpha_schedule=schedule
+    )
+    record, learner = train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
+    logs, reference = reference_train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
+    assert list(record.episodes) == logs
+    _assert_same_learner(learner, reference)
+
+
+@pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_LINEAR, AgentVariant.OFF_POLICY_LINEAR], ids=lambda v: v.value
+)
+def test_kernel_diverges_like_reference(variant):
+    hyper = Hyperparameters(alpha=1.0, epsilon=0.0, episodes=100)
+    with pytest.raises(DivergenceError) as kernel:
+        train(variant, _KERNEL_SCENARIO, hyper, seed=0)
+    with pytest.raises(DivergenceError) as reference:
+        reference_train(variant, _KERNEL_SCENARIO, hyper, seed=0)
+    assert kernel.value.updates == reference.value.updates
+    assert kernel.value.weights.tobytes() == reference.value.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
+)
+def test_running_argmax_holds_after_every_episode(variant):
+    for scenario in (generate(50), _KERNEL_SCENARIO):
+        hyper = Hyperparameters(episodes=1)
+        rng = np.random.default_rng(6)
+        env = MappingEnvironment(scenario, rng, hyper.reward_mode)
+        learner = make_learner(variant, scenario, hyper)
+        for episode in range(1, 201):
+            run_episode(env, learner, hyper, rng, episode_index=episode)
+            assert np.array_equal(learner.policy.greedy_index, learner.q.values.argmax(-1))
+
+
+@pytest.mark.parametrize(
+    "row,epsilon,seed,expected",
+    [
+        # Machine 2 cannot host f1, so playing it sets its entry to the
+        # penalty. As the greedy pick, the entry drops to a tie with
+        # machine 1, which wins as the lower id ...
+        ([-1.0, 0.5, -2.0], 0.0, 0, 0),
+        # ... or to a value below machine 3's.
+        ([-2.0, 0.5, 0.0], 0.0, 0, 2),
+        # As an exploratory pick (seed 4 explores machine 2 first), it rises
+        # to a tie with the greedy machine 3 and takes over as the lower id.
+        ([-4.0, -3.0, -1.0], 1.0, 4, 1),
+    ],
+    ids=["drop-to-tie-with-lower-id", "drop-below-another-action", "rise-to-tie-from-below"],
+)
+@pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
+)
+def test_running_argmax_follows_hand_built_updates(variant, row, epsilon, seed, expected):
+    scenario = tiny_scenario()
+    hyper = Hyperparameters(alpha=1.0, epsilon=epsilon, episodes=1)
+    rng = np.random.default_rng(seed)
+    env = MappingEnvironment(scenario, rng, num_components=2)
+    learner = make_learner(variant, scenario, hyper, num_components=2)
+    learner.q.values[0, :, :] = row
+    learner.policy.greedy_index[:] = learner.q.values.argmax(-1)
+    log = run_episode(env, learner, hyper, rng)
+    assert log.length == 1 and log.total_reward == -1.0 and not log.success
+    anchor = int(np.flatnonzero(learner.q.visits[0].sum(axis=1))[0])
+    assert learner.q.visits[0, anchor].tolist() == [0, 1, 0]
+    assert learner.q.values[0, anchor].tolist() == [row[0], -1.0, row[2]]
+    assert learner.policy.greedy_index[0, anchor] == expected
+    assert np.array_equal(learner.policy.greedy_index, learner.q.values.argmax(-1))
 
 
 def test_paired_variants_coincide_with_shared_seed():

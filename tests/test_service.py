@@ -5,6 +5,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vnfcmap import service
@@ -123,6 +124,48 @@ def test_trained_policy_falls_back_to_default_model(tmp_path):
     assert status == 400
     status, body = handle_map(doc, default_model=str(model_path))
     assert status == 200
+
+
+def _policy_file(kind, m, k=8, **arrays):
+    doc = {"version": 1, "variant": "off-" + kind[:3], "kind": kind}
+    doc.update({"num_components": k, "num_vms": m})
+    return doc | {name: value.tolist() for name, value in arrays.items()}
+
+
+_NAN_VALUES = np.zeros((8, 12, 12))
+_NAN_VALUES[3, 4, 5] = np.nan
+# Greedy replay places f1 on machine 1 and f2 on machine 7 of generate(31, 12
+# machines), then reaches f3, for which a two-component table has no row.
+_TWO_COMPONENT_VALUES = np.zeros((2, 12, 12))
+_TWO_COMPONENT_VALUES[0, :, 0] = 1.0
+_TWO_COMPONENT_VALUES[1, :, 6] = 1.0
+
+
+@pytest.mark.parametrize(
+    "policy_doc,field",
+    [
+        (_policy_file("tabular", 12, values=np.zeros((2, 12, 12))), "values"),
+        (_policy_file("tabular", 12, values=_NAN_VALUES), "values"),
+        (_policy_file("linear", 12, weights=np.zeros(2)), "weights"),
+        (_policy_file("tabular", 12, k=2, values=_TWO_COMPONENT_VALUES), "num_components"),
+        (_policy_file("quadratic", 12, weights=np.zeros(7)), "kind"),
+    ],
+    ids=[
+        "tabular-wrong-shape",
+        "tabular-nan",
+        "linear-wrong-length",
+        "two-components",
+        "unknown-kind",
+    ],
+)
+def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field):
+    scenario = generate(31, GenerationParams(num_vms=12))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(policy_doc))
+    status, body = handle_map(_request_doc(scenario, {"kind": "trained", "model": str(model_path)}))
+    assert status == 400
+    assert body["error"]["field"] == "policy.model"
+    assert body["error"]["detail"].startswith(f"{field}: ")
 
 
 def test_missing_field_is_400_with_path(canonical):
