@@ -47,9 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate-scenario", help="generate and save a random instance")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--vms", type=int, default=100)
-    gen.add_argument("--req-range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-    gen.add_argument("--cap-range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
+    gen.add_argument("--vms", type=int, default=GenerationParams.num_vms)
+    gen.add_argument(
+        "--req-range", type=int, nargs=2, default=GenerationParams.req_range, metavar=("LO", "HI")
+    )
+    gen.add_argument(
+        "--cap-range", type=int, nargs=2, default=GenerationParams.cap_range, metavar=("LO", "HI")
+    )
     gen.add_argument("--out", required=True)
 
     train = sub.add_parser("train", help="train one agent on a scenario")
@@ -89,19 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True)
     parser.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="off-tab")
-    parser.add_argument("--episodes", type=int, default=500)
-    parser.add_argument("--alpha", type=float, default=0.1)
-    parser.add_argument("--gamma", type=float, default=0.99)
-    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--episodes", type=int, default=Hyperparameters.episodes)
+    parser.add_argument("--alpha", type=float, default=Hyperparameters.alpha)
+    parser.add_argument("--gamma", type=float, default=Hyperparameters.gamma)
+    parser.add_argument("--epsilon", type=float, default=Hyperparameters.epsilon)
     parser.add_argument(
         "--reward-mode",
         choices=[m.value for m in RewardMode],
-        default=RewardMode.WASTAGE.value,
+        default=Hyperparameters.reward_mode.value,
     )
     parser.add_argument(
         "--alpha-schedule",
         choices=[s.value for s in AlphaSchedule],
-        default=AlphaSchedule.FIXED.value,
+        default=Hyperparameters.alpha_schedule.value,
     )
 
 
@@ -124,11 +128,8 @@ def _write_run(record: metrics.RunRecord, learner: agents.Learner, out_dir: Path
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    defaults = GenerationParams()
     params = GenerationParams(
-        num_vms=args.vms,
-        req_range=tuple(args.req_range) if args.req_range else defaults.req_range,
-        cap_range=tuple(args.cap_range) if args.cap_range else defaults.cap_range,
+        num_vms=args.vms, req_range=tuple(args.req_range), cap_range=tuple(args.cap_range)
     )
     inst = scenario_mod.generate(args.seed, params)
     scenario_mod.save(inst, args.out)
@@ -175,6 +176,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "variant": args.variant,
         "seeds": args.seeds,
         "mean_average_reward": mean,
+        # ``** 0.5``, not the ``math.sqrt`` of metrics' standard deviations: the
+        # two may differ in the last bit, and this file's bytes are kept stable.
         "std_average_reward": (sum((a - mean) ** 2 for a in averages) / len(averages)) ** 0.5,
         "per_seed": summaries,
     }

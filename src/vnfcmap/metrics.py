@@ -47,6 +47,12 @@ def exploration_ratio(log: EpisodeLog) -> float:
     return log.exploratory_actions / log.length
 
 
+def _mean_and_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mean = sum(values) / len(values)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
 def reward_auc(rewards: Sequence[float]) -> float:
     """Trapezoidal area under the per-episode reward curve over episode index."""
     if len(rewards) < 2:
@@ -108,8 +114,7 @@ class RunRecord:
 
     @property
     def std_dev(self) -> float:
-        mean = self.average_reward
-        return math.sqrt(sum((r - mean) ** 2 for r in self.rewards) / len(self.episodes))
+        return _mean_and_std(self.rewards)[1]
 
     @property
     def auc(self) -> float:
@@ -168,8 +173,7 @@ def compare_summaries(summaries: Sequence[dict]) -> dict:
     table: dict[str, dict] = {}
     for variant, group in sorted(by_variant.items()):
         averages = [s["average_reward"] for s in group]
-        mean_avg = sum(averages) / len(averages)
-        cross_std = math.sqrt(sum((a - mean_avg) ** 2 for a in averages) / len(averages))
+        mean_avg, cross_std = _mean_and_std(averages)
         convergences = [
             s["convergence_episode"] for s in group if s["convergence_episode"] is not None
         ]
@@ -207,9 +211,7 @@ def _fmt(value: float) -> str:
 
 def episode_csv_lines(run: RunRecord) -> list[str]:
     lines = [",".join(CSV_COLUMNS)]
-    running = 0.0
-    for log in run.episodes:
-        running += log.total_reward
+    for log, running in zip(run.episodes, run.cumulative_rewards()):
         lines.append(
             ",".join(
                 (

@@ -3,7 +3,8 @@
 Two routes to the same optimum: a factorial enumeration for small instances
 and a minimum-cost bipartite matching for production sizes. Both minimize the
 summed capacity surplus of the chosen machines, either in absolute resource
-units or normalized per machine.
+units or normalized per machine. Both, and the greedy best-fit heuristic,
+read one ``inf``-masked cost matrix.
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
             )
 
 
+def _masked_cost(comps, vms, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray]:
+    """The capacity-fit mask of every (component, machine) pair, and their
+    surplus cost matrix, ``inf`` where the component does not fit."""
+    req_c, req_s, cap_c, cap_s, fits = resource_grid(comps, vms)
+    return fits, np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
+
+
 def _cost_matrix(
     problem: AssignmentProblem,
 ) -> tuple[list[VnfComponent], list[VirtualMachine], np.ndarray]:
@@ -138,7 +146,7 @@ def _cost_matrix(
             rule=RULE_VM_EXCLUSIVE,
         )
     comps = sorted(problem.components, key=lambda c: c.id)
-    req_c, req_s, cap_c, cap_s, fits = resource_grid(comps, vms)
+    fits, cost = _masked_cost(comps, vms, problem.objective_mode)
     hostless = {comp.id for comp, hostable in zip(comps, fits.any(axis=1)) if not hostable}
     for comp in problem.components:
         if comp.id in hostless:
@@ -146,7 +154,6 @@ def _cost_matrix(
                 f"no available vm can host component {comp.id} "
                 f"(needs compute {comp.compute_req}, storage {comp.storage_req})"
             )
-    cost = np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, problem.objective_mode), np.inf)
     return comps, vms, cost
 
 
@@ -160,23 +167,41 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_COMPONENTS} components")
     if len(problem.vms) > ENUMERATION_MAX_VMS:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_VMS} vms")
-    comps, vms, _ = _cost_matrix(problem)
-    best_pairs: dict[int, int] | None = None
-    best_value = math.inf
-    for chosen in itertools.permutations(vms, len(comps)):
+    comps, vms, cost = _cost_matrix(problem)
+    rows = cost.tolist()
+    best_chosen, best_value = None, math.inf
+    # Summed left to right in component order from 0.0, as the objective is;
+    # an infeasible (inf) or NaN total loses every comparison.
+    for chosen in itertools.permutations(range(len(vms)), len(comps)):
         value = 0.0
-        feasible = True
-        for comp, vm in zip(comps, chosen):
-            if not vm.fits(comp):
-                feasible = False
-                break
-            value += pair_cost(comp, vm, problem.objective_mode)
-        if feasible and value < best_value:
-            best_value = value
-            best_pairs = {comp.id: vm.id for comp, vm in zip(comps, chosen)}
-    if best_pairs is None:
+        for row, col in zip(rows, chosen):
+            value += row[col]
+        if value < best_value:
+            best_chosen, best_value = chosen, value
+    if best_chosen is None:
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
-    return Assignment(best_pairs, assignment_objective(problem, best_pairs), problem.objective_mode)
+    pairs = {comp.id: vms[col].id for comp, col in zip(comps, best_chosen)}
+    return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)
+
+
+def greedy_best_fit(
+    components: tuple[VnfComponent, ...], vms: tuple[VirtualMachine, ...]
+) -> dict[int, int]:
+    """Best-fit walk: each component, in the order given, takes the available
+    machine that leaves the least normalized idle capacity behind, lowest id
+    on ties."""
+    available = sorted((v for v in vms if v.available), key=lambda v: v.id)
+    _, cost = _masked_cost(components, available, ObjectiveMode.NORMALIZED_SURPLUS)
+    pairs: dict[int, int] = {}
+    for comp, row in zip(components, cost):
+        if math.isinf(row.min(initial=np.inf)):
+            raise InfeasibleAssignmentError(
+                f"no available vm can host component {comp.id}", rule=RULE_CAPACITY_FIT
+            )
+        col = int(np.argmin(row))
+        cost[:, col] = np.inf
+        pairs[comp.id] = available[col].id
+    return pairs
 
 
 def _matching_cost(cost: np.ndarray) -> float:

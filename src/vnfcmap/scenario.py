@@ -8,6 +8,7 @@ instances use small integer resource units so objective arithmetic stays exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -36,8 +37,8 @@ class ScenarioFormatError(ValueError):
 
     def __init__(self, field_path: str, detail: str = ""):
         self.field = field_path
-        message = f"scenario field {field_path!r} {detail or 'is missing or malformed'}"
-        super().__init__(message)
+        self.detail = detail or "is missing or malformed"
+        super().__init__(f"scenario field {field_path!r} {self.detail}")
 
 
 class ScenarioGenerationError(RuntimeError):
@@ -159,6 +160,31 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
+def _require_list(mapping: dict, key: str, path: str) -> list:
+    value = _require(mapping, key, path)
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{path}{key}", "must be a list")
+    return value
+
+
+def _require_int(mapping: dict, key: str, path: str) -> int:
+    value = _require(mapping, key, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioFormatError(f"{path}{key}", "must be an integer")
+    return value
+
+
+def _require_number(mapping: dict, key: str, path: str) -> float:
+    value = _require(mapping, key, path)
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        finite = False
+    if not finite:
+        raise ScenarioFormatError(f"{path}{key}", "must be a finite number")
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     doc: dict[str, Any] = {
         "version": SCHEMA_VERSION,
@@ -220,32 +246,32 @@ def scenario_from_dict(doc: dict, validate_placement: bool = True) -> Scenario:
         )
 
     slice_doc = _require(doc, "slice", "")
-    raw_components = _require(slice_doc, "components", "slice.")
+    raw_components = _require_list(slice_doc, "components", "slice.")
     components = []
     for idx, raw in enumerate(raw_components):
         path = f"slice.components[{idx}]."
         kind_name = _require(raw, "kind", path)
         try:
             kind = VnfcKind[kind_name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ScenarioFormatError(f"{path}kind", f"has unknown value {kind_name!r}") from None
         components.append(
             VnfComponent(
-                id=_require(raw, "id", path),
+                id=_require_int(raw, "id", path),
                 kind=kind,
-                compute_req=_require(raw, "compute_req", path),
-                storage_req=_require(raw, "storage_req", path),
+                compute_req=_require_number(raw, "compute_req", path),
+                storage_req=_require_number(raw, "storage_req", path),
             )
         )
     subnet = SliceSubnet(tuple(components))
 
     vms = tuple(
         VirtualMachine(
-            id=_require(raw, "id", f"vms[{idx}]."),
-            compute_cap=_require(raw, "compute_cap", f"vms[{idx}]."),
-            storage_cap=_require(raw, "storage_cap", f"vms[{idx}]."),
+            id=_require_int(raw, "id", f"vms[{idx}]."),
+            compute_cap=_require_number(raw, "compute_cap", f"vms[{idx}]."),
+            storage_cap=_require_number(raw, "storage_cap", f"vms[{idx}]."),
         )
-        for idx, raw in enumerate(_require(doc, "vms", ""))
+        for idx, raw in enumerate(_require_list(doc, "vms", ""))
     )
 
     pms = tuple(

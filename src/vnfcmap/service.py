@@ -20,14 +20,14 @@ from .agents import greedy_rollout, load_policy
 from .mdp import MappingEnvironment
 from .model import VnfComponent
 from .oracle import (
-    RULE_CAPACITY_FIT,
     AssignmentProblem,
     InfeasibleAssignmentError,
     ObjectiveMode,
     assignment_objective,
-    pair_cost,
+    greedy_best_fit,
     solve_exact_matching,
 )
+from .oracle import pair_cost  # noqa: F401 (perfbench/layers.py wraps it here)
 from .scenario import Scenario, ScenarioFormatError, scenario_from_dict
 
 DEFAULT_DESCRIPTOR = {
@@ -87,6 +87,8 @@ def parse_request(doc: dict) -> MappingRequest:
     if kind not in POLICY_KINDS:
         raise RequestError("policy.kind", f"must be one of {POLICY_KINDS}, got {kind!r}")
     model_path = policy_doc.get("model")
+    if model_path is not None and not isinstance(model_path, str):
+        raise RequestError("policy.model", "must be a string")
 
     mode_name = doc.get("objective_mode", ObjectiveMode.ABSOLUTE_SURPLUS.value)
     try:
@@ -99,39 +101,16 @@ def parse_request(doc: dict) -> MappingRequest:
             {"version": 1, "seed": None, "params": None, "slice": doc["slice"], "vms": doc["vms"]}
         )
     except ScenarioFormatError as exc:
-        raise RequestError(exc.field, "is missing or malformed") from exc
+        raise RequestError(exc.field, exc.detail) from exc
     except ValueError as exc:
         raise RequestError("<document>", str(exc)) from exc
     return MappingRequest(scenario, kind, model_path, mode)
 
 
-def _greedy_best_fit(scenario: Scenario) -> dict[int, int]:
-    """Best-fit walk: each component takes the machine that leaves the least
-    normalized idle capacity behind, lowest id on ties."""
-    taken: set[int] = set()
-    pairs: dict[int, int] = {}
-    for comp in scenario.subnet.components:
-        best_vm = None
-        best_cost = None
-        for vm in scenario.vms:
-            if vm.id in taken or not vm.fits(comp):
-                continue
-            cost = pair_cost(comp, vm, ObjectiveMode.NORMALIZED_SURPLUS)
-            if best_cost is None or cost < best_cost:
-                best_vm, best_cost = vm.id, cost
-        if best_vm is None:
-            raise InfeasibleAssignmentError(
-                f"no available vm can host component {comp.id}", rule=RULE_CAPACITY_FIT
-            )
-        taken.add(best_vm)
-        pairs[comp.id] = best_vm
-    return pairs
-
-
-def _trained_pairs(request: MappingRequest) -> dict[int, int]:
-    snapshot = load_policy(request.model_path)
-    estimator = snapshot.estimator_for(request.scenario)
-    env = MappingEnvironment(request.scenario, np.random.default_rng(0))
+def _trained_pairs(scenario: Scenario, model_path: str) -> dict[int, int]:
+    snapshot = load_policy(model_path)
+    estimator = snapshot.estimator_for(scenario)
+    env = MappingEnvironment(scenario, np.random.default_rng(0))
     pairs = greedy_rollout(estimator, env, start_anchor=1)
     if pairs is None:
         raise InfeasibleAssignmentError(
@@ -157,14 +136,11 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
     except RequestError as exc:
         return 400, {"error": {"field": exc.field, "detail": exc.detail}}
 
-    if request.policy == "trained" and not request.model_path:
-        if not default_model:
-            return 400, {
-                "error": {"field": "policy.model", "detail": "is required for the trained policy"}
-            }
-        request = MappingRequest(
-            request.scenario, request.policy, default_model, request.objective_mode
-        )
+    model_path = request.model_path or default_model
+    if request.policy == "trained" and not model_path:
+        return 400, {
+            "error": {"field": "policy.model", "detail": "is required for the trained policy"}
+        }
     try:
         problem = AssignmentProblem(
             request.scenario.subnet.components,
@@ -177,9 +153,9 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
             objective = solution.objective_value
         else:
             if request.policy == "greedy":
-                pairs = _greedy_best_fit(request.scenario)
+                pairs = greedy_best_fit(problem.components, problem.vms)
             else:
-                pairs = _trained_pairs(request)
+                pairs = _trained_pairs(request.scenario, model_path)
             objective = assignment_objective(problem, pairs)
     except InfeasibleAssignmentError as exc:
         return 200, {"status": "infeasible", "rule": exc.rule, "detail": exc.detail}

@@ -4,10 +4,16 @@ The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
 an oracle for the learners. The step-by-step training loop is written against
 the public environment and agent functions only, so it can serve as an oracle
-for the training kernel in ``agents.run_episode``.
+for the training kernel in ``agents.run_episode``. The enumeration and greedy
+best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
+``pair_cost``, so they can serve as oracles for the routes that read the
+masked cost matrix.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -22,6 +28,15 @@ from vnfcmap.agents import (
 from vnfcmap.mdp import MappingEnvironment, RewardMode
 from vnfcmap.metrics import EpisodeLog
 from vnfcmap.model import VirtualMachine, make_slice
+from vnfcmap.oracle import (
+    RULE_CAPACITY_FIT,
+    Assignment,
+    InfeasibleAssignmentError,
+    ObjectiveMode,
+    _cost_matrix,
+    assignment_objective,
+    pair_cost,
+)
 from vnfcmap.scenario import Scenario
 
 PENALTY = -1.0
@@ -148,3 +163,49 @@ def reference_train(variant, scenario, hyper, seed, num_components=None):
     learner = make_learner(variant, scenario, hyper, num_components)
     logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, hyper.episodes + 1)]
     return logs, learner
+
+
+def reference_enumeration(problem) -> Assignment:
+    """``oracle.solve_exact_enumeration`` scanning machine objects: the same
+    edge checks, then every permutation summed pair by pair in component
+    order, stopping at the first pair that does not fit."""
+    comps, vms, _ = _cost_matrix(problem)
+    best_pairs = None
+    best_value = math.inf
+    for chosen in itertools.permutations(vms, len(comps)):
+        value = 0.0
+        feasible = True
+        for comp, vm in zip(comps, chosen):
+            if not vm.fits(comp):
+                feasible = False
+                break
+            value += pair_cost(comp, vm, problem.objective_mode)
+        if feasible and value < best_value:
+            best_value = value
+            best_pairs = {comp.id: vm.id for comp, vm in zip(comps, chosen)}
+    if best_pairs is None:
+        raise InfeasibleAssignmentError("no injective feasible assignment exists")
+    return Assignment(best_pairs, assignment_objective(problem, best_pairs), problem.objective_mode)
+
+
+def reference_greedy_best_fit(components, vms) -> dict[int, int]:
+    """``oracle.greedy_best_fit`` scanning machine objects in the order given;
+    occupancy is not consulted."""
+    taken: set[int] = set()
+    pairs: dict[int, int] = {}
+    for comp in components:
+        best_vm = None
+        best_cost = None
+        for vm in vms:
+            if vm.id in taken or not vm.fits(comp):
+                continue
+            cost = pair_cost(comp, vm, ObjectiveMode.NORMALIZED_SURPLUS)
+            if best_cost is None or cost < best_cost:
+                best_vm, best_cost = vm.id, cost
+        if best_vm is None:
+            raise InfeasibleAssignmentError(
+                f"no available vm can host component {comp.id}", rule=RULE_CAPACITY_FIT
+            )
+        taken.add(best_vm)
+        pairs[comp.id] = best_vm
+    return pairs

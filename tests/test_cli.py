@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,15 @@ def test_bad_scenario_file_is_validation_error(tmp_path, capsys):
     path.write_text("{}")
     assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
     assert "version" in capsys.readouterr().err
+
+
+def test_non_finite_capacity_in_scenario_file_is_validation_error(small_scenario, tmp_path, capsys):
+    doc = json.loads(small_scenario.read_text())
+    doc["vms"][2]["storage_cap"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert "vms[2].storage_cap" in capsys.readouterr().err
 
 
 def test_oracle_json_matches_library(small_scenario, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import _fits
+from _reference import _fits, reference_enumeration, reference_greedy_best_fit
 from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
@@ -19,6 +19,7 @@ from vnfcmap.oracle import (
     SizeLimitError,
     _cost_matrix,
     assignment_objective,
+    greedy_best_fit,
     has_feasible_assignment,
     pair_cost,
     solve_exact_enumeration,
@@ -337,3 +338,99 @@ def test_generate_feasibility_draws_agree_with_hopcroft_karp(monkeypatch):
     assert any(not verdict for _, verdict in seen)
     for problem, verdict in seen:
         assert verdict == _hopcroft_karp_feasible(problem)
+
+
+def _draw(rng, special=False):
+    """A small resource amount: mostly an integer, so that equal costs are
+    common, else a half-integer or an arbitrary float; with ``special``,
+    sometimes inf or NaN."""
+    u = rng.random()
+    if special and u < 0.2:
+        return math.inf if u < 0.1 else math.nan
+    value = int(rng.integers(1, 7))
+    if u < 0.6:
+        return value
+    return value + 0.5 if u < 0.8 else float(rng.uniform(1, 7))
+
+
+def _random_instance(rng, special=False):
+    """Up to 5 components against up to 7 machines, often fewer machines
+    than components."""
+    k, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    comps = tuple(_comp(i + 1, _draw(rng, special), _draw(rng, special)) for i in range(k))
+    vms = tuple(_vm(j + 1, _draw(rng, special), _draw(rng, special)) for j in range(m))
+    return comps, vms
+
+
+def _has_tie(comps, vms, mode):
+    """Whether some component has two hosts of equal cost."""
+    for comp in comps:
+        costs = [pair_cost(comp, vm, mode) for vm in vms if vm.available and vm.fits(comp)]
+        if len(set(costs)) < len(costs):
+            return True
+    return False
+
+
+def _outcome(solve, *args):
+    """A route's answer: its pairs and objective bits, or its error's rule and detail."""
+    try:
+        result = solve(*args)
+    except InfeasibleAssignmentError as err:
+        return "infeasible", err.rule, err.detail
+    if isinstance(result, dict):
+        return "mapped", result
+    return "mapped", result.pairs, result.objective_value.hex()
+
+
+# inf - inf and inf / inf make NaN costs, which the instances include on purpose.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_enumeration_matches_pairwise_reference():
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(400):
+        comps, vms = _random_instance(rng, special=True)
+        vms = tuple(vm.occupy(1) if rng.random() < 0.2 else vm for vm in vms)
+        mode = list(ObjectiveMode)[int(rng.integers(2))]
+        problem = AssignmentProblem(comps, vms, mode)
+        outcome = _outcome(solve_exact_enumeration, problem)
+        assert outcome == _outcome(reference_enumeration, problem)
+        # The second word tells the three infeasibility texts apart.
+        seen.add(outcome[0] if outcome[0] == "mapped" else outcome[2].split()[1])
+        if _has_tie(comps, vms, mode):
+            seen.add("tie")
+        if any(not vm.available for vm in vms):
+            seen.add("occupied")
+        if any(math.isnan(vm.compute_cap) or math.isinf(vm.storage_cap) for vm in vms):
+            seen.add("non-finite")
+        if outcome[1:] == (RULE_CAPACITY_FIT, "no injective feasible assignment exists"):
+            if np.isnan(_cost_matrix(problem)[2]).any():
+                seen.add("nan cost")
+    assert seen == {
+        "mapped", "components", "available", "injective", "tie", "occupied", "non-finite",
+        "nan cost",
+    }
+
+
+def test_greedy_best_fit_matches_pairwise_reference():
+    rng = np.random.default_rng(42)
+    seen = set()
+    for _ in range(2000):
+        comps, vms = _random_instance(rng)
+        outcome = _outcome(greedy_best_fit, comps, vms)
+        assert outcome == _outcome(reference_greedy_best_fit, comps, vms)
+        seen.add(outcome[0])
+        if _has_tie(comps, vms, ObjectiveMode.NORMALIZED_SURPLUS):
+            seen.add("tie")
+        if len(vms) < len(comps):
+            seen.add("fewer machines")
+        if any(isinstance(vm.compute_cap, float) for vm in vms):
+            seen.add("float")
+    assert seen == {"mapped", "infeasible", "tie", "fewer machines", "float"}
+
+
+def test_greedy_best_fit_skips_occupied_machines():
+    comps = (_comp(1, 2, 2), _comp(2, 2, 2))
+    vms = (_vm(1, 2, 2).occupy(2), _vm(2, 3, 3), _vm(3, 2, 2))
+    assert greedy_best_fit(comps, vms) == {1: 3, 2: 2}
+    with pytest.raises(InfeasibleAssignmentError, match="component 2"):
+        greedy_best_fit(comps, vms[:2])

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import socket
 import threading
 import urllib.error
@@ -180,6 +182,63 @@ def test_missing_field_is_400_with_path(canonical):
     status, body = handle_map(doc)
     assert status == 400
     assert "compute_req" in body["error"]["field"]
+
+
+def _set(path, value):
+    """A request edit that puts ``value`` at ``path``, a tuple of keys and indices."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+_COMPONENT = ("slice", "components", 0)
+_VM = ("vms", 0)
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (_set(_COMPONENT + ("compute_req",), "4"), "slice.components[0].compute_req"),
+        (_set(("vms",), 5), "vms"),
+        (_set(("slice", "components"), {"0": {}}), "slice.components"),
+        (_set(_VM + ("id",), "a"), "vms[0].id"),
+        (_set(_COMPONENT + ("kind",), ["RRC"]), "slice.components[0].kind"),
+        (_set(("policy",), {"kind": "trained", "model": 5}), "policy.model"),
+        (_set(_VM + ("compute_cap",), math.nan), "vms[0].compute_cap"),
+        (_set(_VM + ("storage_cap",), math.inf), "vms[0].storage_cap"),
+        (_set(_VM + ("compute_cap",), True), "vms[0].compute_cap"),
+        (_set(_VM + ("compute_cap",), 10**400), "vms[0].compute_cap"),
+        (_set(_COMPONENT + ("storage_req",), math.nan), "slice.components[0].storage_req"),
+        (_set(_COMPONENT + ("compute_req",), -math.inf), "slice.components[0].compute_req"),
+        (_set(_COMPONENT + ("storage_req",), False), "slice.components[0].storage_req"),
+    ],
+    ids=[
+        "string-demand",
+        "vms-not-a-list",
+        "components-not-a-list",
+        "string-vm-id",
+        "unhashable-kind",
+        "model-not-a-string",
+        "nan-capacity",
+        "infinite-capacity",
+        "bool-capacity",
+        "capacity-beyond-float",
+        "nan-demand",
+        "infinite-demand",
+        "bool-demand",
+    ],
+)
+def test_wrong_types_and_non_finite_numbers_are_400(canonical, edit, field):
+    doc = copy.deepcopy(_request_doc(canonical, "greedy"))
+    edit(doc)
+    status, body = handle_map(doc)
+    assert status == 400
+    assert body["error"]["field"] == field
 
 
 def test_unknown_policy_kind_rejected(canonical):
