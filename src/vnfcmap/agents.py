@@ -27,7 +27,7 @@ from .mdp import (
 )
 from .metrics import EpisodeLog, RunRecord
 from .model import capacity_ratios
-from .scenario import Scenario
+from .scenario import INTEGER, Scenario, ScenarioFormatError, read_document, require
 
 FEATURE_DIM = 7
 DIVERGENCE_LIMIT = 1e9
@@ -492,14 +492,15 @@ class PolicySnapshot:
     def estimator_for(self, scenario: Scenario) -> ValueEstimator:
         components = len(scenario.subnet.components)
         if self.num_components != components:
-            raise ValueError(
-                f"num_components: policy trained for {self.num_components} components, "
-                f"scenario has {components}"
+            raise ScenarioFormatError(
+                "num_components",
+                f"policy trained for {self.num_components} components, scenario has {components}",
             )
         if self.kind == "tabular":
             if self.num_vms != scenario.num_vms:
-                raise ValueError(
-                    f"policy trained for {self.num_vms} vms, scenario has {scenario.num_vms}"
+                raise ScenarioFormatError(
+                    "num_vms",
+                    f"policy trained for {self.num_vms} vms, scenario has {scenario.num_vms}",
                 )
             table = QTable(self.num_components, self.num_vms)
             table.values = np.array(self.values)
@@ -510,29 +511,31 @@ class PolicySnapshot:
 
 
 def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
-    """``doc[name]`` as a float array of ``shape`` with finite entries only;
-    anything else raises a ValueError that names the field."""
+    """``doc[name]`` as a float array of ``shape`` with finite entries only."""
+    value = require(doc, name)
     try:
-        array = np.array(doc[name], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{name}: missing or not an array of numbers") from None
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond the float range
+        raise ScenarioFormatError(name, "must be an array of numbers") from None
     if array.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
+        raise ScenarioFormatError(name, f"expected shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():
-        raise ValueError(f"{name}: every entry must be finite")
+        raise ScenarioFormatError(name, "every entry must be finite")
     return array
 
 
 def load_policy(path: str | Path) -> PolicySnapshot:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != POLICY_FILE_VERSION:
-        raise ValueError(f"unsupported policy file version {doc.get('version')!r}")
-    kind = doc["kind"]
+    """Read a policy file; a malformed one raises ``ScenarioFormatError``."""
+    doc = read_document(path)
+    version = require(doc, "version")
+    if version != POLICY_FILE_VERSION:
+        raise ScenarioFormatError("version", f"has unsupported value {version!r}")
+    kind = require(doc, "kind")
     if kind not in ("tabular", "linear"):
-        raise ValueError(f"kind: must be 'tabular' or 'linear', got {kind!r}")
-    k, m = doc["num_components"], doc["num_vms"]
+        raise ScenarioFormatError("kind", f"must be 'tabular' or 'linear', got {kind!r}")
+    k, m = require(doc, "num_components", kind=INTEGER), require(doc, "num_vms", kind=INTEGER)
     return PolicySnapshot(
-        variant=doc["variant"],
+        variant=require(doc, "variant"),
         kind=kind,
         num_components=k,
         num_vms=m,

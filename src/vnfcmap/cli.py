@@ -20,16 +20,10 @@ from .oracle import (
     AssignmentProblem,
     InfeasibleAssignmentError,
     ObjectiveMode,
-    SizeLimitError,
     pair_cost,
     solve_exact_matching,
 )
-from .scenario import (
-    GenerationParams,
-    ScenarioFormatError,
-    ScenarioGenerationError,
-    placement_violations,
-)
+from .scenario import GenerationParams, ScenarioGenerationError, placement_violations
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -190,12 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    summaries = []
-    for run_dir in args.runs:
-        path = Path(run_dir) / "summary.json"
-        if not path.exists():
-            raise ScenarioFormatError(str(path), "run directory has no summary.json")
-        summaries.append(metrics.load_summary_json(path))
+    summaries = [metrics.load_summary_json(Path(run_dir) / "summary.json") for run_dir in args.runs]
     comparison = metrics.compare_summaries(summaries)
     if args.out:
         metrics.write_comparison_json(comparison, args.out)
@@ -346,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioFormatError, SizeLimitError, ValueError) as exc:
+    except ValueError as exc:  # a ScenarioFormatError, a SizeLimitError or a bad flag value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InfeasibleAssignmentError, DivergenceError, ScenarioGenerationError) as exc:

@@ -70,13 +70,11 @@ def check_vm_placement(
     placement: VmPlacement,
     vms: Sequence[VirtualMachine],
     pms: Sequence[PhysicalMachine],
-    require_total: bool = True,
 ) -> list[Violation]:
     """Validate a placement against the substrate rules.
 
     Returns one violation per broken rule instance; an empty list means the
-    placement is feasible. With ``require_total=False`` unplaced VMs (all-zero
-    rows) are tolerated, rows with multiple hosts never are.
+    placement is feasible.
     """
     if placement.num_vms != len(vms) or placement.num_pms != len(pms):
         raise ValueError(
@@ -87,7 +85,7 @@ def check_vm_placement(
 
     for j, row in enumerate(placement.x):
         hosts = sum(row)
-        if hosts > 1 or (hosts == 0 and require_total):
+        if hosts != 1:
             violations.append(
                 Violation(RULE_SINGLE_HOST, j + 1, f"vm {vms[j].id} placed on {hosts} pms")
             )

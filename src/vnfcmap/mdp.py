@@ -109,10 +109,8 @@ class MappingEnvironment:
             num_components = total
         if not 1 <= num_components <= total:
             raise ValueError(f"num_components must be in 1..{total}")
-        self.scenario = scenario
         self.num_components = num_components
         self.num_vms = scenario.num_vms
-        self.reward_mode = reward_mode
         self._rng = rng
 
         ratio_c, ratio_s, fits = capacity_ratios(

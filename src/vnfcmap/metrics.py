@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .mdp import Hyperparameters
+from .scenario import NUMBER, STRING, read_document, require
 
 CSV_COLUMNS = (
     "episode",
@@ -241,4 +242,11 @@ def write_comparison_json(comparison: dict, path: str | Path) -> None:
 
 
 def load_summary_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """A run summary, with the fields ``compare_summaries`` reads checked."""
+    summary = read_document(path)
+    require(summary, "variant", kind=STRING)
+    for key in ("average_reward", "std_dev", "auc"):
+        require(summary, key, kind=NUMBER)
+    if require(summary, "convergence_episode") is not None:
+        require(summary, "convergence_episode", kind=NUMBER)
+    return summary

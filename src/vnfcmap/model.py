@@ -30,9 +30,6 @@ class VnfcKind(Enum):
         return self.value <= 3
 
 
-CU_KINDS = tuple(k for k in VnfcKind if k.in_centralized_unit)
-DU_KINDS = tuple(k for k in VnfcKind if not k.in_centralized_unit)
-
 NUM_COMPONENTS = len(VnfcKind)
 
 
@@ -166,27 +163,12 @@ class VmLabel(Enum):
 
 @dataclass(frozen=True)
 class VmClassification:
-    """Per-machine labels for one component, with optional search markers."""
+    """Per-machine labels for one component."""
 
     labels: dict[int, VmLabel]
-    primary: Optional[int] = None
-    target: Optional[int] = None
-
-    def ids_with(self, label: VmLabel) -> list[int]:
-        return sorted(vm_id for vm_id, lab in self.labels.items() if lab is label)
 
 
-def total_slice_demand(subnet: SliceSubnet) -> tuple[float, float]:
-    """Aggregate compute and storage demand of the whole subnet."""
-    return subnet.total_compute, subnet.total_storage
-
-
-def classify_vms(
-    vms: Sequence[VirtualMachine],
-    component: VnfComponent,
-    primary: Optional[int] = None,
-    target: Optional[int] = None,
-) -> VmClassification:
+def classify_vms(vms: Sequence[VirtualMachine], component: VnfComponent) -> VmClassification:
     """Label every machine as occupied, sufficient, or insufficient for a component.
 
     A machine is sufficient when it is available and both capacities are
@@ -202,7 +184,7 @@ def classify_vms(
             labels[vm.id] = VmLabel.AVAILABLE_SUFFICIENT
         else:
             labels[vm.id] = VmLabel.AVAILABLE_INSUFFICIENT
-    return VmClassification(labels=labels, primary=primary, target=target)
+    return VmClassification(labels=labels)
 
 
 def resource_grid(

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,12 +33,16 @@ MAX_RESAMPLES = 1000
 
 
 class ScenarioFormatError(ValueError):
-    """A scenario document is structurally broken; ``field`` names the offender."""
+    """A malformed outside document (scenario file, request body, policy file, run
+    summary or service descriptor): ``field`` is the offender, ``detail`` the fault."""
 
-    def __init__(self, field_path: str, detail: str = ""):
-        self.field = field_path
-        self.detail = detail or "is missing or malformed"
-        super().__init__(f"scenario field {field_path!r} {self.detail}")
+    def __init__(self, field: str, detail: str):
+        super().__init__(field, detail)
+        self.field = field
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.detail}"
 
 
 class ScenarioGenerationError(RuntimeError):
@@ -151,38 +155,72 @@ def identity_scenario(subnet: SliceSubnet, extra_vms: tuple[VirtualMachine, ...]
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Reading outside documents: each is parsed by ``decode_document`` and read with ``require``.
 
 
-def _require(mapping: dict, key: str, path: str) -> Any:
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ScenarioFormatError(f"{path}{key}" if path.endswith(".") or not path else key)
-    return mapping[key]
-
-
-def _require_list(mapping: dict, key: str, path: str) -> list:
-    value = _require(mapping, key, path)
-    if not isinstance(value, list):
-        raise ScenarioFormatError(f"{path}{key}", "must be a list")
-    return value
-
-
-def _require_int(mapping: dict, key: str, path: str) -> int:
-    value = _require(mapping, key, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFormatError(f"{path}{key}", "must be an integer")
-    return value
-
-
-def _require_number(mapping: dict, key: str, path: str) -> float:
-    value = _require(mapping, key, path)
+def decode_document(raw: bytes | str, field: str = "<document>") -> dict:
+    """Parse a JSON object; any failure raises a ``ScenarioFormatError`` naming ``field``."""
     try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise ScenarioFormatError(field, f"is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(field, "must be a JSON object")
+    return doc
+
+
+def read_document(path: str | Path) -> dict:
+    """``decode_document`` of a regular file; a FIFO or a device, whose read may
+    never end, is refused unread."""
+    path = Path(path)
+    try:
+        if not path.is_file():
+            raise ScenarioFormatError("<document>", f"{path} is not a regular file")
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ScenarioFormatError("<document>", f"cannot be read: {exc}") from exc
+    return decode_document(raw)
+
+
+class FieldKind(NamedTuple):
+    valid: Callable[[Any], bool]
+    detail: str
+
+
+def _is_finite_number(value: Any) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        finite = False
-    if not finite:
-        raise ScenarioFormatError(f"{path}{key}", "must be a finite number")
+        return False
+
+
+LIST = FieldKind(lambda v: isinstance(v, list), "must be a list")
+INTEGER = FieldKind(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer")
+NUMBER = FieldKind(_is_finite_number, "must be a finite number")
+STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
+BOOLEAN = FieldKind(lambda v: isinstance(v, bool), "must be a boolean")
+_ABSENT = object()
+
+
+def require(
+    mapping: dict, key: str, path: str = "", kind: Optional[FieldKind] = None, default=_ABSENT
+) -> Any:
+    """``mapping[key]``, checked against ``kind`` unless it is the ``default``
+    that an absent key falls back to. ``path`` is the field path of
+    ``mapping``, ending in a dot, or "" at the top level."""
+    if not isinstance(mapping, dict):
+        parent = path[:-1] or "<document>"
+        raise ScenarioFormatError(f"{path}{key}", f"cannot be read: {parent} is not an object")
+    value = mapping.get(key, default)
+    if value is _ABSENT:
+        raise ScenarioFormatError(f"{path}{key}", "is required")
+    if kind is not None and value is not default and not kind.valid(value):
+        raise ScenarioFormatError(f"{path}{key}", kind.detail)
     return value
+
+
+# ---------------------------------------------------------------------------
+# Serialization
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -232,76 +270,89 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict, validate_placement: bool = True) -> Scenario:
-    version = _require(doc, "version", "")
+    """Read a scenario document. A missing or mistyped field raises a
+    ``ScenarioFormatError`` naming it; a broken domain rule (dominance, id
+    order, substrate rules) raises one naming ``<document>``."""
+    try:
+        scenario = _read_scenario(doc)
+        violations = placement_violations(scenario) if validate_placement else []
+        if violations:
+            raise ValueError("placement breaks substrate rules: " + "; ".join(map(str, violations)))
+    except ScenarioFormatError:
+        raise
+    except ValueError as exc:
+        raise ScenarioFormatError("<document>", str(exc)) from exc
+    return scenario
+
+
+_INT_RANGE = FieldKind(
+    lambda v: LIST.valid(v) and len(v) == 2 and all(map(INTEGER.valid, v)), "must be two integers"
+)
+_ROWS = FieldKind(lambda v: LIST.valid(v) and all(map(LIST.valid, v)), "must be a list of lists")
+
+
+def _read_scenario(doc: dict) -> Scenario:
+    version = require(doc, "version")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError("version", f"has unsupported value {version!r}")
-    seed = doc.get("seed")
-    raw_params = _require(doc, "params", "")
+    seed = require(doc, "seed", kind=INTEGER, default=None)
+    raw_params = require(doc, "params")
     params = None
     if raw_params is not None:
         params = GenerationParams(
-            num_vms=_require(raw_params, "num_vms", "params."),
-            req_range=tuple(_require(raw_params, "req_range", "params.")),
-            cap_range=tuple(_require(raw_params, "cap_range", "params.")),
+            num_vms=require(raw_params, "num_vms", "params.", INTEGER),
+            req_range=tuple(require(raw_params, "req_range", "params.", _INT_RANGE)),
+            cap_range=tuple(require(raw_params, "cap_range", "params.", _INT_RANGE)),
         )
 
-    slice_doc = _require(doc, "slice", "")
-    raw_components = _require_list(slice_doc, "components", "slice.")
+    slice_doc = require(doc, "slice")
+    raw_components = require(slice_doc, "components", "slice.", LIST)
     components = []
     for idx, raw in enumerate(raw_components):
         path = f"slice.components[{idx}]."
-        kind_name = _require(raw, "kind", path)
+        kind_name = require(raw, "kind", path)
         try:
             kind = VnfcKind[kind_name]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ScenarioFormatError(f"{path}kind", f"has unknown value {kind_name!r}") from None
         components.append(
             VnfComponent(
-                id=_require_int(raw, "id", path),
+                id=require(raw, "id", path, INTEGER),
                 kind=kind,
-                compute_req=_require_number(raw, "compute_req", path),
-                storage_req=_require_number(raw, "storage_req", path),
+                compute_req=require(raw, "compute_req", path, NUMBER),
+                storage_req=require(raw, "storage_req", path, NUMBER),
             )
         )
     subnet = SliceSubnet(tuple(components))
 
     vms = tuple(
         VirtualMachine(
-            id=_require_int(raw, "id", f"vms[{idx}]."),
-            compute_cap=_require_number(raw, "compute_cap", f"vms[{idx}]."),
-            storage_cap=_require_number(raw, "storage_cap", f"vms[{idx}]."),
+            id=require(raw, "id", f"vms[{idx}].", INTEGER),
+            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", NUMBER),
+            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", NUMBER),
         )
-        for idx, raw in enumerate(_require_list(doc, "vms", ""))
+        for idx, raw in enumerate(require(doc, "vms", kind=LIST))
     )
 
     pms = tuple(
         PhysicalMachine(
-            id=_require(raw, "id", f"pms[{idx}]."),
-            compute_cap=_require(raw, "compute_cap", f"pms[{idx}]."),
-            storage_cap=_require(raw, "storage_cap", f"pms[{idx}]."),
-            max_vm_count=_require(raw, "max_vm_count", f"pms[{idx}]."),
-            active=raw.get("active", True),
+            id=require(raw, "id", f"pms[{idx}].", INTEGER),
+            compute_cap=require(raw, "compute_cap", f"pms[{idx}].", NUMBER),
+            storage_cap=require(raw, "storage_cap", f"pms[{idx}].", NUMBER),
+            max_vm_count=require(raw, "max_vm_count", f"pms[{idx}].", INTEGER),
+            active=require(raw, "active", f"pms[{idx}].", BOOLEAN, default=True),
         )
-        for idx, raw in enumerate(doc.get("pms", []))
+        for idx, raw in enumerate(require(doc, "pms", kind=LIST, default=[]))
     )
 
     placement = None
-    if "placement" in doc:
-        raw = doc["placement"]
+    raw_placement = require(doc, "placement", default=None)
+    if raw_placement is not None:
         placement = VmPlacement(
-            x=tuple(tuple(row) for row in _require(raw, "x", "placement.")),
-            pm_active=tuple(_require(raw, "pm_active", "placement.")),
+            x=tuple(tuple(row) for row in require(raw_placement, "x", "placement.", _ROWS)),
+            pm_active=tuple(require(raw_placement, "pm_active", "placement.", LIST)),
         )
-    scenario = Scenario(
-        subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement
-    )
-    if validate_placement and placement is not None:
-        violations = placement_violations(scenario)
-        if violations:
-            raise ValueError(
-                "placement breaks substrate rules: " + "; ".join(str(v) for v in violations)
-            )
-    return scenario
+    return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
 
 
 def save(scenario: Scenario, path: str | Path) -> None:
@@ -309,8 +360,4 @@ def save(scenario: Scenario, path: str | Path) -> None:
 
 
 def load(path: str | Path, validate_placement: bool = True) -> Scenario:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError("<document>", f"is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc, validate_placement=validate_placement)
+    return scenario_from_dict(read_document(path), validate_placement=validate_placement)

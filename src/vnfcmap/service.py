@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,15 @@ from .oracle import (
     solve_exact_matching,
 )
 from .oracle import pair_cost  # noqa: F401 (perfbench/layers.py wraps it here)
-from .scenario import Scenario, ScenarioFormatError, scenario_from_dict
+from .scenario import (
+    STRING,
+    Scenario,
+    ScenarioFormatError,
+    decode_document,
+    read_document,
+    require,
+    scenario_from_dict,
+)
 
 DEFAULT_DESCRIPTOR = {
     "name": "mapping-decision-service",
@@ -45,23 +52,13 @@ DEFAULT_DESCRIPTOR = {
 POLICY_KINDS = ("oracle", "greedy", "trained")
 
 
-class RequestError(ValueError):
-    """Malformed request body; ``field`` points at the offending element."""
-
-    def __init__(self, field: str, detail: str):
-        self.field = field
-        self.detail = detail
-        super().__init__(f"{field}: {detail}")
-
-
 def validate_descriptor(doc: dict) -> None:
-    for key in ("name", "version", "stages"):
-        if key not in doc:
-            raise ValueError(f"descriptor is missing {key!r}")
-    stages = doc["stages"]
+    require(doc, "name")
+    require(doc, "version")
+    stages = require(doc, "stages")
     for stage in ("onboarding", "security_authorization"):
-        if stages.get(stage) != "mocked":
-            raise ValueError(f"descriptor stage {stage!r} must be declared 'mocked'")
+        if require(stages, stage, "stages.", default=None) != "mocked":
+            raise ScenarioFormatError(f"stages.{stage}", "must be declared 'mocked'")
 
 
 @dataclass(frozen=True)
@@ -74,42 +71,35 @@ class MappingRequest:
 
 def parse_request(doc: dict) -> MappingRequest:
     if not isinstance(doc, dict):
-        raise RequestError("<body>", "request body must be a JSON object")
-    for key in ("slice", "vms", "policy"):
-        if key not in doc:
-            raise RequestError(key, "is required")
-    policy_doc = doc["policy"]
+        raise ScenarioFormatError("<body>", "must be a JSON object")
+    slice_doc, vms_doc, policy_doc = (require(doc, key) for key in ("slice", "vms", "policy"))
     if isinstance(policy_doc, str):
         policy_doc = {"kind": policy_doc}
-    if not isinstance(policy_doc, dict) or "kind" not in policy_doc:
-        raise RequestError("policy.kind", "is required")
-    kind = policy_doc["kind"]
+    kind = require(policy_doc, "kind", "policy.")
     if kind not in POLICY_KINDS:
-        raise RequestError("policy.kind", f"must be one of {POLICY_KINDS}, got {kind!r}")
-    model_path = policy_doc.get("model")
-    if model_path is not None and not isinstance(model_path, str):
-        raise RequestError("policy.model", "must be a string")
+        raise ScenarioFormatError("policy.kind", f"must be one of {POLICY_KINDS}, got {kind!r}")
+    model_path = require(policy_doc, "model", "policy.", STRING, default=None)
 
-    mode_name = doc.get("objective_mode", ObjectiveMode.ABSOLUTE_SURPLUS.value)
+    mode_name = require(doc, "objective_mode", default=ObjectiveMode.ABSOLUTE_SURPLUS.value)
     try:
         mode = ObjectiveMode(mode_name)
     except ValueError:
-        raise RequestError("objective_mode", f"unknown mode {mode_name!r}") from None
+        raise ScenarioFormatError("objective_mode", f"unknown mode {mode_name!r}") from None
 
-    try:
-        scenario = scenario_from_dict(
-            {"version": 1, "seed": None, "params": None, "slice": doc["slice"], "vms": doc["vms"]}
-        )
-    except ScenarioFormatError as exc:
-        raise RequestError(exc.field, exc.detail) from exc
-    except ValueError as exc:
-        raise RequestError("<document>", str(exc)) from exc
+    scenario = scenario_from_dict(
+        {"version": 1, "seed": None, "params": None, "slice": slice_doc, "vms": vms_doc}
+    )
     return MappingRequest(scenario, kind, model_path, mode)
 
 
-def _trained_pairs(scenario: Scenario, model_path: str) -> dict[int, int]:
-    snapshot = load_policy(model_path)
-    estimator = snapshot.estimator_for(scenario)
+def _trained_pairs(scenario: Scenario, model_path: Optional[str]) -> dict[int, int]:
+    if not model_path:
+        raise ScenarioFormatError("policy.model", "is required for the trained policy")
+    try:
+        estimator = load_policy(model_path).estimator_for(scenario)
+    except ScenarioFormatError as exc:
+        # The request's field is the model path; the file's own field leads the detail.
+        raise ScenarioFormatError("policy.model", str(exc)) from exc
     env = MappingEnvironment(scenario, np.random.default_rng(0))
     pairs = greedy_rollout(estimator, env, start_anchor=1)
     if pairs is None:
@@ -133,44 +123,29 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
     """Decide a mapping for one request; returns (http status, response body)."""
     try:
         request = parse_request(doc)
-    except RequestError as exc:
-        return 400, {"error": {"field": exc.field, "detail": exc.detail}}
-
-    model_path = request.model_path or default_model
-    if request.policy == "trained" and not model_path:
-        return 400, {
-            "error": {"field": "policy.model", "detail": "is required for the trained policy"}
-        }
-    try:
-        problem = AssignmentProblem(
-            request.scenario.subnet.components,
-            request.scenario.vms,
-            request.objective_mode,
-        )
+        scenario, mode = request.scenario, request.objective_mode
+        problem = AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
         if request.policy == "oracle":
             solution = solve_exact_matching(problem)
-            pairs = solution.pairs
-            objective = solution.objective_value
+            pairs, objective = solution.pairs, solution.objective_value
         else:
             if request.policy == "greedy":
                 pairs = greedy_best_fit(problem.components, problem.vms)
             else:
-                pairs = _trained_pairs(request.scenario, model_path)
+                pairs = _trained_pairs(scenario, request.model_path or default_model)
             objective = assignment_objective(problem, pairs)
+    except ScenarioFormatError as exc:
+        return 400, {"error": {"field": exc.field, "detail": exc.detail}}
     except InfeasibleAssignmentError as exc:
         return 200, {"status": "infeasible", "rule": exc.rule, "detail": exc.detail}
-    except (ValueError, OSError) as exc:
-        return 400, {"error": {"field": "policy.model", "detail": str(exc)}}
 
-    components = request.scenario.subnet.components
+    components = scenario.subnet.components
     return 200, {
         "status": "mapped",
         "policy": request.policy,
         "pairs": {str(cid): vm for cid, vm in sorted(pairs.items())},
-        "objective": {"mode": request.objective_mode.value, "value": objective},
-        "per_pair_wastage": [
-            _wastage_entry(comp, request.scenario, pairs[comp.id]) for comp in components
-        ],
+        "objective": {"mode": mode.value, "value": objective},
+        "per_pair_wastage": [_wastage_entry(c, scenario, pairs[c.id]) for c in components],
     }
 
 
@@ -210,11 +185,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(408, {"error": {"field": "<body>", "detail": detail}})
             return
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            self._send_json(400, {"error": {"field": "<body>", "detail": f"invalid JSON: {exc}"}})
-            return
-        status, body = handle_map(doc, default_model=self.server.default_model)
+            status, body = handle_map(decode_document(raw, "<body>"), self.server.default_model)
+        except ScenarioFormatError as exc:  # from decode_document; handle_map answers its own
+            status, body = 400, {"error": {"field": exc.field, "detail": exc.detail}}
         self._send_json(status, body)
 
     def log_message(self, format: str, *args) -> None:  # quiet by default
@@ -239,5 +212,5 @@ def make_server(
 ) -> MappingServer:
     descriptor = DEFAULT_DESCRIPTOR
     if descriptor_path:
-        descriptor = json.loads(Path(descriptor_path).read_text())
+        descriptor = read_document(descriptor_path)
     return MappingServer((host, port), descriptor, default_model)

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
+from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
+from vnfcmap.model import PhysicalMachine
 from vnfcmap.oracle import AssignmentProblem, ObjectiveMode, solve_exact_matching
-from vnfcmap.scenario import GenerationParams, generate, load, save, scenario_to_dict
+from vnfcmap.scenario import GenerationParams, Scenario, generate, load, save, scenario_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -183,3 +185,60 @@ def test_unknown_variant_rejected(small_scenario, tmp_path):
             ]
         )
     assert err.value.code == 2
+
+
+def _substrate_doc():
+    base = generate(4, GenerationParams(num_vms=8, cap_range=(3, 5)))
+    scenario = Scenario(
+        subnet=base.subnet,
+        vms=base.vms,
+        seed=4,
+        params=base.params,
+        pms=(PhysicalMachine(id=1, compute_cap=100, storage_cap=100, max_vm_count=8),),
+        placement=VmPlacement(x=((1,),) * 8, pm_active=(True,)),
+    )
+    return scenario_to_dict(scenario)
+
+
+@pytest.mark.parametrize(
+    "command,section,key,value,field",
+    [
+        ("oracle", "params", "num_vms", "8", "params.num_vms"),
+        ("check-infra", "pms", 0, {"compute_cap": "100"}, "pms[0].compute_cap"),
+        ("check-infra", "pms", 0, {"compute_cap": math.nan}, "pms[0].compute_cap"),
+        ("check-infra", "placement", "x", 5, "placement.x"),
+    ],
+    ids=["string-num-vms", "string-pm-capacity", "nan-pm-capacity", "x-not-a-list"],
+)
+def test_malformed_substrate_fields_are_validation_errors(
+    tmp_path, capsys, command, section, key, value, field
+):
+    doc = _substrate_doc()
+    if isinstance(value, dict):
+        doc[section][key].update(value)
+    else:
+        doc[section][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path)]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
+def test_compare_names_a_missing_summary_field(small_scenario, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    train = ["train", "--scenario", str(small_scenario), "--episodes", "20"]
+    assert main(train + ["--out-dir", str(run_dir)]) == EXIT_OK
+    summary = json.loads((run_dir / "summary.json").read_text())
+    del summary["average_reward"]
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run_dir)]) == EXIT_VALIDATION
+    assert "average_reward" in capsys.readouterr().err
+
+
+def test_serve_names_a_malformed_descriptor_field(tmp_path, capsys):
+    descriptor = {"name": "x", "version": 1, "stages": ["onboarding", "security_authorization"]}
+    (tmp_path / "descriptor.json").write_text(json.dumps(descriptor))
+    code = main(["serve", "--port", "0", "--scenario-dir", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "stages" in capsys.readouterr().err

@@ -60,13 +60,12 @@ def test_inactive_pm_has_no_capacity():
     assert RULE_COMPUTE_CAPACITY in rules and RULE_STORAGE_CAPACITY in rules
 
 
-def test_empty_rows_only_flagged_when_total_required():
+def test_empty_rows_are_flagged():
     placement = VmPlacement(x=((0,), (0,)), pm_active=(True,))
     vms = [_vm(1, 1), _vm(2, 1)]
     pms = [_pm(1, 4, count=2)]
-    total = check_vm_placement(placement, vms, pms, require_total=True)
+    total = check_vm_placement(placement, vms, pms)
     assert [v.rule for v in total] == [RULE_SINGLE_HOST, RULE_SINGLE_HOST]
-    assert check_vm_placement(placement, vms, pms, require_total=False) == []
 
 
 def test_dimension_mismatch_is_structural():

@@ -9,7 +9,6 @@ from vnfcmap.model import (
     VnfComponent,
     classify_vms,
     make_slice,
-    total_slice_demand,
 )
 
 
@@ -24,14 +23,13 @@ def test_eight_kinds_split_between_units():
 
 def test_total_demand_sums_both_axes():
     subnet = make_slice([3, 3, 3, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
-    compute, storage = total_slice_demand(subnet)
-    assert compute == 14
-    assert storage == 11
+    assert subnet.total_compute == 14
+    assert subnet.total_storage == 11
 
 
 def test_total_demand_zero_case():
     subnet = make_slice([0] * 8, [0] * 8)
-    assert total_slice_demand(subnet) == (0, 0)
+    assert (subnet.total_compute, subnet.total_storage) == (0, 0)
 
 
 def test_du_heavier_than_cu_rejected():
@@ -111,7 +109,9 @@ def test_labels_partition_inventory():
         ]
         cls = classify_vms(vms, comp)
         assert sorted(cls.labels) == [vm.id for vm in vms]
-        partition = [cls.ids_with(label) for label in VmLabel]
+        partition = [
+            [vid for vid, lab in cls.labels.items() if lab is label] for label in VmLabel
+        ]
         assert sorted(vid for group in partition for vid in group) == sorted(cls.labels)
 
 
@@ -138,19 +138,12 @@ def test_demand_is_additive():
         compute = [int(cu[0]), 0, 0] + [int(v) for v in du[0]]
         storage = [int(cu[1]), 0, 0] + [int(v) for v in du[1]]
         subnet = make_slice(compute, storage)
-        total = total_slice_demand(subnet)
+        total = (subnet.total_compute, subnet.total_storage)
         assert total == (sum(compute), sum(storage))
         assert total == (
             sum(c.compute_req for c in subnet.components),
             sum(c.storage_req for c in subnet.components),
         )
-
-
-def test_classification_carries_markers():
-    comp = _component(1, 1, 1)
-    vms = [VirtualMachine(id=j, compute_cap=2, storage_cap=2) for j in (1, 2)]
-    cls = classify_vms(vms, comp, primary=2, target=1)
-    assert cls.primary == 2 and cls.target == 1
 
 
 def test_num_components_constant():

@@ -1,10 +1,15 @@
+import copy
 import json
+import math
+import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnfcmap.infra import VmPlacement
-from vnfcmap.model import PhysicalMachine, make_slice
+from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
 from vnfcmap.scenario import (
     GenerationParams,
@@ -188,3 +193,116 @@ def test_canonical_fixture_loads():
     scenario = load(FIXTURES / "canonical_scenario.json")
     assert scenario.seed == 42
     assert scenario.num_vms == 100
+
+
+def _substrate_doc():
+    base = generate(4, GenerationParams(num_vms=8, cap_range=(3, 5)))
+    pms = (PhysicalMachine(id=1, compute_cap=20, storage_cap=20, max_vm_count=2),)
+    placement = VmPlacement(x=((1,), (1,)), pm_active=(True,))
+    return scenario_to_dict(
+        Scenario(
+            subnet=base.subnet, vms=base.vms[:2], seed=4, params=base.params, pms=pms,
+            placement=placement,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("seed",), "4"),
+        (("seed",), 4.5),
+        (("params", "num_vms"), "100"),
+        (("params", "req_range"), [1]),
+        (("params", "cap_range"), [3, "5"]),
+        (("pms",), {"id": 1}),
+        (("pms", 0, "id"), "1"),
+        (("pms", 0, "compute_cap"), "20"),
+        (("pms", 0, "compute_cap"), math.nan),
+        (("pms", 0, "storage_cap"), math.inf),
+        (("pms", 0, "max_vm_count"), 2.5),
+        (("pms", 0, "active"), "yes"),
+        (("placement", "x"), 5),
+        (("placement", "x"), [5, 5]),
+        (("placement", "pm_active"), True),
+    ],
+    ids=[
+        "string-seed",
+        "float-seed",
+        "string-num-vms",
+        "one-int-range",
+        "string-in-range",
+        "pms-not-a-list",
+        "string-pm-id",
+        "string-pm-capacity",
+        "nan-pm-capacity",
+        "infinite-pm-capacity",
+        "float-max-vm-count",
+        "string-active",
+        "x-not-a-list",
+        "x-rows-not-lists",
+        "pm-active-not-a-list",
+    ],
+)
+def test_substrate_and_generation_fields_are_checked(path, value):
+    doc = _substrate_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc, validate_placement=False)
+    expected = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    assert err.value.field == expected.lstrip(".")
+
+
+_AMOUNTS = st.integers(1, 10**6) | st.floats(1e-3, 1e6)
+
+
+@st.composite
+def substrate_scenarios(draw):
+    subnet = generate(draw(st.integers(0, 3)), GenerationParams(num_vms=8)).subnet
+    num_vms = draw(st.integers(1, 5))
+    vms = tuple(
+        VirtualMachine(id=j + 1, compute_cap=draw(_AMOUNTS), storage_cap=draw(_AMOUNTS))
+        for j in range(num_vms)
+    )
+    pms = tuple(
+        PhysicalMachine(
+            id=draw(st.integers(-5, 50)),
+            compute_cap=draw(_AMOUNTS),
+            storage_cap=draw(_AMOUNTS),
+            max_vm_count=draw(st.integers(1, 9)),
+            active=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    row = st.tuples(*[st.integers(0, 1)] * len(pms))
+    placement = draw(
+        st.none()
+        | st.builds(
+            VmPlacement,
+            x=st.tuples(*[row] * num_vms),
+            pm_active=st.tuples(*[st.booleans()] * len(pms)),
+        )
+    )
+    params = draw(st.none() | st.builds(GenerationParams, num_vms=st.integers(8, 200)))
+    seed = draw(st.none() | st.integers(0, 2**32))
+    return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(substrate_scenarios())
+def test_scenario_dict_roundtrip_is_exact(scenario):
+    doc = scenario_to_dict(scenario)
+    loaded = scenario_from_dict(copy.deepcopy(doc), validate_placement=False)
+    assert loaded == scenario
+    # equal numbers of another type (3 against 3.0) would print differently
+    assert json.dumps(scenario_to_dict(loaded)) == json.dumps(doc)
+
+
+def test_format_error_survives_pickling():
+    # sweep workers send it back to the parent process
+    err = pickle.loads(pickle.dumps(ScenarioFormatError("params.num_vms", "must be an integer")))
+    assert (err.field, err.detail) == ("params.num_vms", "must be an integer")
+    assert str(err) == "params.num_vms: must be an integer"

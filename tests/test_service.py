@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import socket
 import threading
 import urllib.error
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnfcmap import service
 from vnfcmap.agents import AgentVariant, save_policy, train
@@ -16,6 +19,7 @@ from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
 from vnfcmap.scenario import (
     GenerationParams,
+    ScenarioFormatError,
     generate,
     identity_scenario,
     load,
@@ -134,6 +138,14 @@ def _policy_file(kind, m, k=8, **arrays):
     return doc | {name: value.tolist() for name, value in arrays.items()}
 
 
+def _without(doc, key):
+    return {name: value for name, value in doc.items() if name != key}
+
+
+_TABULAR_12 = _policy_file("tabular", 12, values=np.zeros((8, 12, 12)))
+_LINEAR_12 = _policy_file("linear", 12, weights=np.zeros(7))
+
+
 _NAN_VALUES = np.zeros((8, 12, 12))
 _NAN_VALUES[3, 4, 5] = np.nan
 # Greedy replay places f1 on machine 1 and f2 on machine 7 of generate(31, 12
@@ -151,6 +163,12 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         (_policy_file("linear", 12, weights=np.zeros(2)), "weights"),
         (_policy_file("tabular", 12, k=2, values=_TWO_COMPONENT_VALUES), "num_components"),
         (_policy_file("quadratic", 12, weights=np.zeros(7)), "kind"),
+        ([_LINEAR_12], "<document>"),
+        (_without(_LINEAR_12, "kind"), "kind"),
+        (_without(_TABULAR_12, "variant"), "variant"),
+        (_TABULAR_12 | {"num_components": "8"}, "num_components"),
+        (_TABULAR_12 | {"num_vms": 12.0}, "num_vms"),
+        (_TABULAR_12 | {"values": 10**400}, "values"),
     ],
     ids=[
         "tabular-wrong-shape",
@@ -158,6 +176,12 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         "linear-wrong-length",
         "two-components",
         "unknown-kind",
+        "not-an-object",
+        "missing-kind",
+        "missing-variant",
+        "string-num-components",
+        "float-num-vms",
+        "values-beyond-float",
     ],
 )
 def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field):
@@ -168,6 +192,17 @@ def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field
     assert status == 400
     assert body["error"]["field"] == "policy.model"
     assert body["error"]["detail"].startswith(f"{field}: ")
+
+
+def test_trained_policy_refuses_a_model_path_that_is_not_a_regular_file(tmp_path):
+    # Reading a FIFO with no writer would block the handler forever.
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+    scenario = generate(31, GenerationParams(num_vms=12))
+    status, body = handle_map(_request_doc(scenario, {"kind": "trained", "model": str(fifo)}))
+    assert status == 400
+    assert body["error"]["field"] == "policy.model"
+    assert body["error"]["detail"].startswith("<document>: ")
 
 
 def test_missing_field_is_400_with_path(canonical):
@@ -255,7 +290,7 @@ def test_parse_request_normalizes_string_policy(canonical):
 
 def test_descriptor_validation():
     validate_descriptor(DEFAULT_DESCRIPTOR)
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ScenarioFormatError, match="stages: is required"):
         validate_descriptor({"name": "x", "version": 1})
     with pytest.raises(ValueError, match="mocked"):
         validate_descriptor(
@@ -324,14 +359,12 @@ def test_http_invalid_json(server):
 
 def _raw_post(port, content_length, body):
     """POST /map over a raw socket, since urllib always sends a valid
-    Content-Length; returns the status and the decoded JSON body."""
-    request = (
-        f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-        f"Content-Length: {content_length}\r\n\r\n{body}"
-    )
+    Content-Length; ``body`` is text or raw bytes. Returns the status and the
+    decoded JSON body."""
+    request = f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {content_length}\r\n\r\n"
     response = b""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(request.encode())
+        sock.sendall(request.encode() + (body if isinstance(body, bytes) else body.encode()))
         while chunk := sock.recv(4096):
             response += chunk
     head, _, payload = response.partition(b"\r\n\r\n")
@@ -352,3 +385,60 @@ def test_http_short_body_times_out(server, monkeypatch):
     status, body = _raw_post(server.server_address[1], 100, "{}")
     assert status == 408
     assert body["error"]["field"] == "<body>"
+
+
+@pytest.mark.parametrize(
+    "body", [b'{"a": "\xff"}', "[" * 50_000], ids=["not-utf-8", "nested-past-recursion-limit"]
+)
+def test_http_undecodable_body_is_400(server, body):
+    status, reply = _raw_post(server.server_address[1], len(body), body)
+    assert status == 400
+    assert reply["error"]["field"] == "<body>"
+
+
+def _field_paths(doc, prefix=()):
+    """The key-and-index path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_bodies(tmp_path_factory):
+    """One valid body per policy, each with every optional field present."""
+    scenario = generate(31, GenerationParams(num_vms=9))
+    _, learner = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=50), 0)
+    model_path = tmp_path_factory.mktemp("model") / "model.json"
+    save_policy(learner, model_path)
+    policies = ["greedy", {"kind": "oracle"}, {"kind": "trained", "model": str(model_path)}]
+    return [
+        _request_doc(scenario, policy) | {"objective_mode": "normalized_surplus"}
+        for policy in policies
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(data=st.data())
+def test_any_one_replaced_field_gets_200_or_400(valid_bodies, data):
+    body = copy.deepcopy(data.draw(st.sampled_from(valid_bodies)))
+    path = data.draw(st.sampled_from(list(_field_paths(body))))
+    _set(path, data.draw(_JSON_VALUES))(body)
+    status, reply = handle_map(body)
+    assert status in (200, 400)
+    if status == 400:
+        assert isinstance(reply["error"]["field"], str)
+    json.dumps(reply)
