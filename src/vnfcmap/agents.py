@@ -45,6 +45,9 @@ class DivergenceError(RuntimeError):
             f"{self.weights.tolist()}"
         )
 
+    def __reduce__(self):  # a sweep's worker process hands the error back pickled
+        return DivergenceError, (self.weights, self.updates)
+
 
 class AgentVariant(Enum):
     ON_POLICY_TABULAR = "on-tab"
@@ -514,9 +517,13 @@ def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
     """``doc[name]`` as a float array of ``shape`` with finite entries only."""
     value = require(doc, name)
     try:
-        array = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond the float range
+        array = np.array(value)
+    except ValueError:  # lists of unequal lengths
         raise ScenarioFormatError(name, "must be an array of numbers") from None
+    # Strings and booleans would convert to floats; an int beyond int64 makes an object array.
+    if array.dtype.kind not in "iuf":
+        raise ScenarioFormatError(name, "must be an array of numbers")
+    array = array.astype(float, copy=False)
     if array.shape != shape:
         raise ScenarioFormatError(name, f"expected shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,13 +25,23 @@ from .oracle import (
     pair_cost,
     solve_exact_matching,
 )
-from .scenario import GenerationParams, ScenarioGenerationError, placement_violations
+from .scenario import GenerationParams, Scenario, ScenarioGenerationError, placement_violations
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 VARIANT_ALIASES = {v.value: v for v in AgentVariant}
+
+
+def _int_in(lo: int, hi: float = float("inf")):
+    """An argparse type: an int in ``lo..hi``, still "int" in argparse's messages."""
+    def parse(text: str) -> int:
+        if not lo <= int(text) <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {text}")
+        return int(text)
+    parse.__name__ = "int"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="train one agent across many seeds")
     _add_train_flags(sweep)
-    sweep.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1")
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument("--seeds", type=_int_in(1), default=5, help="run seeds 0..N-1")
+    sweep.add_argument("--workers", type=_int_in(1), default=None)
     sweep.add_argument("--out-dir", required=True)
 
     comp = sub.add_parser("compare", help="tabulate run summaries side by side")
@@ -78,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--scenario", required=True)
 
     srv = sub.add_parser("serve", help="start the mapping decision service")
-    srv.add_argument("--port", type=int, default=8080)
-    srv.add_argument("--scenario-dir", default=None, help="directory with descriptor.json")
+    srv.add_argument("--port", type=_int_in(0, 65535), default=8080)
     srv.add_argument("--model", default=None, help="trained policy file for the trained policy")
     return parser
 
@@ -114,11 +125,15 @@ def _hyper_from_args(args: argparse.Namespace) -> Hyperparameters:
     )
 
 
-def _write_run(record: metrics.RunRecord, learner: agents.Learner, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_episode_csv(record, out_dir / "episodes.csv")
-    metrics.write_summary_json(record, out_dir / "summary.json")
-    agents.save_policy(learner, out_dir / "model.json")
+def _train_run(inst: Scenario, variant: str, hyper: Hyperparameters, seed: int, out: Path) -> dict:
+    """Train one seed, write ``episodes.csv``, ``summary.json`` and ``model.json``
+    to ``out``, and return the run's summary."""
+    record, learner = agents.train(VARIANT_ALIASES[variant], inst, hyper, seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics.write_episode_csv(record, out / "episodes.csv")
+    metrics.write_summary_json(record, out / "summary.json")
+    agents.save_policy(learner, out / "model.json")
+    return metrics.summarize(record)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -133,37 +148,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     inst = scenario_mod.load(args.scenario)
-    hyper = _hyper_from_args(args)
-    record, learner = agents.train(VARIANT_ALIASES[args.variant], inst, hyper, seed=args.seed)
-    _write_run(record, learner, Path(args.out_dir))
+    summary = _train_run(inst, args.variant, _hyper_from_args(args), args.seed, Path(args.out_dir))
     print(
-        f"{args.variant} seed {args.seed}: average reward {record.average_reward:.4f}, "
-        f"std {record.std_dev:.4f}, auc {record.auc:.2f}"
+        f"{args.variant} seed {args.seed}: average reward {summary['average_reward']:.4f}, "
+        f"std {summary['std_dev']:.4f}, auc {summary['auc']:.2f}"
     )
     return EXIT_OK
 
 
-def _sweep_worker(payload: tuple) -> dict:
-    scenario_path, variant_alias, hyper, seed, out_dir = payload
-    inst = scenario_mod.load(scenario_path)
-    record, learner = agents.train(VARIANT_ALIASES[variant_alias], inst, hyper, seed=seed)
-    _write_run(record, learner, Path(out_dir))
-    return metrics.summarize(record)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     hyper = _hyper_from_args(args)
+    inst = scenario_mod.load(args.scenario)
     out_root = Path(args.out_dir)
-    jobs = [
-        (args.scenario, args.variant, hyper, seed, str(out_root / f"seed-{seed}"))
-        for seed in range(args.seeds)
-    ]
-    if args.workers == 1:
-        summaries = [_sweep_worker(job) for job in jobs]
+    seeds = range(args.seeds)
+    out_dirs = [out_root / f"seed-{seed}" for seed in seeds]
+    run = partial(_train_run, inst, args.variant, hyper)
+    workers = min(args.seeds, args.workers or os.cpu_count() or 1)
+    if workers == 1:
+        summaries = list(map(run, seeds, out_dirs))
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            summaries = list(pool.map(_sweep_worker, jobs))
-    # pool.map preserves submission (seed) order, so the fold is deterministic
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(run, seeds, out_dirs))
+    # both maps keep seed order, so the fold is deterministic
     averages = [s["average_reward"] for s in summaries]
     mean = sum(averages) / len(averages)
     cross = {
@@ -302,12 +308,7 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    descriptor_path = None
-    if args.scenario_dir:
-        candidate = Path(args.scenario_dir) / "descriptor.json"
-        if candidate.exists():
-            descriptor_path = str(candidate)
-    server = service.make_server(args.port, descriptor_path=descriptor_path, default_model=args.model)
+    server = service.make_server(args.port, default_model=args.model)
     host, port = server.server_address[:2]
     print(f"mapping decision service on http://{host}:{port} (POST /map, GET /health)")
     try:

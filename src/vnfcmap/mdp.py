@@ -93,8 +93,9 @@ class MappingEnvironment:
     """Episode driver over one scenario.
 
     The environment owns no mutable episode state: ``step`` is a pure function
-    of (state, action), and ``reset`` is the only consumer of the random
-    generator (it draws the starting anchor machine).
+    of (state, action), and ``reset`` draws the starting anchor machine from
+    the generator. ``agents.train`` passes that same generator to
+    ``run_episode`` for its action draws, so both share one random stream.
     """
 
     def __init__(

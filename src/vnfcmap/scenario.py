@@ -33,8 +33,8 @@ MAX_RESAMPLES = 1000
 
 
 class ScenarioFormatError(ValueError):
-    """A malformed outside document (scenario file, request body, policy file, run
-    summary or service descriptor): ``field`` is the offender, ``detail`` the fault."""
+    """A malformed outside document (scenario file, request body, policy file or run
+    summary): ``field`` is the offender, ``detail`` the fault."""
 
     def __init__(self, field: str, detail: str):
         super().__init__(field, detail)
@@ -197,6 +197,12 @@ def _is_finite_number(value: Any) -> bool:
 LIST = FieldKind(lambda v: isinstance(v, list), "must be a list")
 INTEGER = FieldKind(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer")
 NUMBER = FieldKind(_is_finite_number, "must be a finite number")
+# Below 1/16 of the largest float: the absolute objective sums 16 surpluses
+# (two axes of eight components), each at most the largest capacity.
+MAX_AMOUNT = 1e307
+AMOUNT = FieldKind(
+    lambda v: _is_finite_number(v) and v <= MAX_AMOUNT, f"must be a finite number <= {MAX_AMOUNT:g}"
+)
 STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
 BOOLEAN = FieldKind(lambda v: isinstance(v, bool), "must be a boolean")
 _ABSENT = object()
@@ -319,8 +325,8 @@ def _read_scenario(doc: dict) -> Scenario:
             VnfComponent(
                 id=require(raw, "id", path, INTEGER),
                 kind=kind,
-                compute_req=require(raw, "compute_req", path, NUMBER),
-                storage_req=require(raw, "storage_req", path, NUMBER),
+                compute_req=require(raw, "compute_req", path, AMOUNT),
+                storage_req=require(raw, "storage_req", path, AMOUNT),
             )
         )
     subnet = SliceSubnet(tuple(components))
@@ -328,8 +334,8 @@ def _read_scenario(doc: dict) -> Scenario:
     vms = tuple(
         VirtualMachine(
             id=require(raw, "id", f"vms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", NUMBER),
-            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", NUMBER),
+            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
+            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
         )
         for idx, raw in enumerate(require(doc, "vms", kind=LIST))
     )
@@ -337,8 +343,8 @@ def _read_scenario(doc: dict) -> Scenario:
     pms = tuple(
         PhysicalMachine(
             id=require(raw, "id", f"pms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"pms[{idx}].", NUMBER),
-            storage_cap=require(raw, "storage_cap", f"pms[{idx}].", NUMBER),
+            compute_cap=require(raw, "compute_cap", f"pms[{idx}].", AMOUNT),
+            storage_cap=require(raw, "storage_cap", f"pms[{idx}].", AMOUNT),
             max_vm_count=require(raw, "max_vm_count", f"pms[{idx}].", INTEGER),
             active=require(raw, "active", f"pms[{idx}].", BOOLEAN, default=True),
         )

@@ -3,7 +3,7 @@
 Mirrors the operational loop around the mapper: component requirement
 documents and machine capacity profiles come in, a mapping decision goes out.
 Everything besides the decision itself (onboarding, security sign-off) is
-represented by a static descriptor validated at startup.
+represented by a built-in descriptor that ``GET /health`` reports.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .scenario import (
     Scenario,
     ScenarioFormatError,
     decode_document,
-    read_document,
     require,
     scenario_from_dict,
 )
@@ -50,15 +49,6 @@ DEFAULT_DESCRIPTOR = {
 }
 
 POLICY_KINDS = ("oracle", "greedy", "trained")
-
-
-def validate_descriptor(doc: dict) -> None:
-    require(doc, "name")
-    require(doc, "version")
-    stages = require(doc, "stages")
-    for stage in ("onboarding", "security_authorization"):
-        if require(stages, stage, "stages.", default=None) != "mocked":
-            raise ScenarioFormatError(f"stages.{stage}", "must be declared 'mocked'")
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/health":
-            self._send_json(200, {"status": "ok", "descriptor": self.server.descriptor})
+            self._send_json(200, {"status": "ok", "descriptor": DEFAULT_DESCRIPTOR})
         else:
             self._send_json(404, {"error": {"field": "<path>", "detail": f"unknown {self.path}"}})
 
@@ -173,9 +163,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/map":
             self._send_json(404, {"error": {"field": "<path>", "detail": f"unknown {self.path}"}})
             return
-        length = self.headers.get("Content-Length", "0")
-        if not (length.isascii() and length.isdigit()):
-            detail = f"must be a non-negative integer, got {length!r}"
+        length = self.headers.get("Content-Length")
+        if length is None or not (length.isascii() and length.isdigit()):
+            detail = "is required" if length is None else (
+                f"must be a non-negative integer, got {length!r}"
+            )
             self._send_json(400, {"error": {"field": "<headers>.Content-Length", "detail": detail}})
             return
         try:
@@ -197,20 +189,12 @@ class _Handler(BaseHTTPRequestHandler):
 class MappingServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, address, descriptor: dict, default_model: Optional[str] = None):
-        validate_descriptor(descriptor)
-        self.descriptor = descriptor
+    def __init__(self, address, default_model: Optional[str] = None):
         self.default_model = default_model
         super().__init__(address, _Handler)
 
 
 def make_server(
-    port: int,
-    host: str = "127.0.0.1",
-    descriptor_path: Optional[str] = None,
-    default_model: Optional[str] = None,
+    port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
 ) -> MappingServer:
-    descriptor = DEFAULT_DESCRIPTOR
-    if descriptor_path:
-        descriptor = read_document(descriptor_path)
-    return MappingServer((host, port), descriptor, default_model)
+    return MappingServer((host, port), default_model)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,16 @@ def test_divergence_guard_aborts():
     hyper = Hyperparameters(alpha=1.0)
     with pytest.raises(DivergenceError, match="updates"):
         linear_update(lq, _state(), Action(1), 1.0, _state(2, 1, {1}), hyper)
+
+
+def test_divergence_error_survives_pickling():
+    # A sweep's worker process hands the error back to its parent pickled.
+    error = DivergenceError(np.array([1.0, -2 * DIVERGENCE_LIMIT, 0.5]), 17)
+    restored = pickle.loads(pickle.dumps(error))
+    assert type(restored) is DivergenceError
+    assert restored.weights.tobytes() == error.weights.tobytes()
+    assert restored.updates == 17
+    assert str(restored) == str(error)
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,46 @@ def test_compare_names_a_missing_summary_field(small_scenario, tmp_path, capsys)
     assert "average_reward" in capsys.readouterr().err
 
 
-def test_serve_names_a_malformed_descriptor_field(tmp_path, capsys):
-    descriptor = {"name": "x", "version": 1, "stages": ["onboarding", "security_authorization"]}
-    (tmp_path / "descriptor.json").write_text(json.dumps(descriptor))
-    code = main(["serve", "--port", "0", "--scenario-dir", str(tmp_path)])
-    assert code == EXIT_VALIDATION
-    assert "stages" in capsys.readouterr().err
+def test_capacity_above_the_bound_is_validation_error(small_scenario, tmp_path, capsys):
+    doc = json.loads(small_scenario.read_text())
+    doc["vms"][4]["compute_cap"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert "vms[4].compute_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_diverging_sweep_exits_3_with_one_error_line(tmp_path, capsys, workers):
+    # In a worker process the DivergenceError has to survive pickling back.
+    scenario = tmp_path / "scenario.json"
+    main(["generate-scenario", "--seed", "81", "--vms", "20", "--out", str(scenario)])
+    capsys.readouterr()
+    code = main(
+        [
+            "sweep", "--scenario", str(scenario), "--variant", "off-lin", "--alpha", "1",
+            "--epsilon", "0", "--seeds", "2", "--workers", workers,
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert code == EXIT_INFEASIBLE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: weight magnitude exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "s.json", "--out-dir", "out", "--seeds", "0"],
+        ["sweep", "--scenario", "s.json", "--out-dir", "out", "--workers", "0"],
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+    ],
+    ids=["zero-seeds", "zero-workers", "port-above-65535", "negative-port"],
+)
+def test_out_of_range_counts_and_ports_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be" in capsys.readouterr().err

@@ -18,20 +18,14 @@ from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
 from vnfcmap.scenario import (
+    MAX_AMOUNT,
     GenerationParams,
-    ScenarioFormatError,
     generate,
     identity_scenario,
     load,
     scenario_to_dict,
 )
-from vnfcmap.service import (
-    DEFAULT_DESCRIPTOR,
-    handle_map,
-    make_server,
-    parse_request,
-    validate_descriptor,
-)
+from vnfcmap.service import handle_map, make_server, parse_request
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -169,6 +163,8 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         (_TABULAR_12 | {"num_components": "8"}, "num_components"),
         (_TABULAR_12 | {"num_vms": 12.0}, "num_vms"),
         (_TABULAR_12 | {"values": 10**400}, "values"),
+        (_TABULAR_12 | {"values": np.zeros((8, 12, 12)).astype(str).tolist()}, "values"),
+        (_LINEAR_12 | {"weights": [True] * 7}, "weights"),
     ],
     ids=[
         "tabular-wrong-shape",
@@ -182,6 +178,8 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         "string-num-components",
         "float-num-vms",
         "values-beyond-float",
+        "string-values",
+        "boolean-weights",
     ],
 )
 def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field):
@@ -251,6 +249,8 @@ _VM = ("vms", 0)
         (_set(_COMPONENT + ("storage_req",), math.nan), "slice.components[0].storage_req"),
         (_set(_COMPONENT + ("compute_req",), -math.inf), "slice.components[0].compute_req"),
         (_set(_COMPONENT + ("storage_req",), False), "slice.components[0].storage_req"),
+        (_set(_VM + ("storage_cap",), 1e308), "vms[0].storage_cap"),
+        (_set(_COMPONENT + ("compute_req",), 10**308), "slice.components[0].compute_req"),
     ],
     ids=[
         "string-demand",
@@ -266,6 +266,8 @@ _VM = ("vms", 0)
         "nan-demand",
         "infinite-demand",
         "bool-demand",
+        "capacity-above-bound",
+        "demand-above-bound",
     ],
 )
 def test_wrong_types_and_non_finite_numbers_are_400(canonical, edit, field):
@@ -288,14 +290,21 @@ def test_parse_request_normalizes_string_policy(canonical):
     assert request.scenario.num_vms == canonical.num_vms
 
 
-def test_descriptor_validation():
-    validate_descriptor(DEFAULT_DESCRIPTOR)
-    with pytest.raises(ScenarioFormatError, match="stages: is required"):
-        validate_descriptor({"name": "x", "version": 1})
-    with pytest.raises(ValueError, match="mocked"):
-        validate_descriptor(
-            {"name": "x", "version": 1, "stages": {"onboarding": "active"}}
-        )
+@pytest.mark.parametrize("policy", ["greedy", "oracle"])
+def test_amounts_up_to_the_bound_keep_the_objective_finite(policy):
+    # With every machine at 1e308 the absolute surplus overflowed: the oracle
+    # called the slice infeasible and greedy answered an objective of inf.
+    doc = _request_doc(generate(31, GenerationParams(num_vms=9)), policy)
+    for capacity, status in ((MAX_AMOUNT, 200), (1e308, 400)):
+        for vm in doc["vms"]:
+            vm["compute_cap"] = vm["storage_cap"] = capacity
+        answer = handle_map(doc)
+        assert answer[0] == status
+        if status == 200:
+            assert answer[1]["status"] == "mapped"
+            assert math.isfinite(answer[1]["objective"]["value"])
+        else:
+            assert answer[1]["error"]["field"] == "vms[0].compute_cap"
 
 
 @pytest.fixture()
@@ -359,9 +368,10 @@ def test_http_invalid_json(server):
 
 def _raw_post(port, content_length, body):
     """POST /map over a raw socket, since urllib always sends a valid
-    Content-Length; ``body`` is text or raw bytes. Returns the status and the
-    decoded JSON body."""
-    request = f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {content_length}\r\n\r\n"
+    Content-Length; a ``content_length`` of None sends none. ``body`` is text
+    or raw bytes. Returns the status and the decoded JSON body."""
+    length = "" if content_length is None else f"Content-Length: {content_length}\r\n"
+    request = f"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\n{length}\r\n"
     response = b""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         sock.sendall(request.encode() + (body if isinstance(body, bytes) else body.encode()))
@@ -371,7 +381,7 @@ def _raw_post(port, content_length, body):
     return int(head.split()[1]), json.loads(payload)
 
 
-@pytest.mark.parametrize("content_length", ["abc", "-1"])
+@pytest.mark.parametrize("content_length", ["abc", "-1", None])
 def test_http_bad_content_length(server, content_length):
     status, body = _raw_post(server.server_address[1], content_length, "{}")
     assert status == 400
