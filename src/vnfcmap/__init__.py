@@ -7,25 +7,3 @@ service.
 """
 
 __version__ = "0.1.0"
-
-from .agents import AgentVariant
-from .mdp import Hyperparameters, MappingEnvironment, RewardMode
-from .oracle import AssignmentProblem, ObjectiveMode, solve_exact_enumeration, solve_exact_matching
-from .scenario import GenerationParams, Scenario, generate, load, save
-
-__all__ = [
-    "AgentVariant",
-    "AssignmentProblem",
-    "GenerationParams",
-    "Hyperparameters",
-    "MappingEnvironment",
-    "ObjectiveMode",
-    "RewardMode",
-    "Scenario",
-    "generate",
-    "load",
-    "save",
-    "solve_exact_enumeration",
-    "solve_exact_matching",
-    "__version__",
-]

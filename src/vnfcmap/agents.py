@@ -2,9 +2,9 @@
 
 All four act epsilon-greedily on their current value estimates and back up
 toward the best next-state value. What separates the two families is the
-policy object they keep updated: on-policy variants maintain the stochastic
-epsilon-greedy distribution they are acting out, off-policy variants maintain
-a one-hot greedy target alongside their exploratory behavior.
+policy table they keep, the greedy action of the value estimate: on-policy
+variants render it as the epsilon-greedy distribution they are acting out,
+off-policy variants as a one-hot greedy target beside their exploration.
 """
 
 from __future__ import annotations
@@ -164,11 +164,9 @@ class PolicyTable:
     """Per-state action distributions, derived from one greedy action per
     state.
 
-    Only that action is stored; ``row`` and ``probs`` render it as an
-    epsilon-greedy or a one-hot distribution. Training keeps it equal to the
-    argmax of a tabular learner's Q-values, and to the greedy action of a
-    linear learner at the state's last update. Unvisited states hold the
-    lowest machine id, the greedy pick of all-zero value estimates.
+    Only that action is stored: the greedy action of the learner's value
+    estimate, lowest machine id on ties. ``row`` and ``probs`` render it as
+    an epsilon-greedy (on-policy) or a one-hot (off-policy) distribution.
     """
 
     def __init__(self, num_components: int, num_vms: int, mode: PolicyMode, epsilon: float = 0.0):
@@ -341,31 +339,30 @@ def run_episode(
     rng: np.random.Generator,
     episode_index: int = 1,
 ) -> EpisodeLog:
-    """Play one episode, updating values and the policy after every step.
+    """Play one episode, updating the value estimate after every step.
 
     This is the training loop. It does what one call per step of
-    ``select_action``, ``MappingEnvironment.step``, the variant's TD update
-    and its policy update would do, with the same arithmetic in the same
-    order, but it holds the state as zero-based ints (component index i,
-    anchor a) plus a set of occupied machines and creates no objects per
-    step. Both flavours of a family write the same greedy index; they differ
-    only in how their ``PolicyTable`` renders it.
+    ``select_action``, ``MappingEnvironment.step`` and the variant's TD update
+    would do, with the same arithmetic in the same order, but it holds the
+    state as zero-based ints (component index i, anchor a) plus a set of
+    occupied machines and creates no objects per step.
 
-    Tabular: ``greedy_index[i, a]`` is kept as the exact argmax of
-    ``values[i, a]`` (lowest id on ties), so the greedy pick and the
+    Tabular: the policy's ``greedy_index[i, a]`` is kept as the exact argmax
+    of ``values[i, a]`` after every step, so the greedy pick and the
     bootstrap max are lookups. Linear: the greedy pick is ``LinearQ``'s
     ``blocks[i] @ w`` argmax and the update is ``linear_update``'s own step;
     their numpy expressions must stay as written, because computing the same
-    dot products in another order moves the weights in the last bit.
+    dot products in another order moves the weights in the last bit. No
+    linear policy row is written here; ``train`` derives them from the final
+    weights.
     """
     q = learner.q
-    greedy = learner.policy.greedy_index
     fit_mask, reward_table = env.fit_mask, env.reward_table
     last_index, num_vms = env.num_components - 1, env.num_vms
     epsilon, gamma = hyper.epsilon, hyper.gamma
     tabular = isinstance(q, QTable)
     if tabular:
-        values = q.values
+        values, greedy = q.values, learner.policy.greedy_index
     else:
         blocks = q._blocks
     i, a = 0, env.reset().anchor_vm - 1
@@ -400,7 +397,6 @@ def run_episode(
         else:
             next_features = None if done else blocks[i + 1]
             _semi_gradient_step(q, blocks[i][j], reward, next_features, hyper)
-            greedy[i, a] = (blocks[i] @ q.weights).argmax()
 
         total += reward
         length += 1
@@ -426,7 +422,11 @@ def train(
     num_components: Optional[int] = None,
 ) -> tuple[RunRecord, Learner]:
     """Full training run: one seeded generator drives both the environment
-    resets and the action selection, which makes runs reproducible."""
+    resets and the action selection, which makes runs reproducible.
+
+    A linear learner's policy rows are filled once, after the last episode:
+    features do not depend on the anchor, so every row of a component holds
+    the same greedy action."""
     rng = np.random.default_rng(seed)
     env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
     learner = make_learner(variant, scenario, hyper, num_components)
@@ -434,6 +434,9 @@ def train(
         run_episode(env, learner, hyper, rng, episode_index=e)
         for e in range(1, hyper.episodes + 1)
     ]
+    if not variant.tabular:
+        for i, block in enumerate(learner.q._blocks):
+            learner.policy.greedy_index[i, :] = (block @ learner.q.weights).argmax()
     record = RunRecord(variant=variant.value, seed=seed, hyper=hyper, episodes=tuple(logs))
     return record, learner
 

@@ -209,4 +209,6 @@ def capacity_ratios(
     machine) pair, plus the capacity-fit mask, each of shape (components,
     machines)."""
     req_c, req_s, cap_c, cap_s, fits = resource_grid(components, vms)
-    return req_c / cap_c, req_s / cap_s, fits
+    # Only pairs that do not fit can overflow; their ratios are capped or masked.
+    with np.errstate(over="ignore"):
+        return req_c / cap_c, req_s / cap_s, fits

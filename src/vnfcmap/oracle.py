@@ -127,7 +127,9 @@ def _masked_cost(comps, vms, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarra
     """The capacity-fit mask of every (component, machine) pair, and their
     surplus cost matrix, ``inf`` where the component does not fit."""
     req_c, req_s, cap_c, cap_s, fits = resource_grid(comps, vms)
-    return fits, np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
+    # Only pairs that do not fit can overflow, and the mask discards them.
+    with np.errstate(over="ignore"):
+        return fits, np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
 
 
 def _cost_matrix(

@@ -231,17 +231,17 @@ def test_rows_remain_distributions_during_training():
         assert np.all(learner.policy.probs >= 0.0)
 
 
-def test_tabular_policy_rows_point_at_q_argmax():
-    # Every policy row is refreshed right after its Q row changes, and the
-    # all-zero rows of unvisited states share their argmax with the initial
-    # policy, so the policy is a function of Q for every state.
+def test_policy_rows_point_at_the_greedy_action():
+    # A trained policy is a function of the value estimate for every state,
+    # unvisited ones included: tabular rows are refreshed right after their Q
+    # row changes, linear rows are derived from the final weights.
     scenario = generate(50)
     hyper = Hyperparameters(episodes=40)
-    for variant in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR):
+    for variant in AgentVariant:
         _, learner = train(variant, scenario, hyper, seed=1)
-        assert np.array_equal(
-            np.argmax(learner.policy.probs, axis=2), np.argmax(learner.q.values, axis=2)
-        )
+        pointed = np.argmax(learner.policy.probs, axis=2)
+        for (i, a), j in np.ndenumerate(pointed):
+            assert j == learner.q.greedy_action(_state(i + 1, a + 1)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +448,18 @@ def _kernel_cases():
 
 
 def _assert_same_learner(kernel, reference):
-    assert np.array_equal(kernel.policy.greedy_index, reference.policy.greedy_index)
     if kernel.variant.tabular:
+        assert np.array_equal(kernel.policy.greedy_index, reference.policy.greedy_index)
         assert kernel.q.values.tobytes() == reference.q.values.tobytes()
         assert kernel.q.visits.tobytes() == reference.q.visits.tobytes()
     else:
+        # The reference refreshes a linear row at each update; the kernel
+        # derives every row from the final weights, which must be bit-equal.
         assert kernel.q.weights.tobytes() == reference.q.weights.tobytes()
         assert kernel.q.updates == reference.q.updates
+        w = reference.q.weights
+        for i, block in enumerate(reference.q._blocks):
+            assert (kernel.policy.greedy_index[i] == (block @ w).argmax()).all()
 
 
 @pytest.mark.parametrize("variant,reward_mode,schedule,epsilon,k", _kernel_cases())

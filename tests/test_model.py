@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vnfcmap
 from vnfcmap.model import (
     NUM_COMPONENTS,
     VirtualMachine,
@@ -148,3 +154,17 @@ def test_demand_is_additive():
 
 def test_num_components_constant():
     assert NUM_COMPONENTS == 8
+
+
+def test_model_and_infra_import_without_scipy_or_the_learners():
+    # The package root re-exports nothing, so these modules stay light.
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    code = (
+        "import sys, vnfcmap.model, vnfcmap.infra; "
+        "print(sorted({'scipy', 'vnfcmap.agents'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

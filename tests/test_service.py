@@ -307,6 +307,24 @@ def test_amounts_up_to_the_bound_keep_the_objective_finite(policy):
             assert answer[1]["error"]["field"] == "vms[0].compute_cap"
 
 
+def test_tiny_capacities_are_infeasible_without_a_warning(tmp_path):
+    # Every demand over 5e-324 overflows to inf; the pytest settings turn
+    # numpy's overflow warning into an error.
+    scenario = generate(31, GenerationParams(num_vms=9))
+    policies = ["greedy", "oracle"]
+    for variant in (AgentVariant.OFF_POLICY_TABULAR, AgentVariant.OFF_POLICY_LINEAR):
+        _, learner = train(variant, scenario, Hyperparameters(episodes=20), seed=0)
+        save_policy(learner, tmp_path / f"{variant.value}.json")
+        policies.append({"kind": "trained", "model": str(tmp_path / f"{variant.value}.json")})
+    for policy in policies:
+        for mode in ("absolute_surplus", "normalized_surplus"):
+            doc = _request_doc(scenario, policy) | {"objective_mode": mode}
+            for vm in doc["vms"]:
+                vm["compute_cap"] = vm["storage_cap"] = 5e-324
+            status, body = handle_map(doc)
+            assert (status, body["status"]) == (200, "infeasible"), (policy, mode)
+
+
 @pytest.fixture()
 def server():
     srv = make_server(0)
@@ -385,6 +403,19 @@ def _raw_post(port, content_length, body):
 def test_http_bad_content_length(server, content_length):
     status, body = _raw_post(server.server_address[1], content_length, "{}")
     assert status == 400
+    assert body["error"]["field"] == "<headers>.Content-Length"
+
+
+@pytest.mark.parametrize("declared", ["cap-plus-one", "ten-terabytes", "past-int-digit-limit"])
+def test_http_oversized_body_is_413_unread(server, declared):
+    # The 2-byte body is never read: the declared length alone is refused.
+    content_length = {
+        "cap-plus-one": service.MAX_BODY_BYTES + 1,
+        "ten-terabytes": 10**13,
+        "past-int-digit-limit": "1" * 5000,
+    }[declared]
+    status, body = _raw_post(server.server_address[1], content_length, "{}")
+    assert status == 413
     assert body["error"]["field"] == "<headers>.Content-Length"
 
 
