@@ -249,7 +249,18 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
     for pos, comp in enumerate(comps):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
         row = cost[pos, remaining]
-        for idx in np.flatnonzero(np.isfinite(row)):
+        # The minima of the rows below, over ``remaining`` (a superset of any
+        # candidate's ``rest``), sum to at most the exact cost of every
+        # completion. Component ids are unique in 1..NUM_COMPONENTS, so
+        # ``row[idx] + lower`` and ``row[idx] + sub`` each add at most 8
+        # non-negative fitting entries and lie within about 16 ulp-relative
+        # error of their exact values, far below ``tolerance >= |target| *
+        # 1e-12``. A candidate the accepting test takes thus has ``row[idx] +
+        # lower <= target + tolerance`` up to that rounding, and one more
+        # ``tolerance`` covers it. Candidates beyond that margin, and machines
+        # the component does not fit (inf), get no solve.
+        lower = cost[pos + 1 :, remaining].min(axis=1).sum()
+        for idx in np.flatnonzero(row + lower <= target + 2 * tolerance):
             rest = np.concatenate((remaining[:idx], remaining[idx + 1 :]))
             sub = _matching_cost(cost[pos + 1 :, rest])
             if abs(row[idx] + sub - target) <= tolerance:

@@ -7,7 +7,9 @@ the public environment and agent functions only, so it can serve as an oracle
 for the training kernel in ``agents.run_episode``. The enumeration and greedy
 best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
 ``pair_cost``, so they can serve as oracles for the routes that read the
-masked cost matrix.
+masked cost matrix. The canonical matching walk solves every candidate's
+remainder, so it can serve as an oracle for the pruned walk in
+``oracle.solve_exact_matching``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from vnfcmap.oracle import (
     Assignment,
     InfeasibleAssignmentError,
     ObjectiveMode,
+    _TIE_TOLERANCE,
     _cost_matrix,
+    _matching_cost,
     assignment_objective,
     pair_cost,
+    validate_assignment,
 )
 from vnfcmap.scenario import Scenario
 
@@ -209,3 +214,30 @@ def reference_greedy_best_fit(components, vms) -> dict[int, int]:
         taken.add(best_vm)
         pairs[comp.id] = best_vm
     return pairs
+
+
+def reference_canonical_matching(problem) -> Assignment:
+    """``oracle.solve_exact_matching`` without its lower-bound skip: every
+    fitting candidate, lowest machine id first, gets an assignment solve of
+    the remaining rows until one reaches the optimum."""
+    comps, vms, cost = _cost_matrix(problem)
+    total = _matching_cost(cost)
+    if math.isinf(total):
+        raise InfeasibleAssignmentError("no injective feasible assignment exists")
+    pairs: dict[int, int] = {}
+    remaining = np.arange(len(vms))
+    target = total
+    for pos, comp in enumerate(comps):
+        tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
+        row = cost[pos, remaining]
+        for idx in np.flatnonzero(np.isfinite(row)):
+            rest = np.concatenate((remaining[:idx], remaining[idx + 1 :]))
+            sub = _matching_cost(cost[pos + 1 :, rest])
+            if abs(row[idx] + sub - target) <= tolerance:
+                break
+        else:
+            raise RuntimeError("canonicalization failed to reconstruct the optimum")
+        pairs[comp.id] = vms[remaining[idx]].id
+        remaining, target = rest, sub
+    validate_assignment(problem, pairs)
+    return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import _fits, reference_enumeration, reference_greedy_best_fit
+from _reference import (
+    _fits,
+    reference_canonical_matching,
+    reference_enumeration,
+    reference_greedy_best_fit,
+)
+from vnfcmap import oracle
 from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
@@ -267,6 +273,61 @@ def test_matching_reproduces_enumeration_tie_order(problem):
         assert by_match.objective_value.hex() == by_enum.objective_value.hex()
     else:
         assert by_match.objective_value == pytest.approx(by_enum.objective_value, abs=1e-12)
+
+
+# Against integer capacities, the shifts put equal costs inside the walk's
+# 1e-9 tie tolerance, between it and the 2e-9 skip margin, and beyond both.
+_CAPACITY_SHIFTS = (0.0, 1e-10, 5e-10, 1e-9, 1.5e-9, 2e-9, 3e-9, 1e-8)
+
+
+@st.composite
+def near_tie_problems(draw):
+    """Eight components with demands in 1..5 against up to 30 machines with
+    capacities in 3..10, as the benchmark draws them, some machines occupied
+    and every capacity shifted by one of ``_CAPACITY_SHIFTS``."""
+    m = draw(st.integers(1, 30))
+    demand = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    amount = st.builds(
+        lambda cap, shift: cap + shift, st.integers(3, 10), st.sampled_from(_CAPACITY_SHIFTS)
+    )
+    comp_specs = draw(st.lists(demand, min_size=8, max_size=8))
+    vm_specs = draw(st.lists(st.tuples(amount, amount), min_size=m, max_size=m))
+    occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
+    vms = tuple(vm.occupy(1) if taken else vm for vm, taken in zip(problem.vms, occupied))
+    return AssignmentProblem(problem.components, vms, problem.objective_mode)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(near_tie_problems())
+def test_pruned_walk_matches_the_unpruned_walk_on_near_ties(problem):
+    try:
+        expected = reference_canonical_matching(problem)
+    except InfeasibleAssignmentError as err:
+        with pytest.raises(InfeasibleAssignmentError) as pruned_err:
+            solve_exact_matching(problem)
+        assert (pruned_err.value.rule, pruned_err.value.detail) == (err.rule, err.detail)
+        return
+    solution = solve_exact_matching(problem)
+    assert solution.pairs == expected.pairs
+    assert solution.objective_value.hex() == expected.objective_value.hex()
+
+
+def test_canonical_fixture_needs_few_assignment_solves(monkeypatch):
+    calls = []
+    solve = oracle.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(oracle, "linear_sum_assignment", counting)
+    scenario = load(FIXTURES / "canonical_scenario.json")
+    for mode in ObjectiveMode:
+        calls.clear()
+        solve_exact_matching(AssignmentProblem(scenario.subnet.components, scenario.vms, mode))
+        # The unpruned walk makes 281 and 282 solves here.
+        assert 1 <= len(calls) <= 40, (mode, len(calls))
 
 
 def test_cost_matrix_entries_equal_pair_cost():

@@ -483,3 +483,37 @@ def test_any_one_replaced_field_gets_200_or_400(valid_bodies, data):
     if status == 400:
         assert isinstance(reply["error"]["field"], str)
     json.dumps(reply)
+
+
+# Keys a request body's objects carry, and strings its fields accept, so that
+# drawn documents reach past the first missing field.
+_REQUEST_KEYS = (
+    "slice", "components", "id", "kind", "compute_req", "storage_req", "vms", "compute_cap",
+    "storage_cap", "policy", "model", "objective_mode",
+)
+_REQUEST_WORDS = ("RRC", "PHY_HIGH", "greedy", "oracle", "trained", "normalized_surplus")
+
+_JSON_DOCUMENTS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(_REQUEST_WORDS)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=9)
+    | st.dictionaries(st.sampled_from(_REQUEST_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=40,
+)
+_BODY_DOCUMENTS = _JSON_DOCUMENTS | st.fixed_dictionaries(
+    {}, optional={key: _JSON_DOCUMENTS for key in ("slice", "vms", "policy", "objective_mode")}
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_BODY_DOCUMENTS)
+def test_any_json_document_gets_200_or_400(doc):
+    status, reply = handle_map(doc)
+    assert status in (200, 400)
+    if status == 400:
+        assert isinstance(reply["error"]["field"], str)
+    json.dumps(reply)
