@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -27,7 +29,14 @@ from .mdp import (
 )
 from .metrics import EpisodeLog, RunRecord
 from .model import capacity_ratios
-from .scenario import INTEGER, Scenario, ScenarioFormatError, read_document, require
+from .scenario import (
+    INTEGER,
+    Scenario,
+    ScenarioFormatError,
+    decode_document,
+    read_regular_file,
+    require,
+)
 
 FEATURE_DIM = 7
 DIVERGENCE_LIMIT = 1e9
@@ -508,16 +517,18 @@ class PolicySnapshot:
                     "num_vms",
                     f"policy trained for {self.num_vms} vms, scenario has {scenario.num_vms}",
                 )
+            # Read-only arrays are shared: a rollout only reads them.
             table = QTable(self.num_components, self.num_vms)
-            table.values = np.array(self.values)
+            table.values = self.values
             return table
         lq = LinearQ(scenario, self.num_components)
-        lq.weights = np.array(self.weights)
+        lq.weights = self.weights
         return lq
 
 
 def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
-    """``doc[name]`` as a float array of ``shape`` with finite entries only."""
+    """``doc[name]`` as a read-only float array of ``shape`` with finite
+    entries only."""
     value = require(doc, name)
     try:
         array = np.array(value)
@@ -531,12 +542,28 @@ def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
         raise ScenarioFormatError(name, f"expected shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():
         raise ScenarioFormatError(name, "every entry must be finite")
+    # Booleans mixed with numbers convert like 0 and 1; the shape check above
+    # makes ``value`` a regular nesting of len(shape) levels.
+    entries = value
+    for _ in shape[1:]:
+        entries = chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise ScenarioFormatError(name, "must be an array of numbers")
+    array.flags.writeable = False
     return array
 
 
 def load_policy(path: str | Path) -> PolicySnapshot:
-    """Read a policy file; a malformed one raises ``ScenarioFormatError``."""
-    doc = read_document(path)
+    """Read a policy file; a malformed one raises ``ScenarioFormatError``.
+
+    The file is read on every call, and parsed only when its bytes differ from
+    the last file parsed."""
+    return _policy_from_bytes(read_regular_file(path))
+
+
+@lru_cache(maxsize=1)
+def _policy_from_bytes(raw: bytes) -> PolicySnapshot:
+    doc = decode_document(raw)
     version = require(doc, "version")
     if version != POLICY_FILE_VERSION:
         raise ScenarioFormatError("version", f"has unsupported value {version!r}")

@@ -169,17 +169,21 @@ def decode_document(raw: bytes | str, field: str = "<document>") -> dict:
     return doc
 
 
-def read_document(path: str | Path) -> dict:
-    """``decode_document`` of a regular file; a FIFO or a device, whose read may
-    never end, is refused unread."""
+def read_regular_file(path: str | Path) -> bytes:
+    """The bytes of a regular file; a FIFO or a device, whose read may never
+    end, is refused unread."""
     path = Path(path)
     try:
         if not path.is_file():
             raise ScenarioFormatError("<document>", f"{path} is not a regular file")
-        raw = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise ScenarioFormatError("<document>", f"cannot be read: {exc}") from exc
-    return decode_document(raw)
+
+
+def read_document(path: str | Path) -> dict:
+    """``decode_document`` of a regular file."""
+    return decode_document(read_regular_file(path))
 
 
 class FieldKind(NamedTuple):

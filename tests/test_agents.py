@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _reference import features, reference_train, tiny_scenario, two_step_q_star
+from vnfcmap import agents
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
     AgentVariant,
@@ -621,3 +622,29 @@ def test_snapshot_rejects_wrong_inventory_size(tmp_path):
     smaller = generate(84, type(scenario.params)(num_vms=20))
     with pytest.raises(ValueError, match="vms"):
         snapshot.estimator_for(smaller)
+
+
+def test_unchanged_policy_file_is_parsed_once(tmp_path):
+    scenario = generate(85)
+    _, learner = train(AgentVariant.OFF_POLICY_LINEAR, scenario, Hyperparameters(episodes=5), 0)
+    path = tmp_path / "model.json"
+    save_policy(learner, path)
+    agents._policy_from_bytes.cache_clear()
+    first, second = load_policy(path), load_policy(path)
+    assert second is first
+    info = agents._policy_from_bytes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_loaded_policy_arrays_are_read_only(tmp_path):
+    scenario = generate(86)
+    for variant, name in (
+        (AgentVariant.OFF_POLICY_TABULAR, "values"),
+        (AgentVariant.ON_POLICY_LINEAR, "weights"),
+    ):
+        _, learner = train(variant, scenario, Hyperparameters(episodes=5), 0)
+        path = tmp_path / f"{variant.value}.json"
+        save_policy(learner, path)
+        array = getattr(load_policy(path), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import json
 import math
 import os
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnfcmap import service
+import vnfcmap
+from vnfcmap import agents, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
@@ -147,6 +151,8 @@ _NAN_VALUES[3, 4, 5] = np.nan
 _TWO_COMPONENT_VALUES = np.zeros((2, 12, 12))
 _TWO_COMPONENT_VALUES[0, :, 0] = 1.0
 _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
+_MIXED_BOOLEAN_VALUES = np.zeros((8, 12, 12)).tolist()
+_MIXED_BOOLEAN_VALUES[7][11][11] = False
 
 
 @pytest.mark.parametrize(
@@ -165,6 +171,8 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         (_TABULAR_12 | {"values": 10**400}, "values"),
         (_TABULAR_12 | {"values": np.zeros((8, 12, 12)).astype(str).tolist()}, "values"),
         (_LINEAR_12 | {"weights": [True] * 7}, "weights"),
+        (_LINEAR_12 | {"weights": [True, 0, 0, 0, 0, 1, 0]}, "weights"),
+        (_TABULAR_12 | {"values": _MIXED_BOOLEAN_VALUES}, "values"),
     ],
     ids=[
         "tabular-wrong-shape",
@@ -180,6 +188,8 @@ _TWO_COMPONENT_VALUES[1, :, 6] = 1.0
         "values-beyond-float",
         "string-values",
         "boolean-weights",
+        "boolean-mixed-into-weights",
+        "boolean-mixed-into-values",
     ],
 )
 def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field):
@@ -201,6 +211,82 @@ def test_trained_policy_refuses_a_model_path_that_is_not_a_regular_file(tmp_path
     assert status == 400
     assert body["error"]["field"] == "policy.model"
     assert body["error"]["detail"].startswith("<document>: ")
+
+
+def _placing_policy(targets):
+    """A 12-machine tabular policy whose greedy replay puts component i on targets[i - 1]."""
+    values = np.zeros((8, 12, 12))
+    for i, vm in enumerate(targets):
+        values[i, :, vm - 1] = 1.0
+    return _policy_file("tabular", 12, values=values)
+
+
+_FORWARD_PAIRS = {str(c): c for c in range(1, 9)}
+_BACKWARD_PAIRS = {str(c): 13 - c for c in range(1, 9)}
+_FORWARD = _placing_policy(_FORWARD_PAIRS.values())
+_BACKWARD = _placing_policy(_BACKWARD_PAIRS.values())
+
+
+def _roomy_request(policy):
+    """A body whose 12 machines each fit every component."""
+    doc = _request_doc(generate(31, GenerationParams(num_vms=12)), policy)
+    for vm in doc["vms"]:
+        vm["compute_cap"] = vm["storage_cap"] = 100.0
+    return doc
+
+
+def test_trained_policy_serves_a_model_rewritten_at_the_same_path(tmp_path):
+    model_path = tmp_path / "model.json"
+    doc = _roomy_request({"kind": "trained", "model": str(model_path)})
+    for policy, pairs in ((_FORWARD, _FORWARD_PAIRS), (_BACKWARD, _BACKWARD_PAIRS)) * 2:
+        model_path.write_text(json.dumps(policy))
+        status, body = handle_map(doc)
+        assert (status, body["pairs"]) == (200, pairs)
+
+
+def test_alternating_model_files_answer_like_a_fresh_interpreter(tmp_path):
+    bodies = {}
+    for name, policy in (("forward", _FORWARD), ("backward", _BACKWARD)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(policy))
+        bodies[name] = _roomy_request({"kind": "trained", "model": str(path)})
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    code = (
+        "import json, sys; from vnfcmap.service import handle_map; "
+        "print(json.dumps({name: handle_map(body) for name, body in json.load(sys.stdin).items()}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps(bodies),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reference = json.loads(result.stdout)
+    assert reference["forward"][1]["pairs"] != reference["backward"][1]["pairs"]
+    for name in ("forward", "forward", "backward", "forward", "backward", "backward"):
+        assert json.loads(json.dumps(handle_map(bodies[name]))) == reference[name], name
+
+
+def test_model_file_fixed_at_the_same_path_is_served(tmp_path):
+    # A refusal is not remembered: the fixed file is parsed on the next request.
+    model_path = tmp_path / "model.json"
+    doc = _roomy_request({"kind": "trained", "model": str(model_path)})
+    model_path.write_text(json.dumps(_FORWARD)[:-1])
+    status, body = handle_map(doc)
+    assert (status, body["error"]["field"]) == (400, "policy.model")
+    assert body["error"]["detail"].startswith("<document>: is not valid JSON")
+    model_path.write_text(json.dumps(_FORWARD))
+    status, body = handle_map(doc)
+    assert (status, body["pairs"]) == (200, _FORWARD_PAIRS)
+
+
+def test_benchmark_wrapped_policy_names_resolve():
+    # The benchmark times the trained path by wrapping these names; a rename
+    # would leave its per-layer figures at zero without an error.
+    assert service.load_policy is agents.load_policy
+    assert callable(agents.PolicySnapshot.estimator_for)
 
 
 def test_missing_field_is_400_with_path(canonical):
@@ -325,16 +411,24 @@ def test_tiny_capacities_are_infeasible_without_a_warning(tmp_path):
             assert (status, body["status"]) == (200, "infeasible"), (policy, mode)
 
 
-@pytest.fixture()
-def server():
-    srv = make_server(0)
+@contextlib.contextmanager
+def _serving(srv):
     thread = threading.Thread(
         target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    try:
+        yield srv.server_address[1]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+@pytest.fixture()
+def server():
+    srv = make_server(0)
+    with _serving(srv):
+        yield srv
 
 
 def _post(port, path, payload):
@@ -357,6 +451,47 @@ def test_http_health_and_map(server, canonical, recorded_optimum):
     status, body = _post(port, "/map", _request_doc(canonical, "oracle"))
     assert status == 200
     assert body["pairs"] == recorded_optimum["absolute_surplus"]["pairs"]
+
+
+def test_http_concurrent_trained_requests_over_two_models(tmp_path):
+    # The handler threads of one server share the single parsed-policy slot.
+    default_path, other_path = tmp_path / "default.json", tmp_path / "other.json"
+    default_path.write_text(json.dumps(_FORWARD))
+    other_path.write_text(json.dumps(_BACKWARD))
+    bodies = [
+        _roomy_request({"kind": "trained"}),
+        _roomy_request({"kind": "trained", "model": str(other_path)}),
+        _roomy_request({"kind": "trained", "model": str(tmp_path / "missing.json")}),
+    ]
+    expected = []
+    for body in bodies:
+        status, answer = handle_map(body, default_model=str(default_path))
+        expected.append((status, json.dumps(answer).encode()))
+    assert [status for status, _ in expected] == [200, 200, 400]
+
+    answers = {}
+
+    def client(port, worker):
+        for n in range(20):
+            index = (worker + n) % len(bodies)
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/map", data=json.dumps(bodies[index]).encode()
+            )
+            try:
+                with urllib.request.urlopen(request) as resp:
+                    answers[worker, n] = index, (resp.status, resp.read())
+            except urllib.error.HTTPError as exc:
+                answers[worker, n] = index, (exc.code, exc.read())
+
+    with _serving(make_server(0, default_model=str(default_path))) as port:
+        clients = [threading.Thread(target=client, args=(port, worker)) for worker in range(4)]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join()
+    assert len(answers) == 80
+    for index, answer in answers.values():
+        assert answer == expected[index]
 
 
 def test_http_malformed_body(server, canonical):
