@@ -174,8 +174,8 @@ class PolicyTable:
     state.
 
     Only that action is stored: the greedy action of the learner's value
-    estimate, lowest machine id on ties. ``row`` and ``probs`` render it as
-    an epsilon-greedy (on-policy) or a one-hot (off-policy) distribution.
+    estimate, lowest machine id on ties. ``row`` renders it as an
+    epsilon-greedy (on-policy) or a one-hot (off-policy) distribution.
     """
 
     def __init__(self, num_components: int, num_vms: int, mode: PolicyMode, epsilon: float = 0.0):
@@ -184,19 +184,11 @@ class PolicyTable:
         self.epsilon = epsilon
         self.greedy_index = np.zeros((num_components, num_vms), dtype=np.int64)
 
-    def _render(self, greedy_index: np.ndarray) -> np.ndarray:
+    def row(self, state: MappingEpisodeState) -> np.ndarray:
         m = self.num_vms
         explore = self.epsilon / m if self.mode is PolicyMode.EPSILON_GREEDY else 0.0
         exploit = 1.0 - explore * (m - 1)
-        return np.where(np.arange(m) == greedy_index[..., None], exploit, explore)
-
-    @property
-    def probs(self) -> np.ndarray:
-        """All rows as a fresh (components, machines, machines) array."""
-        return self._render(self.greedy_index)
-
-    def row(self, state: MappingEpisodeState) -> np.ndarray:
-        return self._render(self.greedy_index[state_key(state)])
+        return np.where(np.arange(m) == self.greedy_index[state_key(state)], exploit, explore)
 
 
 def epsilon_greedy_policy_update(
@@ -497,7 +489,6 @@ def save_policy(learner: Learner, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class PolicySnapshot:
-    variant: str
     kind: str
     num_components: int
     num_vms: int
@@ -570,9 +561,9 @@ def _policy_from_bytes(raw: bytes) -> PolicySnapshot:
     kind = require(doc, "kind")
     if kind not in ("tabular", "linear"):
         raise ScenarioFormatError("kind", f"must be 'tabular' or 'linear', got {kind!r}")
+    require(doc, "variant")  # every policy file names its learner, though nothing reads it
     k, m = require(doc, "num_components", kind=INTEGER), require(doc, "num_vms", kind=INTEGER)
     return PolicySnapshot(
-        variant=require(doc, "variant"),
         kind=kind,
         num_components=k,
         num_vms=m,

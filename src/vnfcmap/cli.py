@@ -98,7 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True)
     parser.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="off-tab")
-    parser.add_argument("--episodes", type=int, default=Hyperparameters.episodes)
+    # The convergence statistic in every run summary needs two windows of episodes.
+    parser.add_argument(
+        "--episodes", type=_int_in(2 * metrics.CONVERGENCE_WINDOW), default=Hyperparameters.episodes
+    )
     parser.add_argument("--alpha", type=float, default=Hyperparameters.alpha)
     parser.add_argument("--gamma", type=float, default=Hyperparameters.gamma)
     parser.add_argument("--epsilon", type=float, default=Hyperparameters.epsilon)
@@ -163,7 +166,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = range(args.seeds)
     out_dirs = [out_root / f"seed-{seed}" for seed in seeds]
     run = partial(_train_run, inst, args.variant, hyper)
-    workers = min(args.seeds, args.workers or os.cpu_count() or 1)
+    # The CPUs this process may run on, which can be fewer than the host has.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.seeds, args.workers or cpus, cpus)
     if workers == 1:
         summaries = list(map(run, seeds, out_dirs))
     else:

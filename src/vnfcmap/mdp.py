@@ -77,10 +77,6 @@ class StepOutcome:
     next_state: MappingEpisodeState
     feasible: bool
 
-    @property
-    def terminated(self) -> bool:
-        return self.next_state.terminal
-
 
 def _placement_reward(ratio_c, ratio_s, mode: RewardMode):
     """Reward of a feasible placement from its demand-to-capacity ratios;

@@ -197,11 +197,6 @@ def compare_summaries(summaries: Sequence[dict]) -> dict:
     }
 
 
-def compare(runs: Sequence[RunRecord]) -> dict:
-    """Variant comparison straight from run records."""
-    return compare_summaries([summarize(run) for run in runs])
-
-
 # ---------------------------------------------------------------------------
 # File output
 

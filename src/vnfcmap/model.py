@@ -86,10 +86,6 @@ class SliceSubnet:
     def total_compute(self) -> float:
         return sum(c.compute_req for c in self.components)
 
-    @property
-    def total_storage(self) -> float:
-        return sum(c.storage_req for c in self.components)
-
 
 def make_slice(compute_reqs: Sequence[float], storage_reqs: Sequence[float]) -> SliceSubnet:
     """Build a slice subnet from two 8-long requirement vectors."""
@@ -126,11 +122,6 @@ class VirtualMachine:
     @property
     def available(self) -> bool:
         return self.hosted is None
-
-    def occupy(self, component_id: int) -> "VirtualMachine":
-        if not self.available:
-            raise ValueError(f"vm {self.id} already hosts component {self.hosted}")
-        return VirtualMachine(self.id, self.compute_cap, self.storage_cap, hosted=component_id)
 
     def fits(self, component: VnfComponent) -> bool:
         """Capacity check only; ignores occupancy."""

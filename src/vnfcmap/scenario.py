@@ -139,21 +139,6 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
     )
 
 
-def identity_scenario(subnet: SliceSubnet, extra_vms: tuple[VirtualMachine, ...] = ()) -> Scenario:
-    """A scenario whose first eight machines exactly match the eight demands."""
-    exact = tuple(
-        VirtualMachine(id=c.id, compute_cap=max(c.compute_req, 1), storage_cap=max(c.storage_req, 1))
-        for c in subnet.components
-    )
-    renumbered_extra = tuple(
-        VirtualMachine(
-            id=NUM_COMPONENTS + k + 1, compute_cap=vm.compute_cap, storage_cap=vm.storage_cap
-        )
-        for k, vm in enumerate(extra_vms)
-    )
-    return Scenario(subnet=subnet, vms=exact + renumbered_extra)
-
-
 # ---------------------------------------------------------------------------
 # Reading outside documents: each is parsed by ``decode_document`` and read with ``require``.
 

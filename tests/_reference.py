@@ -1,4 +1,4 @@
-"""Independent reference computations shared by agent tests.
+"""Independent reference computations and test instances shared by the tests.
 
 The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
@@ -29,7 +29,7 @@ from vnfcmap.agents import (
 )
 from vnfcmap.mdp import MappingEnvironment, RewardMode
 from vnfcmap.metrics import EpisodeLog
-from vnfcmap.model import VirtualMachine, make_slice
+from vnfcmap.model import NUM_COMPONENTS, SliceSubnet, VirtualMachine, make_slice
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
     Assignment,
@@ -63,6 +63,21 @@ def tiny_scenario() -> Scenario:
         VirtualMachine(id=3, compute_cap=5, storage_cap=5),
     )
     return Scenario(subnet=subnet, vms=vms)
+
+
+def identity_scenario(subnet: SliceSubnet, extra_vms: tuple[VirtualMachine, ...] = ()) -> Scenario:
+    """A scenario whose first eight machines exactly match the eight demands."""
+    exact = tuple(
+        VirtualMachine(id=c.id, compute_cap=max(c.compute_req, 1), storage_cap=max(c.storage_req, 1))
+        for c in subnet.components
+    )
+    renumbered_extra = tuple(
+        VirtualMachine(
+            id=NUM_COMPONENTS + k + 1, compute_cap=vm.compute_cap, storage_cap=vm.storage_cap
+        )
+        for k, vm in enumerate(extra_vms)
+    )
+    return Scenario(subnet=subnet, vms=exact + renumbered_extra)
 
 
 def _fits(comp, vm) -> bool:

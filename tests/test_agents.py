@@ -46,6 +46,12 @@ def _state(index=1, anchor=1, occupied=()):
     return MappingEpisodeState(index, anchor, frozenset(occupied))
 
 
+def _all_rows(policy):
+    """``policy.row`` of every state, as a (components, machines, machines) array."""
+    k, m = policy.greedy_index.shape
+    return np.array([[policy.row(_state(i + 1, a + 1)) for a in range(m)] for i in range(k)])
+
+
 def _uniform_scenario(num_vms=6, cap=8):
     subnet = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
     vms = tuple(VirtualMachine(id=j + 1, compute_cap=cap, storage_cap=cap) for j in range(num_vms))
@@ -227,9 +233,9 @@ def test_rows_remain_distributions_during_training():
     hyper = Hyperparameters(episodes=40)
     for variant in AgentVariant:
         _, learner = train(variant, scenario, hyper, seed=1)
-        sums = learner.policy.probs.sum(axis=2)
-        assert np.all(np.abs(sums - 1.0) < 1e-12)
-        assert np.all(learner.policy.probs >= 0.0)
+        rows = _all_rows(learner.policy)
+        assert np.all(np.abs(rows.sum(axis=2) - 1.0) < 1e-12)
+        assert np.all(rows >= 0.0)
 
 
 def test_policy_rows_point_at_the_greedy_action():
@@ -240,7 +246,7 @@ def test_policy_rows_point_at_the_greedy_action():
     hyper = Hyperparameters(episodes=40)
     for variant in AgentVariant:
         _, learner = train(variant, scenario, hyper, seed=1)
-        pointed = np.argmax(learner.policy.probs, axis=2)
+        pointed = np.argmax(_all_rows(learner.policy), axis=2)
         for (i, a), j in np.ndenumerate(pointed):
             assert j == learner.q.greedy_action(_state(i + 1, a + 1)) - 1
 
@@ -566,8 +572,8 @@ def test_policies_differ_between_families():
     assert on_learner.policy.mode is PolicyMode.EPSILON_GREEDY
     assert off_learner.policy.mode is PolicyMode.GREEDY_TARGET
     # target rows are one-hot, behavior rows spread epsilon mass
-    assert np.all(np.isin(off_learner.policy.probs, (0.0, 1.0)))
-    assert not np.all(np.isin(on_learner.policy.probs, (0.0, 1.0)))
+    assert np.all(np.isin(_all_rows(off_learner.policy), (0.0, 1.0)))
+    assert not np.all(np.isin(_all_rows(on_learner.policy), (0.0, 1.0)))
 
 
 def test_small_mdp_converges_to_backward_induction():

@@ -1,13 +1,15 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
+from vnfcmap import cli
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
-from vnfcmap.model import PhysicalMachine
+from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, ObjectiveMode, solve_exact_matching
 from vnfcmap.scenario import GenerationParams, Scenario, generate, load, save, scenario_to_dict
 
@@ -129,7 +131,12 @@ def test_oracle_infeasible_exit_code(tmp_path, capsys):
     assert "capacity-fit" in capsys.readouterr().err
 
 
-def test_sweep_sequential_and_parallel_match(small_scenario, tmp_path):
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_sweep_sequential_and_parallel_match(small_scenario, tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
     base = [
         "sweep", "--scenario", str(small_scenario), "--episodes", "30", "--seeds", "2",
     ]
@@ -144,6 +151,24 @@ def test_sweep_sequential_and_parallel_match(small_scenario, tmp_path):
     assert (solo / "cross_seed_summary.json").read_bytes() == (
         multi / "cross_seed_summary.json"
     ).read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_usable_cpus(small_scenario, tmp_path, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("one usable CPU must not start a worker process")
+
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    base = ["sweep", "--scenario", str(small_scenario), "--episodes", "20", "--seeds", "3"]
+    capped, solo = tmp_path / "capped", tmp_path / "solo"
+    assert main(base + ["--workers", "3", "--out-dir", str(capped)]) == EXIT_OK
+    assert main(base + ["--workers", "1", "--out-dir", str(solo)]) == EXIT_OK
+    written = sorted(p.relative_to(solo) for p in solo.rglob("*"))
+    assert written == sorted(p.relative_to(capped) for p in capped.rglob("*"))
+    for name in written:
+        if (solo / name).is_file():
+            assert (solo / name).read_bytes() == (capped / name).read_bytes()
 
 
 def test_compare_prints_metric_table(small_scenario, tmp_path, capsys):
@@ -246,8 +271,9 @@ def test_capacity_above_the_bound_is_validation_error(small_scenario, tmp_path, 
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_diverging_sweep_exits_3_with_one_error_line(tmp_path, capsys, workers):
+def test_diverging_sweep_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, workers):
     # In a worker process the DivergenceError has to survive pickling back.
+    _usable_cpus(monkeypatch, 2)
     scenario = tmp_path / "scenario.json"
     main(["generate-scenario", "--seed", "81", "--vms", "20", "--out", str(scenario)])
     capsys.readouterr()
@@ -279,3 +305,75 @@ def test_out_of_range_counts_and_ports_are_usage_errors(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_too_few_episodes_is_a_usage_error_before_training(
+    small_scenario, tmp_path, capsys, command
+):
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                command, "--scenario", str(small_scenario), "--episodes", "19",
+                "--out-dir", str(out_dir),
+            ]
+        )
+    assert err.value.code == 2
+    assert "--episodes: must be in 20.." in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _two_pm_scenario(tmp_path, pm_of_vm):
+    """Nine machines on two PMs, of which PM 2 may host one; machine 1 exactly
+    fits f1, so the slice has a saturated placement."""
+    subnet = make_slice([4, 3, 3, 2, 2, 2, 2, 2], [3, 3, 3, 2, 2, 2, 1, 1])
+    vms = (VirtualMachine(1, 4, 3),) + tuple(VirtualMachine(j, 5, 5) for j in range(2, 10))
+    pms = (PhysicalMachine(1, 40, 40, max_vm_count=8), PhysicalMachine(2, 9, 9, max_vm_count=1))
+    placement = VmPlacement(
+        x=tuple((int(pm == 1), int(pm == 2)) for pm in pm_of_vm), pm_active=(True, True)
+    )
+    path = tmp_path / "substrate.json"
+    save(Scenario(subnet=subnet, vms=vms, pms=pms, placement=placement), path)
+    return path
+
+
+_SLICE_REPORT = """\
+f1 -> vm 1: saturated (a resource axis at 100%)
+f2 -> vm 2: workload 6.2500
+f3 -> vm 3: workload 6.2500
+f4 -> vm 4: workload 2.7778
+f5 -> vm 5: workload 2.7778
+f6 -> vm 6: workload 2.7778
+f7 -> vm 7: workload 2.0833
+f8 -> vm 8: workload 2.0833
+slice workload skipped: 1 saturated placement(s)
+"""
+
+
+@pytest.mark.parametrize(
+    "pm_of_vm,report",
+    [
+        (
+            (1,) * 8 + (2,),
+            "placement violations: none\n"
+            "pm 1: 8 vms, workload 800.0000, idle fraction 0.0375\n"
+            "pm 2: 1 vms, workload 5.0625, idle fraction 0.4444\n",
+        ),
+        (
+            (1,) * 7 + (2, 2),
+            "placement violations (3):\n"
+            "  [pm-vm-count] #2: 2 vms exceed limit 1\n"
+            "  [pm-compute-capacity] #2: compute demand 10 exceeds 9\n"
+            "  [pm-storage-capacity] #2: storage demand 10 exceeds 9\n"
+            "pm 1: 7 vms, workload 38.0952, idle fraction 0.1625\n"
+            "pm 2: overloaded (compute load 1.1111111111111112 is at or above 100%)\n",
+        ),
+    ],
+    ids=["rules-kept", "pm-2-overloaded"],
+)
+def test_check_infra_reports_the_substrate(tmp_path, capsys, pm_of_vm, report):
+    path = _two_pm_scenario(tmp_path, pm_of_vm)
+    assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
+    expected = "scenario: 9 vms, 2 pms\n" + report + _SLICE_REPORT
+    assert capsys.readouterr().out == expected

@@ -70,7 +70,7 @@ def test_feasible_step_advances_and_occupies():
     env = _env()
     state = env.reset()
     outcome = env.step(state, Action(2))
-    assert outcome.feasible and not outcome.terminated
+    assert outcome.feasible and not outcome.next_state.terminal
     assert outcome.reward == step_reward(2, 2, 8, 8)
     assert outcome.next_state.next_component_index == 2
     assert outcome.next_state.anchor_vm == 2
@@ -108,8 +108,7 @@ def test_occupied_target_pays_penalty_and_terminates():
     state = env.step(state, Action(1)).next_state
     outcome = env.step(state, Action(1))
     assert outcome.reward == INFEASIBLE_PENALTY
-    assert outcome.terminated and not outcome.feasible
-    assert outcome.next_state.terminal
+    assert outcome.next_state.terminal and not outcome.feasible
     assert outcome.next_state.occupied == state.occupied
 
 
@@ -120,7 +119,7 @@ def test_insufficient_target_pays_penalty():
     )
     env = _env(scenario)
     outcome = env.step(env.reset(), Action(1))  # f1 needs (2, 2)
-    assert outcome.reward == INFEASIBLE_PENALTY and outcome.terminated
+    assert outcome.reward == INFEASIBLE_PENALTY and outcome.next_state.terminal
 
 
 def test_episode_completes_after_all_components():
@@ -141,7 +140,7 @@ def test_component_limit_restricts_episode():
     state = env.reset()
     state = env.step(state, Action(1)).next_state
     outcome = env.step(state, Action(2))
-    assert outcome.terminated and outcome.feasible
+    assert outcome.next_state.terminal and outcome.feasible
 
 
 def test_step_rejects_terminal_state_and_bad_action():

@@ -9,7 +9,6 @@ from vnfcmap.metrics import (
     CSV_COLUMNS,
     EpisodeLog,
     RunRecord,
-    compare,
     compare_summaries,
     convergence_episode,
     episode_csv_lines,
@@ -142,7 +141,7 @@ def test_summaries_are_pure_recomputation():
 def test_identical_runs_compare_identically():
     a = _record([1.0] * 30, variant="on-tab", seed=0)
     b = _record([1.0] * 30, variant="on-tab", seed=1)
-    comparison = compare([a, b])
+    comparison = compare_summaries([summarize(a), summarize(b)])
     cell = comparison["variants"]["on-tab"]
     assert cell["runs"] == 2
     assert cell["cross_seed_std"] == 0.0
@@ -156,10 +155,9 @@ def test_compare_orders_variants():
         _record([0.5] * 30, variant="on-lin"),
         _record([1.0] * 30, variant="off-lin"),
     ]
-    comparison = compare(runs)
+    comparison = compare_summaries([summarize(r) for r in runs])
     assert comparison["by_average_reward"] == ["off-tab", "on-tab", "off-lin", "on-lin"]
     assert comparison["by_auc"][0] == "off-tab"
-    assert compare_summaries([summarize(r) for r in runs]) == comparison
 
 
 def test_csv_layout_and_determinism(tmp_path):

@@ -27,15 +27,14 @@ def test_eight_kinds_split_between_units():
     assert not set(cu) & set(du)
 
 
-def test_total_demand_sums_both_axes():
+def test_total_compute_sums_all_components():
     subnet = make_slice([3, 3, 3, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
     assert subnet.total_compute == 14
-    assert subnet.total_storage == 11
 
 
 def test_total_demand_zero_case():
     subnet = make_slice([0] * 8, [0] * 8)
-    assert (subnet.total_compute, subnet.total_storage) == (0, 0)
+    assert subnet.total_compute == 0
 
 
 def test_du_heavier_than_cu_rejected():
@@ -64,12 +63,11 @@ def test_slice_requires_canonical_order():
 def test_vm_validation_and_occupy():
     with pytest.raises(ValueError):
         VirtualMachine(id=1, compute_cap=0, storage_cap=1)
-    vm = VirtualMachine(id=3, compute_cap=2, storage_cap=2)
-    taken = vm.occupy(5)
+    with pytest.raises(ValueError, match="hosted"):
+        VirtualMachine(id=3, compute_cap=2, storage_cap=2, hosted=NUM_COMPONENTS + 1)
+    assert VirtualMachine(id=3, compute_cap=2, storage_cap=2).available
+    taken = VirtualMachine(id=3, compute_cap=2, storage_cap=2, hosted=5)
     assert not taken.available and taken.hosted == 5
-    assert vm.available  # original untouched
-    with pytest.raises(ValueError):
-        taken.occupy(6)
 
 
 def _component(cid, compute, storage):
@@ -144,12 +142,8 @@ def test_demand_is_additive():
         compute = [int(cu[0]), 0, 0] + [int(v) for v in du[0]]
         storage = [int(cu[1]), 0, 0] + [int(v) for v in du[1]]
         subnet = make_slice(compute, storage)
-        total = (subnet.total_compute, subnet.total_storage)
-        assert total == (sum(compute), sum(storage))
-        assert total == (
-            sum(c.compute_req for c in subnet.components),
-            sum(c.storage_req for c in subnet.components),
-        )
+        assert subnet.total_compute == sum(compute)
+        assert subnet.total_compute == sum(c.compute_req for c in subnet.components)
 
 
 def test_num_components_constant():

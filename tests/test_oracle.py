@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from _reference import (
     _fits,
+    identity_scenario,
     reference_canonical_matching,
     reference_enumeration,
     reference_greedy_best_fit,
@@ -32,7 +34,7 @@ from vnfcmap.oracle import (
     solve_exact_matching,
     validate_assignment,
 )
-from vnfcmap.scenario import GenerationParams, generate, identity_scenario, load
+from vnfcmap.scenario import GenerationParams, generate, load
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -210,7 +212,7 @@ def test_enumeration_vm_guard():
 
 def test_occupied_machines_are_not_candidates():
     vms = (
-        _vm(1, 5, 5).occupy(2),
+        VirtualMachine(1, 5, 5, hosted=2),
         _vm(2, 5, 5),
     )
     problem = AssignmentProblem((_comp(1, 1, 1),), vms)
@@ -253,7 +255,7 @@ def small_problems(draw):
     vm_specs = draw(st.lists(capacity, min_size=m, max_size=m))
     occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
-    vms = tuple(vm.occupy(1) if taken else vm for vm, taken in zip(problem.vms, occupied))
+    vms = tuple(replace(vm, hosted=1) if taken else vm for vm, taken in zip(problem.vms, occupied))
     return AssignmentProblem(problem.components, vms, problem.objective_mode)
 
 
@@ -294,7 +296,7 @@ def near_tie_problems(draw):
     vm_specs = draw(st.lists(st.tuples(amount, amount), min_size=m, max_size=m))
     occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
-    vms = tuple(vm.occupy(1) if taken else vm for vm, taken in zip(problem.vms, occupied))
+    vms = tuple(replace(vm, hosted=1) if taken else vm for vm, taken in zip(problem.vms, occupied))
     return AssignmentProblem(problem.components, vms, problem.objective_mode)
 
 
@@ -375,7 +377,7 @@ def test_feasibility_check_agrees_with_hopcroft_karp():
         taken = rng.random(m) < 0.2
         problem = AssignmentProblem(
             problem.components,
-            tuple(vm.occupy(1) if t else vm for vm, t in zip(problem.vms, taken)),
+            tuple(replace(vm, hosted=1) if t else vm for vm, t in zip(problem.vms, taken)),
         )
         verdict = has_feasible_assignment(problem)
         assert verdict == _hopcroft_karp_feasible(problem)
@@ -450,7 +452,7 @@ def test_enumeration_matches_pairwise_reference():
     seen = set()
     for _ in range(400):
         comps, vms = _random_instance(rng, special=True)
-        vms = tuple(vm.occupy(1) if rng.random() < 0.2 else vm for vm in vms)
+        vms = tuple(replace(vm, hosted=1) if rng.random() < 0.2 else vm for vm in vms)
         mode = list(ObjectiveMode)[int(rng.integers(2))]
         problem = AssignmentProblem(comps, vms, mode)
         outcome = _outcome(solve_exact_enumeration, problem)
@@ -491,7 +493,7 @@ def test_greedy_best_fit_matches_pairwise_reference():
 
 def test_greedy_best_fit_skips_occupied_machines():
     comps = (_comp(1, 2, 2), _comp(2, 2, 2))
-    vms = (_vm(1, 2, 2).occupy(2), _vm(2, 3, 3), _vm(3, 2, 2))
+    vms = (VirtualMachine(1, 2, 2, hosted=2), _vm(2, 3, 3), _vm(3, 2, 2))
     assert greedy_best_fit(comps, vms) == {1: 3, 2: 2}
     with pytest.raises(InfeasibleAssignmentError, match="component 2"):
         greedy_best_fit(comps, vms[:2])

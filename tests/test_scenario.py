@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import identity_scenario
 from vnfcmap.infra import VmPlacement
 from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
@@ -17,7 +18,6 @@ from vnfcmap.scenario import (
     ScenarioFormatError,
     ScenarioGenerationError,
     generate,
-    identity_scenario,
     load,
     placement_violations,
     save,

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnfcmap
+from _reference import identity_scenario
 from vnfcmap import agents, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
@@ -25,7 +26,6 @@ from vnfcmap.scenario import (
     MAX_AMOUNT,
     GenerationParams,
     generate,
-    identity_scenario,
     load,
     scenario_to_dict,
 )
