@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 for validation problems, 3 when an instance is
 infeasible or a run diverged.
+
+Only ``oracle``, ``check-infra`` and ``serve`` load scipy, because only they
+solve an optimum; importing it would otherwise be most of every command's
+start-up. Only ``serve`` imports the service module, and with it
+``http.server``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import agents, infra, metrics, scenario as scenario_mod, service
+from . import agents, infra, metrics, scenario as scenario_mod
 from .agents import AgentVariant, DivergenceError
 from .mdp import AlphaSchedule, Hyperparameters, RewardMode
 from .oracle import (
@@ -313,6 +318,8 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from . import service
+
     server = service.make_server(args.port, default_model=args.model)
     host, port = server.server_address[:2]
     print(f"mapping decision service on http://{host}:{port} (POST /map, GET /health)")

@@ -5,6 +5,12 @@ and a minimum-cost bipartite matching for production sizes. Both minimize the
 summed capacity surplus of the chosen machines, either in absolute resource
 units or normalized per machine. Both, and the greedy best-fit heuristic,
 read one ``inf``-masked cost matrix.
+
+Only the matching route needs scipy, for its assignment solver, and importing
+``scipy.optimize`` costs most of a command's start-up. So it is imported on the
+first solve, not with this module. The feasibility check that scenario
+generation makes is a bipartite matching on the capacity-fit mask, with no
+costs and no solve.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import VirtualMachine, VnfComponent, resource_grid
 
@@ -206,6 +211,15 @@ def greedy_best_fit(
     return pairs
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's minimum-cost assignment of a cost matrix, importing scipy on the
+    first call; ``_matching_cost`` looks this name up on every call, so
+    wrapping or patching it here sees every solve."""
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
+
+
 def _matching_cost(cost: np.ndarray) -> float:
     """Optimal matching cost of a matrix with no more rows than columns, inf
     when none exists."""
@@ -219,13 +233,28 @@ def _matching_cost(cost: np.ndarray) -> float:
 
 
 def has_feasible_assignment(problem: AssignmentProblem) -> bool:
-    """Whether an injective, capacity-feasible assignment exists; one
-    assignment solve and no canonicalization."""
-    try:
-        _, _, cost = _cost_matrix(problem)
-    except InfeasibleAssignmentError:
+    """Whether an injective, capacity-feasible assignment exists: an
+    augmenting-path matching of the components on the capacity-fit mask of
+    the available machines, with no costs and no assignment solve."""
+    vms = problem.available_vms
+    if len(problem.components) > len(vms):
         return False
-    return not math.isinf(_matching_cost(cost))
+    *_, fits = resource_grid(problem.components, vms)
+    rows, columns = fits.tolist(), range(len(vms))
+    owner: dict[int, int] = {}  # machine column -> the component row it hosts
+
+    def place(row: int, seen: set[int]) -> bool:
+        # Each level of recursion moves a different component, so it goes at
+        # most 8 deep.
+        for col in itertools.compress(columns, rows[row]):
+            if col not in seen:
+                seen.add(col)
+                if col not in owner or place(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    return all(place(row, set()) for row in range(len(rows)))
 
 
 def solve_exact_matching(problem: AssignmentProblem) -> Assignment:

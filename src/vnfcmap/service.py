@@ -206,4 +206,8 @@ class MappingServer(ThreadingHTTPServer):
 def make_server(
     port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
 ) -> MappingServer:
+    """A server bound to ``host:port``, with the oracle's assignment solver
+    already imported so that the first oracle request does not wait for it."""
+    import scipy.optimize  # noqa: F401
+
     return MappingServer((host, port), default_model)

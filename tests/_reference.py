@@ -9,7 +9,9 @@ best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
 ``pair_cost``, so they can serve as oracles for the routes that read the
 masked cost matrix. The canonical matching walk solves every candidate's
 remainder, so it can serve as an oracle for the pruned walk in
-``oracle.solve_exact_matching``.
+``oracle.solve_exact_matching``. The feasibility check makes one assignment
+solve on the masked cost matrix, so it can serve as an oracle for the matching
+on the capacity-fit mask in ``oracle.has_feasible_assignment``.
 """
 
 from __future__ import annotations
@@ -256,3 +258,20 @@ def reference_canonical_matching(problem) -> Assignment:
         remaining, target = rest, sub
     validate_assignment(problem, pairs)
     return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)
+
+
+def reference_has_feasible_assignment(problem) -> bool:
+    """``oracle.has_feasible_assignment`` as one assignment solve on the masked
+    cost matrix: feasible when the solve finds a matching of finite cost.
+
+    The two agree wherever every fitting pair has a finite cost, as it has for
+    every amount a scenario file or request body may hold (at most 1e307).
+    They part on an infinite capacity, or one near the float maximum, under
+    absolute surplus: the surplus overflows to ``inf``, which the solve reads
+    as a pair that does not fit.
+    """
+    try:
+        _, _, cost = _cost_matrix(problem)
+    except InfeasibleAssignmentError:
+        return False
+    return not math.isinf(_matching_cost(cost))

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vnfcmap
 from vnfcmap import cli
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
@@ -95,6 +98,52 @@ def test_non_finite_capacity_in_scenario_file_is_validation_error(small_scenario
     path.write_text(json.dumps(doc))
     assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
     assert "vms[2].storage_cap" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter, which has loaded nothing the test process has.
+_LIGHT_THEN_ORACLE = """
+import contextlib, io, json, sys
+from vnfcmap import cli
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["generate-scenario", "--seed", "1", "--out", "scenario.json"]))
+    codes.append(cli.main(["train", "--scenario", "scenario.json", "--episodes", "20", "--out-dir", "run"]))
+    codes.append(cli.main(["compare", "--runs", "run"]))
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+light = sorted({"scipy", "http.server"} & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["oracle", "--scenario", "scenario.json", "--json"]))
+print(json.dumps({
+    "codes": codes,
+    "light": light,
+    "oracle_loads_scipy": "scipy.optimize" in sys.modules,
+    "oracle": json.loads(out.getvalue()),
+}))
+"""
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _LIGHT_THEN_ORACLE],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    run = json.loads(result.stdout)
+    assert run["codes"] == [EXIT_OK] * 5
+    assert run["light"] == []
+    assert run["oracle_loads_scipy"]
+    inst = load(tmp_path / "scenario.json")
+    expected = solve_exact_matching(AssignmentProblem(inst.subnet.components, inst.vms))
+    assert run["oracle"]["objective_value"] == expected.objective_value
+    assert run["oracle"]["pairs"] == {str(c): v for c, v in expected.pairs.items()}
 
 
 def test_oracle_json_matches_library(small_scenario, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (
@@ -16,6 +16,7 @@ from _reference import (
     reference_canonical_matching,
     reference_enumeration,
     reference_greedy_best_fit,
+    reference_has_feasible_assignment,
 )
 from vnfcmap import oracle
 from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent
@@ -51,6 +52,11 @@ def _problem(comp_specs, vm_specs, mode=ObjectiveMode.ABSOLUTE_SURPLUS):
     comps = tuple(_comp(i + 1, c, s) for i, (c, s) in enumerate(comp_specs))
     vms = tuple(_vm(j + 1, c, s) for j, (c, s) in enumerate(vm_specs))
     return AssignmentProblem(comps, vms, mode)
+
+
+def _with_occupied(problem, occupied):
+    vms = tuple(replace(vm, hosted=1) if taken else vm for vm, taken in zip(problem.vms, occupied))
+    return AssignmentProblem(problem.components, vms, problem.objective_mode)
 
 
 def brute_force_optimum(problem):
@@ -255,8 +261,7 @@ def small_problems(draw):
     vm_specs = draw(st.lists(capacity, min_size=m, max_size=m))
     occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
-    vms = tuple(replace(vm, hosted=1) if taken else vm for vm, taken in zip(problem.vms, occupied))
-    return AssignmentProblem(problem.components, vms, problem.objective_mode)
+    return _with_occupied(problem, occupied)
 
 
 @settings(derandomize=True, database=None, max_examples=300)
@@ -296,8 +301,7 @@ def near_tie_problems(draw):
     vm_specs = draw(st.lists(st.tuples(amount, amount), min_size=m, max_size=m))
     occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
-    vms = tuple(replace(vm, hosted=1) if taken else vm for vm, taken in zip(problem.vms, occupied))
-    return AssignmentProblem(problem.components, vms, problem.objective_mode)
+    return _with_occupied(problem, occupied)
 
 
 @settings(derandomize=True, database=None, max_examples=500)
@@ -401,6 +405,35 @@ def test_generate_feasibility_draws_agree_with_hopcroft_karp(monkeypatch):
     assert any(not verdict for _, verdict in seen)
     for problem, verdict in seen:
         assert verdict == _hopcroft_karp_feasible(problem)
+
+
+@st.composite
+def feasibility_problems(draw):
+    """Up to eight components against up to ten machines, often fewer, with
+    integer or float amounts and some machines occupied."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 10))
+    demand = st.one_of(st.integers(0, 6), st.floats(0, 6))
+    capacity = st.one_of(st.integers(1, 8), st.floats(0.25, 8))
+    comp_specs = draw(st.lists(st.tuples(demand, demand), min_size=k, max_size=k))
+    vm_specs = draw(st.lists(st.tuples(capacity, capacity), min_size=m, max_size=m))
+    occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
+    return _with_occupied(problem, occupied)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(feasibility_problems())
+# an occupied machine is the only host of a component
+@example(_with_occupied(_problem([(1, 1), (2, 2)], [(2, 2), (1, 1), (3, 1)]), [True, False, False]))
+# fewer machines than components
+@example(_problem([(1, 1), (1, 1), (1, 1)], [(5, 5), (5, 5)]))
+# a component no machine hosts
+@example(_problem([(1, 1), (9, 1)], [(5, 5), (5, 5), (5, 5)]))
+# float capacities, and the first component must give up its machine
+@example(_problem([(1.5, 2.25), (2.5, 0.5)], [(2.5, 2.25), (1.5, 2.25), (0.75, 9.5)]))
+def test_feasibility_check_matches_the_assignment_solve(problem):
+    assert has_feasible_assignment(problem) == reference_has_feasible_assignment(problem)
 
 
 def _draw(rng, special=False):

@@ -269,6 +269,25 @@ def test_alternating_model_files_answer_like_a_fresh_interpreter(tmp_path):
         assert json.loads(json.dumps(handle_map(bodies[name]))) == reference[name], name
 
 
+def test_make_server_loads_the_solver_before_any_request():
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    code = (
+        "import sys; from vnfcmap import service; "
+        "before = 'scipy.optimize' in sys.modules; "
+        "srv = service.make_server(0); "
+        "print(before, 'scipy.optimize' in sys.modules); "
+        "srv.server_close()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["False", "True"]
+
+
 def test_model_file_fixed_at_the_same_path_is_served(tmp_path):
     # A refusal is not remembered: the fixed file is parsed on the next request.
     model_path = tmp_path / "model.json"
