@@ -81,11 +81,18 @@ def state_key(state: MappingEpisodeState) -> tuple[int, int]:
 class QTable:
     """Dense action values keyed by (next component index, anchor machine)."""
 
-    def __init__(self, num_components: int, num_vms: int):
+    def __init__(self, num_components: int, num_vms: int, values: Optional[np.ndarray] = None):
+        """A zero table with zero visit counts, or, given ``values``, a table
+        over those values that keeps no visit counts and is only read."""
         self.num_components = num_components
         self.num_vms = num_vms
-        self.values = np.zeros((num_components, num_vms, num_vms))
-        self.visits = np.zeros((num_components, num_vms, num_vms), dtype=np.int64)
+        shape = (num_components, num_vms, num_vms)
+        if values is None:
+            self.values = np.zeros(shape)
+            self.visits = np.zeros(shape, dtype=np.int64)
+        else:
+            self.values = values
+            self.visits = None
 
     def action_values(self, state: MappingEpisodeState) -> np.ndarray:
         return self.values[state_key(state)]
@@ -509,9 +516,7 @@ class PolicySnapshot:
                     f"policy trained for {self.num_vms} vms, scenario has {scenario.num_vms}",
                 )
             # Read-only arrays are shared: a rollout only reads them.
-            table = QTable(self.num_components, self.num_vms)
-            table.values = self.values
-            return table
+            return QTable(self.num_components, self.num_vms, self.values)
         lq = LinearQ(scenario, self.num_components)
         lq.weights = self.weights
         return lq
@@ -549,12 +554,23 @@ def load_policy(path: str | Path) -> PolicySnapshot:
 
     The file is read on every call, and parsed only when its bytes differ from
     the last file parsed."""
-    return _policy_from_bytes(read_regular_file(path))
+    return _policy_from_bytes(_FileBytes(read_regular_file(path)))
+
+
+@dataclass(frozen=True)
+class _FileBytes:
+    """File contents as a cache key. Its hash is the length, so that looking up
+    bytes read again compares them, which costs far less than hashing them."""
+
+    data: bytes
+
+    def __hash__(self) -> int:
+        return len(self.data)
 
 
 @lru_cache(maxsize=1)
-def _policy_from_bytes(raw: bytes) -> PolicySnapshot:
-    doc = decode_document(raw)
+def _policy_from_bytes(contents: _FileBytes) -> PolicySnapshot:
+    doc = decode_document(contents.data)
     version = require(doc, "version")
     if version != POLICY_FILE_VERSION:
         raise ScenarioFormatError("version", f"has unsupported value {version!r}")

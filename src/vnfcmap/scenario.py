@@ -320,14 +320,7 @@ def _read_scenario(doc: dict) -> Scenario:
         )
     subnet = SliceSubnet(tuple(components))
 
-    vms = tuple(
-        VirtualMachine(
-            id=require(raw, "id", f"vms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
-            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
-        )
-        for idx, raw in enumerate(require(doc, "vms", kind=LIST))
-    )
+    vms = _read_vms(require(doc, "vms", kind=LIST))
 
     pms = tuple(
         PhysicalMachine(
@@ -348,6 +341,52 @@ def _read_scenario(doc: dict) -> Scenario:
             pm_active=tuple(require(raw_placement, "pm_active", "placement.", LIST)),
         )
     return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
+
+
+def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
+    """The machines of a ``vms`` list: one pass over the whole list accepts the
+    common case, and anything it does not accept goes through the field walk,
+    which refuses exactly as before with the first offending field."""
+    vms = _vms_in_one_pass(raw_vms)
+    return _walk_vms(raw_vms) if vms is None else vms
+
+
+def _vms_in_one_pass(raw_vms: list) -> Optional[tuple[VirtualMachine, ...]]:
+    """The machines, or None unless every entry is an object whose ``id`` is an
+    integer, the ids are 1..m in order, and every capacity is an integer or a
+    float in (0, ``MAX_AMOUNT``). A capacity equal to the bound goes to the
+    walk, which compares an integer with it exactly; as a float, an integer
+    just above the bound rounds to it."""
+    if not all(type(raw) is dict for raw in raw_vms):
+        return None
+    try:
+        ids = [raw["id"] for raw in raw_vms]
+        compute = [raw["compute_cap"] for raw in raw_vms]
+        storage = [raw["storage_cap"] for raw in raw_vms]
+    except KeyError:
+        return None
+    if set(map(type, ids)) != {int} or ids != list(range(1, len(ids) + 1)):
+        return None
+    if not set(map(type, compute)).union(map(type, storage)) <= {int, float}:
+        return None
+    try:
+        amounts = np.array([compute, storage], dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not ((amounts > 0) & (amounts < MAX_AMOUNT)).all():  # NaN and infinity fail too
+        return None
+    return tuple(map(VirtualMachine, ids, compute, storage))
+
+
+def _walk_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
+    return tuple(
+        VirtualMachine(
+            id=require(raw, "id", f"vms[{idx}].", INTEGER),
+            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
+            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
+        )
+        for idx, raw in enumerate(raw_vms)
+    )
 
 
 def save(scenario: Scenario, path: str | Path) -> None:

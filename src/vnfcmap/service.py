@@ -8,9 +8,14 @@ represented by a built-in descriptor that ``GET /health`` reports.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
+import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from queue import SimpleQueue
+from time import monotonic
 from typing import Optional
 
 import numpy as np
@@ -51,6 +56,12 @@ DEFAULT_DESCRIPTOR = {
 POLICY_KINDS = ("oracle", "greedy", "trained")
 # Larger declared bodies get a 413 unread; a body with 10,000 machines is 0.5 MB.
 MAX_BODY_BYTES = 1 << 20
+DEFAULT_HANDLERS = 16
+# Seconds a client refused with 503 is asked to wait before it retries.
+RETRY_AFTER_S = 1
+# Seconds a refused connection is kept open at most for its client to finish
+# sending and to read the 503.
+REFUSED_LINGER_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -195,19 +206,115 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class MappingServer(ThreadingHTTPServer):
-    daemon_threads = True
+class MappingServer(HTTPServer):
+    """Serves each connection on one of a fixed set of handler threads, started
+    with the server. The accept loop hands a connection to an idle handler, or
+    answers it 503 itself when every handler is busy; it never waits for one.
+    Connections are HTTP/1.0, one request each, so a handler is held for at
+    most one request and ``_Handler.timeout`` per read."""
 
-    def __init__(self, address, default_model: Optional[str] = None):
+    def __init__(
+        self, address, default_model: Optional[str] = None, handlers: int = DEFAULT_HANDLERS
+    ):
+        if handlers < 1:
+            raise ValueError(f"need at least one handler thread, got {handlers}")
         self.default_model = default_model
+        self._threads: list[threading.Thread] = []
+        # Refused connections still open, each with the time it is closed by.
+        self._refused: list[tuple[socket.socket, float]] = []
         super().__init__(address, _Handler)
+        # Counts the handlers that are neither serving nor promised a queued connection.
+        self._idle = threading.BoundedSemaphore(handlers)
+        self._connections: SimpleQueue = SimpleQueue()
+        error = {"field": "<connection>", "detail": f"all {handlers} handlers are busy"}
+        payload = json.dumps({"error": error}).encode()
+        self._busy_reply = (
+            "HTTP/1.0 503 Service Unavailable\r\n"
+            f"Server: {_Handler.server_version}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Retry-After: {RETRY_AFTER_S}\r\n\r\n"
+        ).encode() + payload
+        for n in range(handlers):
+            thread = threading.Thread(
+                target=self._serve_connections, name=f"vnfcmap-handler-{n}", daemon=True
+            )
+            thread.start()
+            self._threads.append(thread)
+
+    def process_request(self, request, client_address) -> None:
+        if self._idle.acquire(blocking=False):
+            self._connections.put((request, client_address))
+            return
+        # Closing a socket while the client still sends its request resets the
+        # connection, which can discard the answer unread; so a refused
+        # connection stays open, with its unread input discarded, until the
+        # client hangs up or REFUSED_LINGER_S have passed.
+        request.setblocking(False)
+        with contextlib.suppress(OSError):  # the client is gone
+            request.send(self._busy_reply)
+            request.shutdown(socket.SHUT_WR)
+        self._refused.append((request, monotonic() + REFUSED_LINGER_S))
+
+    def service_actions(self) -> None:
+        """Close each refused connection whose client has hung up or whose time
+        is up; ``serve_forever`` calls this after every connection and poll."""
+        now = monotonic()
+        still_open = []
+        for request, deadline in self._refused:
+            if _hung_up(request) or now > deadline:
+                request.close()
+            else:
+                still_open.append((request, deadline))
+        self._refused = still_open
+
+    def _serve_connections(self) -> None:
+        while (item := self._connections.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # Idle again before the close, so a client that has seen the
+                # connection close finds this handler free.
+                self._idle.release()
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every refused connection, then stop
+        the handlers once they have served every connection handed to them."""
+        super().server_close()
+        for request, _ in self._refused:
+            request.close()
+        self._refused.clear()
+        for _ in self._threads:
+            self._connections.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads.clear()
+
+
+def _hung_up(sock: socket.socket) -> bool:
+    """Whether the client of a non-blocking socket has closed its side. Up to
+    64 KiB of what it has sent is read and discarded."""
+    try:
+        return not sock.recv(1 << 16)
+    except BlockingIOError:
+        return False
+    except OSError:  # reset by the client
+        return True
 
 
 def make_server(
-    port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
+    port: int,
+    host: str = "127.0.0.1",
+    default_model: Optional[str] = None,
+    handlers: int = DEFAULT_HANDLERS,
 ) -> MappingServer:
-    """A server bound to ``host:port``, with the oracle's assignment solver
-    already imported so that the first oracle request does not wait for it."""
+    """A server bound to ``host:port`` with ``handlers`` handler threads
+    running, and with the oracle's assignment solver already imported so that
+    the first oracle request does not wait for it."""
     import scipy.optimize  # noqa: F401
 
-    return MappingServer((host, port), default_model)
+    return MappingServer((host, port), default_model, handlers)

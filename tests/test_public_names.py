@@ -16,8 +16,11 @@ PACKAGE = ROOT / "src" / "vnfcmap"
 GATE = ROOT / "tests" / "test_acceptance.py"
 BENCHMARK = ROOT / "perfbench"
 
-# Called by http.server, which looks them up by name on the handler class.
-SERVER_CALLBACKS = {"do_GET", "do_POST", "log_message"}
+# Called by http.server, which looks them up by name on the handler class, and
+# the socketserver hooks that service.MappingServer overrides.
+SERVER_CALLBACKS = {
+    "do_GET", "do_POST", "log_message", "process_request", "server_close", "service_actions"
+}
 
 
 def _public(name: str) -> bool:

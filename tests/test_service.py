@@ -10,21 +10,25 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+from time import perf_counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import vnfcmap
-from _reference import identity_scenario
-from vnfcmap import agents, service
+from _reference import identity_scenario, reference_read_vms
+from vnfcmap import agents, cli, scenario as scenario_mod, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
 from vnfcmap.scenario import (
     MAX_AMOUNT,
     GenerationParams,
+    ScenarioFormatError,
     generate,
     load,
     scenario_to_dict,
@@ -440,7 +444,9 @@ def _serving(srv):
         yield srv.server_address[1]
     finally:
         srv.shutdown()
+        thread.join(timeout=10)
         srv.server_close()
+    assert not thread.is_alive()
 
 
 @pytest.fixture()
@@ -671,3 +677,209 @@ def test_any_json_document_gets_200_or_400(doc):
     if status == 400:
         assert isinstance(reply["error"]["field"], str)
     json.dumps(reply)
+
+
+def _slow_post(port):
+    """A connection that declares a 100-byte body and sends 2 bytes of it."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+    sock.sendall(b"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 100\r\n\r\n{}")
+    return sock
+
+
+def _read_answer(sock):
+    """The status, headers and JSON body of the answer on ``sock``, read up to
+    its Content-Length rather than to the close."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, "the connection closed inside the headers"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    headers = dict(line.split(": ", 1) for line in head.decode().split("\r\n")[1:])
+    while len(body) < int(headers["Content-Length"]):
+        chunk = sock.recv(4096)
+        assert chunk, "the connection closed inside the body"
+        body += chunk
+    return int(head.split()[1]), headers, json.loads(body)
+
+
+def _status_after_close(sock):
+    """The status of the answer on ``sock``, read until the server closes it."""
+    response = b""
+    with sock:
+        while chunk := sock.recv(4096):
+            response += chunk
+    return int(response.split()[1])
+
+
+def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, canonical):
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    threads_before = threading.active_count()
+    srv = make_server(0, handlers=2)
+    port = srv.server_address[1]
+    serving = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
+    serving.start()
+    try:
+        slow = [_slow_post(port) for _ in range(2)]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            started = perf_counter()
+            sock.sendall(b"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 2\r\n\r\n")
+            status, headers, body = _read_answer(sock)
+            waited = perf_counter() - started
+            # The body, sent after the answer, still finds the connection open,
+            # and the server's side then ends with a close, not a reset.
+            sock.sendall(b"{}")
+            assert sock.recv(1) == b""
+        assert (status, headers["Retry-After"]) == (503, str(service.RETRY_AFTER_S))
+        assert body["error"]["field"] == "<connection>"
+        assert waited < service._Handler.timeout  # answered before either handler is free
+        assert [_status_after_close(sock) for sock in slow] == [408, 408]
+        status, body = _post(port, "/map", _request_doc(canonical, "greedy"))
+        assert (status, body["status"]) == (200, "mapped")
+        handlers = [t for t in threading.enumerate() if t.name.startswith("vnfcmap-handler-")]
+        assert len(handlers) == 2
+    finally:
+        srv.shutdown()
+        serving.join(timeout=10)
+        srv.server_close()
+    assert not serving.is_alive()
+    assert not any(t.is_alive() for t in handlers)
+    assert threading.active_count() == threads_before
+
+
+def test_server_refuses_zero_handlers_before_binding():
+    with pytest.raises(ValueError, match="at least one handler"):
+        make_server(0, handlers=0)
+
+
+def test_serve_defaults_to_the_service_handler_count():
+    assert cli._build_parser().parse_args(["serve"]).handlers == service.DEFAULT_HANDLERS
+
+
+def _parse_outcome(doc):
+    """``parse_request``'s answer to ``doc``: the request's repr, which tells
+    an integer from a float, or the refusal's field and detail."""
+    try:
+        return repr(parse_request(doc))
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+
+
+_VALID_AMOUNTS = st.integers(1, 10) | st.floats(0.5, 10.0)
+_BAD_AMOUNTS = st.sampled_from(
+    [True, False, math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 5e-324, MAX_AMOUNT,
+     int(MAX_AMOUNT), int(MAX_AMOUNT) + 1, 2**1024, "5", None, [1]]
+)
+_NOT_OBJECTS = st.sampled_from([None, [], [1, 2, 3], "vm", 3, 1.5, True])
+
+
+@st.composite
+def _near_valid_vms(draw):
+    """A valid ``vms`` list with up to three faults: an entry that is not an
+    object, a missing key, an id that is a float, a bool, a repeat, a gap or
+    not a number, or a capacity that is not a positive finite number up to the
+    bound."""
+    vms = [
+        {"id": j + 1, "compute_cap": draw(_VALID_AMOUNTS), "storage_cap": draw(_VALID_AMOUNTS)}
+        for j in range(draw(st.integers(0, 10)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if vms else 0):
+        j = draw(st.integers(0, len(vms) - 1))
+        if not isinstance(vms[j], dict) or not vms[j]:
+            continue
+        fault = draw(st.sampled_from(["entry", "key", "id", "capacity"]))
+        if fault == "entry":
+            vms[j] = draw(_NOT_OBJECTS)
+        elif fault == "key":
+            vms[j].pop(draw(st.sampled_from(sorted(vms[j]))), None)
+        elif fault == "id":
+            ids = [float(j + 1), True, j, j + 2, 0, -1, str(j + 1), None]
+            vms[j]["id"] = draw(st.sampled_from(ids))
+        else:
+            vms[j][draw(st.sampled_from(["compute_cap", "storage_cap"]))] = draw(_BAD_AMOUNTS)
+    return vms
+
+
+_SLICE_DOC = scenario_to_dict(generate(1))["slice"]
+_NEAR_VALID_BODIES = st.builds(
+    lambda vms, policy: {"slice": _SLICE_DOC, "vms": vms, "policy": policy},
+    _near_valid_vms(),
+    st.sampled_from(["greedy", "oracle"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(_NEAR_VALID_BODIES | _BODY_DOCUMENTS)
+# As a float, this capacity rounds to the bound.
+@example(
+    {
+        "slice": _SLICE_DOC,
+        "vms": [{"id": 1, "compute_cap": int(MAX_AMOUNT) + 1, "storage_cap": 1}],
+        "policy": "greedy",
+    }
+)
+def test_one_pass_read_answers_like_the_field_walk(doc):
+    with mock.patch.object(scenario_mod, "_read_vms", reference_read_vms):
+        expected = _parse_outcome(doc)
+    assert _parse_outcome(doc) == expected
+
+
+def test_one_pass_read_accepts_a_valid_inventory():
+    vms = json.loads(json.dumps(scenario_to_dict(generate(1))["vms"]))
+    read = scenario_mod._vms_in_one_pass(vms)
+    assert read is not None
+    assert repr(read) == repr(reference_read_vms(vms))
+
+
+_POLICY_KEYS = ("version", "kind", "variant", "num_components", "num_vms", "values", "weights")
+_POLICY_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["tabular", "linear", "off-tab"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=8)
+    | st.dictionaries(st.sampled_from(_POLICY_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+@st.composite
+def _near_valid_policies(draw):
+    """A policy file for 8 components and 12 machines with any entries, and
+    with up to two of its fields deleted or replaced by any JSON value."""
+    kind = draw(st.sampled_from(["tabular", "linear"]))
+    doc = {"version": 1, "kind": kind, "variant": "off-tab", "num_components": 8, "num_vms": 12}
+    if kind == "tabular":
+        doc["values"] = draw(arrays(float, (8, 12, 12), elements=st.floats())).tolist()
+    else:
+        entries = st.floats() | st.integers() | st.booleans()
+        doc["weights"] = draw(st.lists(entries, min_size=7, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(_POLICY_KEYS))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_POLICY_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("model-file")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    (_near_valid_policies() | _POLICY_VALUES).map(lambda doc: json.dumps(doc).encode())
+    | st.binary(max_size=64)
+)
+def test_any_model_file_gets_200_or_400_on_policy_model(model_dir, contents):
+    path = model_dir / "model.json"
+    path.write_bytes(contents)
+    body = _roomy_request({"kind": "trained", "model": str(path)})
+    status, reply = handle_map(body)
+    assert status == 200 or (status, reply["error"]["field"]) == (400, "policy.model")
+    json.dumps(reply)
+    # The answer does not depend on which file was parsed before.
+    agents._policy_from_bytes.cache_clear()
+    assert handle_map(body) == (status, reply)
