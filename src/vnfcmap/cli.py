@@ -97,14 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser("serve", help="start the mapping decision service")
     srv.add_argument("--port", type=_int_in(0, 65535), default=8080)
     srv.add_argument("--model", default=None, help="trained policy file for the trained policy")
-    # The default is service.DEFAULT_HANDLERS, spelled out because only serve
-    # imports the service module.
-    srv.add_argument(
-        "--handlers",
-        type=_int_in(1, 256),
-        default=16,
-        help="handler threads started with the server; a request that finds all busy gets a 503",
-    )
     return parser
 
 
@@ -328,7 +320,7 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import service
 
-    server = service.make_server(args.port, default_model=args.model, handlers=args.handlers)
+    server = service.make_server(args.port, default_model=args.model)
     host, port = server.server_address[:2]
     print(f"mapping decision service on http://{host}:{port} (POST /map, GET /health)")
     try:

@@ -9,12 +9,13 @@ represented by a built-in descriptor that ``GET /health`` reports.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from queue import SimpleQueue
 from time import monotonic
 from typing import Optional
 
@@ -152,13 +153,40 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
     }
 
 
+class _DeadlineReader(io.RawIOBase):
+    """Reads a socket with the time left until ``deadline`` as the timeout
+    of each read, so the reads of one request share a single time limit."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self._sock.settimeout(left)
+        return self._sock.recv_into(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "vnfcmap"
-    # Socket timeout in seconds for every read, so a body shorter than its
-    # Content-Length cannot hold a handler thread.
+    # Seconds a connection has to send its whole request, so a client that
+    # sends nothing, or one byte now and then, holds a handler thread for at
+    # most this long. Sending the answer is given the same time again.
     timeout = 10.0
 
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()  # the socket's own reader, which times each read alone
+        self.rfile = io.BufferedReader(
+            _DeadlineReader(self.connection, monotonic() + self.timeout)
+        )
+
     def _send_json(self, status: int, body: dict) -> None:
+        self.connection.settimeout(self.timeout)
         payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -193,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             raw = self.rfile.read(int(digits))
         except TimeoutError:
-            detail = f"declared {length} bytes but the body did not arrive within {self.timeout} s"
+            detail = f"declared {length} bytes, but the request took over {self.timeout} s"
             self._send_json(408, {"error": {"field": "<body>", "detail": detail}})
             return
         try:
@@ -207,11 +235,12 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MappingServer(HTTPServer):
-    """Serves each connection on one of a fixed set of handler threads, started
-    with the server. The accept loop hands a connection to an idle handler, or
-    answers it 503 itself when every handler is busy; it never waits for one.
-    Connections are HTTP/1.0, one request each, so a handler is held for at
-    most one request and ``_Handler.timeout`` per read."""
+    """Serves connections on a pool of at most ``handlers`` threads. The accept
+    loop hands a connection to the pool when a handler is idle, or answers it
+    503 itself when every handler is busy; it never waits for one. Connections
+    are HTTP/1.0, one request each, and a request must arrive in full within
+    ``_Handler.timeout``, so a handler is held for at most that long plus the
+    time to decide and send the answer."""
 
     def __init__(
         self, address, default_model: Optional[str] = None, handlers: int = DEFAULT_HANDLERS
@@ -219,13 +248,16 @@ class MappingServer(HTTPServer):
         if handlers < 1:
             raise ValueError(f"need at least one handler thread, got {handlers}")
         self.default_model = default_model
-        self._threads: list[threading.Thread] = []
         # Refused connections still open, each with the time it is closed by.
         self._refused: list[tuple[socket.socket, float]] = []
         super().__init__(address, _Handler)
-        # Counts the handlers that are neither serving nor promised a queued connection.
+        # Counts the handlers that are neither serving nor promised a connection.
         self._idle = threading.BoundedSemaphore(handlers)
-        self._connections: SimpleQueue = SimpleQueue()
+        self._pool = ThreadPoolExecutor(handlers, thread_name_prefix="vnfcmap-handler")
+        # Connections handed to the pool and not yet closed.
+        self._serving: set[socket.socket] = set()
+        self._serving_lock = threading.Lock()
+        self._closing = False
         error = {"field": "<connection>", "detail": f"all {handlers} handlers are busy"}
         payload = json.dumps({"error": error}).encode()
         self._busy_reply = (
@@ -235,16 +267,12 @@ class MappingServer(HTTPServer):
             f"Content-Length: {len(payload)}\r\n"
             f"Retry-After: {RETRY_AFTER_S}\r\n\r\n"
         ).encode() + payload
-        for n in range(handlers):
-            thread = threading.Thread(
-                target=self._serve_connections, name=f"vnfcmap-handler-{n}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
 
     def process_request(self, request, client_address) -> None:
         if self._idle.acquire(blocking=False):
-            self._connections.put((request, client_address))
+            with self._serving_lock:
+                self._serving.add(request)
+            self._pool.submit(self._serve, request, client_address)
             return
         # Closing a socket while the client still sends its request resets the
         # connection, which can discard the answer unread; so a refused
@@ -268,31 +296,34 @@ class MappingServer(HTTPServer):
                 still_open.append((request, deadline))
         self._refused = still_open
 
-    def _serve_connections(self) -> None:
-        while (item := self._connections.get()) is not None:
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            if not self._closing:  # else the close itself broke the connection
                 self.handle_error(request, client_address)
-            finally:
-                # Idle again before the close, so a client that has seen the
-                # connection close finds this handler free.
-                self._idle.release()
-                self.shutdown_request(request)
+        finally:
+            with self._serving_lock:
+                self._serving.discard(request)
+            # Idle again before the close, so a client that has seen the
+            # connection close finds this handler free.
+            self._idle.release()
+            self.shutdown_request(request)
 
     def server_close(self) -> None:
-        """Close the listening socket and every refused connection, then stop
-        the handlers once they have served every connection handed to them."""
+        """Close the listening socket and every refused connection, end the
+        connections being served, so that a blocked read returns at once, and
+        wait for the handlers."""
         super().server_close()
+        self._closing = True
         for request, _ in self._refused:
             request.close()
         self._refused.clear()
-        for _ in self._threads:
-            self._connections.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._threads.clear()
+        with self._serving_lock:
+            for request in self._serving:
+                with contextlib.suppress(OSError):  # the client is gone
+                    request.shutdown(socket.SHUT_RDWR)
+        self._pool.shutdown()
 
 
 def _hung_up(sock: socket.socket) -> bool:

@@ -346,13 +346,8 @@ def test_diverging_sweep_exits_3_with_one_error_line(tmp_path, capsys, monkeypat
         ["sweep", "--scenario", "s.json", "--out-dir", "out", "--workers", "0"],
         ["serve", "--port", "70000"],
         ["serve", "--port", "-1"],
-        ["serve", "--handlers", "0"],
-        ["serve", "--handlers", "257"],
     ],
-    ids=[
-        "zero-seeds", "zero-workers", "port-above-65535", "negative-port", "zero-handlers",
-        "handlers-above-256",
-    ],
+    ids=["zero-seeds", "zero-workers", "port-above-65535", "negative-port"],
 )
 def test_out_of_range_counts_and_ports_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

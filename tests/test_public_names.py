@@ -16,10 +16,12 @@ PACKAGE = ROOT / "src" / "vnfcmap"
 GATE = ROOT / "tests" / "test_acceptance.py"
 BENCHMARK = ROOT / "perfbench"
 
-# Called by http.server, which looks them up by name on the handler class, and
-# the socketserver hooks that service.MappingServer overrides.
+# Called by the standard library, which looks them up by name: the http.server
+# and socketserver hooks that service._Handler and service.MappingServer
+# override, and the io methods of service._DeadlineReader.
 SERVER_CALLBACKS = {
-    "do_GET", "do_POST", "log_message", "process_request", "server_close", "service_actions"
+    "do_GET", "do_POST", "log_message", "setup", "process_request", "server_close",
+    "service_actions", "readable", "readinto",
 }
 
 

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vnfcmap
-from _reference import identity_scenario, reference_read_vms
-from vnfcmap import agents, cli, scenario as scenario_mod, service
+from _reference import identity_scenario
+from vnfcmap import agents, scenario as scenario_mod, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
 from vnfcmap.model import make_slice
@@ -736,7 +736,7 @@ def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, can
         assert [_status_after_close(sock) for sock in slow] == [408, 408]
         status, body = _post(port, "/map", _request_doc(canonical, "greedy"))
         assert (status, body["status"]) == (200, "mapped")
-        handlers = [t for t in threading.enumerate() if t.name.startswith("vnfcmap-handler-")]
+        handlers = [t for t in threading.enumerate() if t.name.startswith("vnfcmap-handler")]
         assert len(handlers) == 2
     finally:
         srv.shutdown()
@@ -747,13 +747,91 @@ def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, can
     assert threading.active_count() == threads_before
 
 
+def _wait_until(condition):
+    started = perf_counter()
+    while not condition():
+        assert perf_counter() - started < 5, "timed out waiting"
+        threading.Event().wait(0.01)
+
+
+def _read_until_close(sock):
+    """Everything the server sends on ``sock`` before it closes or resets it."""
+    response = b""
+    with contextlib.suppress(ConnectionResetError):
+        while chunk := sock.recv(4096):
+            response += chunk
+    return response
+
+
+def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
+    monkeypatch, canonical
+):
+    # One connection sends nothing; the other sends a byte of its body every
+    # 0.05 s, each within any per-read timeout. The whole request must arrive
+    # within _Handler.timeout, so both free their handler by then.
+    monkeypatch.setattr(service._Handler, "timeout", 0.3)
+    srv = make_server(0, handlers=2)
+    with _serving(srv) as port:
+        started = perf_counter()
+        idle = socket.create_connection(("127.0.0.1", port), timeout=5)
+        trickle = socket.create_connection(("127.0.0.1", port), timeout=5)
+        trickle.sendall(b"POST /map HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 100\r\n\r\n")
+        done = threading.Event()
+
+        def drip():
+            with contextlib.suppress(OSError):
+                while not done.wait(0.05):
+                    trickle.send(b" ")
+
+        dripper = threading.Thread(target=drip)
+        dripper.start()
+        try:
+            _wait_until(lambda: len(srv._serving) == 2)
+            assert _raw_post(port, 2, "{}")[0] == 503
+            with idle:
+                assert _read_until_close(idle) == b""  # closed unanswered
+            answer = _read_until_close(trickle)
+            ended = perf_counter() - started
+        finally:
+            done.set()
+            dripper.join()
+            trickle.close()
+        assert answer.split()[1] == b"408"
+        # Without the deadline the trickle would run for 100 x 0.05 = 5 s.
+        assert ended < 2.0
+        status, body = _post(port, "/map", _request_doc(canonical, "greedy"))
+        assert (status, body["status"]) == (200, "mapped")
+
+
+def test_server_close_ends_connections_still_being_read():
+    threads_before = threading.active_count()
+    srv = make_server(0, handlers=2)
+    port = srv.server_address[1]
+    serving = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
+    serving.start()
+    open_connections = [
+        _slow_post(port), socket.create_connection(("127.0.0.1", port), timeout=5)
+    ]
+    try:
+        _wait_until(lambda: len(srv._serving) == 2)
+        srv.shutdown()
+        serving.join(timeout=10)
+        started = perf_counter()
+        srv.server_close()
+        closing = perf_counter() - started
+        for sock in open_connections:
+            _read_until_close(sock)  # ends rather than waiting out the 5 s client timeout
+    finally:
+        for sock in open_connections:
+            sock.close()
+    # Each handler would otherwise wait out the 10 s _Handler.timeout.
+    assert closing < 1.0
+    assert threading.active_count() == threads_before
+
+
 def test_server_refuses_zero_handlers_before_binding():
     with pytest.raises(ValueError, match="at least one handler"):
         make_server(0, handlers=0)
-
-
-def test_serve_defaults_to_the_service_handler_count():
-    assert cli._build_parser().parse_args(["serve"]).handlers == service.DEFAULT_HANDLERS
 
 
 def _parse_outcome(doc):
@@ -819,7 +897,7 @@ _NEAR_VALID_BODIES = st.builds(
     }
 )
 def test_one_pass_read_answers_like_the_field_walk(doc):
-    with mock.patch.object(scenario_mod, "_read_vms", reference_read_vms):
+    with mock.patch.object(scenario_mod, "_read_vms", scenario_mod._walk_vms):
         expected = _parse_outcome(doc)
     assert _parse_outcome(doc) == expected
 
@@ -828,7 +906,7 @@ def test_one_pass_read_accepts_a_valid_inventory():
     vms = json.loads(json.dumps(scenario_to_dict(generate(1))["vms"]))
     read = scenario_mod._vms_in_one_pass(vms)
     assert read is not None
-    assert repr(read) == repr(reference_read_vms(vms))
+    assert repr(read) == repr(scenario_mod._walk_vms(vms))
 
 
 _POLICY_KEYS = ("version", "kind", "variant", "num_components", "num_vms", "values", "weights")
