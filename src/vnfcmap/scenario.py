@@ -283,7 +283,13 @@ def scenario_from_dict(doc: dict, validate_placement: bool = True) -> Scenario:
 _INT_RANGE = FieldKind(
     lambda v: LIST.valid(v) and len(v) == 2 and all(map(INTEGER.valid, v)), "must be two integers"
 )
-_ROWS = FieldKind(lambda v: LIST.valid(v) and all(map(LIST.valid, v)), "must be a list of lists")
+_ROWS = FieldKind(
+    lambda v: LIST.valid(v) and all(LIST.valid(row) and all(map(INTEGER.valid, row)) for row in v),
+    "must be a list of lists of integers",
+)
+_FLAGS = FieldKind(
+    lambda v: LIST.valid(v) and all(map(BOOLEAN.valid, v)), "must be a list of booleans"
+)
 
 
 def _read_scenario(doc: dict) -> Scenario:
@@ -338,55 +344,38 @@ def _read_scenario(doc: dict) -> Scenario:
     if raw_placement is not None:
         placement = VmPlacement(
             x=tuple(tuple(row) for row in require(raw_placement, "x", "placement.", _ROWS)),
-            pm_active=tuple(require(raw_placement, "pm_active", "placement.", LIST)),
+            pm_active=tuple(require(raw_placement, "pm_active", "placement.", _FLAGS)),
         )
     return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
 
 
 def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
-    """The machines of a ``vms`` list: one pass over the whole list accepts the
-    common case, and anything it does not accept goes through the field walk,
-    which refuses exactly as before with the first offending field."""
-    vms = _vms_in_one_pass(raw_vms)
-    return _walk_vms(raw_vms) if vms is None else vms
-
-
-def _vms_in_one_pass(raw_vms: list) -> Optional[tuple[VirtualMachine, ...]]:
-    """The machines, or None unless every entry is an object whose ``id`` is an
-    integer, the ids are 1..m in order, and every capacity is an integer or a
-    float in (0, ``MAX_AMOUNT``). A capacity equal to the bound goes to the
-    walk, which compares an integer with it exactly; as a float, an integer
-    just above the bound rounds to it."""
-    if not all(type(raw) is dict for raw in raw_vms):
-        return None
-    try:
-        ids = [raw["id"] for raw in raw_vms]
-        compute = [raw["compute_cap"] for raw in raw_vms]
-        storage = [raw["storage_cap"] for raw in raw_vms]
-    except KeyError:
-        return None
-    if set(map(type, ids)) != {int} or ids != list(range(1, len(ids) + 1)):
-        return None
-    if not set(map(type, compute)).union(map(type, storage)) <= {int, float}:
-        return None
-    try:
-        amounts = np.array([compute, storage], dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if not ((amounts > 0) & (amounts < MAX_AMOUNT)).all():  # NaN and infinity fail too
-        return None
-    return tuple(map(VirtualMachine, ids, compute, storage))
-
-
-def _walk_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
-    return tuple(
-        VirtualMachine(
-            id=require(raw, "id", f"vms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
-            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
+    """The machines of a ``vms`` list. An entry whose ``id`` is an integer and
+    whose capacities are numbers in (0, ``MAX_AMOUNT``) is taken as it is; any
+    other is read field by field, so a refusal names its first offending field.
+    An integer capacity is compared with the bound exactly."""
+    vms = []
+    for idx, raw in enumerate(raw_vms):
+        if type(raw) is dict:
+            vm_id, compute, storage = raw.get("id"), raw.get("compute_cap"), raw.get("storage_cap")
+            if (
+                type(vm_id) is int
+                and type(compute) in (int, float)
+                and type(storage) in (int, float)
+                and 0 < compute < MAX_AMOUNT  # NaN and infinity fail too
+                and 0 < storage < MAX_AMOUNT
+            ):
+                vms.append(VirtualMachine(vm_id, compute, storage))
+                continue
+        path = f"vms[{idx}]."
+        vms.append(
+            VirtualMachine(
+                id=require(raw, "id", path, INTEGER),
+                compute_cap=require(raw, "compute_cap", path, AMOUNT),
+                storage_cap=require(raw, "storage_cap", path, AMOUNT),
+            )
         )
-        for idx, raw in enumerate(raw_vms)
-    )
+    return tuple(vms)
 
 
 def save(scenario: Scenario, path: str | Path) -> None:

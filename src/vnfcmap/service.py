@@ -57,7 +57,9 @@ DEFAULT_DESCRIPTOR = {
 POLICY_KINDS = ("oracle", "greedy", "trained")
 # Larger declared bodies get a 413 unread; a body with 10,000 machines is 0.5 MB.
 MAX_BODY_BYTES = 1 << 20
-DEFAULT_HANDLERS = 16
+# Handler threads of a server, read when it is built; 16 is not derived from
+# measured traffic.
+HANDLERS = 16
 # Seconds a client refused with 503 is asked to wait before it retries.
 RETRY_AFTER_S = 1
 # Seconds a refused connection is kept open at most for its client to finish
@@ -235,30 +237,26 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MappingServer(HTTPServer):
-    """Serves connections on a pool of at most ``handlers`` threads. The accept
+    """Serves connections on a pool of ``HANDLERS`` threads. The accept
     loop hands a connection to the pool when a handler is idle, or answers it
     503 itself when every handler is busy; it never waits for one. Connections
     are HTTP/1.0, one request each, and a request must arrive in full within
     ``_Handler.timeout``, so a handler is held for at most that long plus the
     time to decide and send the answer."""
 
-    def __init__(
-        self, address, default_model: Optional[str] = None, handlers: int = DEFAULT_HANDLERS
-    ):
-        if handlers < 1:
-            raise ValueError(f"need at least one handler thread, got {handlers}")
+    def __init__(self, address, default_model: Optional[str] = None):
         self.default_model = default_model
         # Refused connections still open, each with the time it is closed by.
         self._refused: list[tuple[socket.socket, float]] = []
         super().__init__(address, _Handler)
-        # Counts the handlers that are neither serving nor promised a connection.
-        self._idle = threading.BoundedSemaphore(handlers)
-        self._pool = ThreadPoolExecutor(handlers, thread_name_prefix="vnfcmap-handler")
-        # Connections handed to the pool and not yet closed.
+        self._handlers = HANDLERS
+        self._pool = ThreadPoolExecutor(self._handlers, thread_name_prefix="vnfcmap-handler")
+        # Connections handed to the pool and not yet released by their handler;
+        # one per busy handler.
         self._serving: set[socket.socket] = set()
         self._serving_lock = threading.Lock()
         self._closing = False
-        error = {"field": "<connection>", "detail": f"all {handlers} handlers are busy"}
+        error = {"field": "<connection>", "detail": f"all {self._handlers} handlers are busy"}
         payload = json.dumps({"error": error}).encode()
         self._busy_reply = (
             "HTTP/1.0 503 Service Unavailable\r\n"
@@ -269,11 +267,11 @@ class MappingServer(HTTPServer):
         ).encode() + payload
 
     def process_request(self, request, client_address) -> None:
-        if self._idle.acquire(blocking=False):
-            with self._serving_lock:
+        with self._serving_lock:
+            if len(self._serving) < self._handlers:
                 self._serving.add(request)
-            self._pool.submit(self._serve, request, client_address)
-            return
+                self._pool.submit(self._serve, request, client_address)
+                return
         # Closing a socket while the client still sends its request resets the
         # connection, which can discard the answer unread; so a refused
         # connection stays open, with its unread input discarded, until the
@@ -303,11 +301,10 @@ class MappingServer(HTTPServer):
             if not self._closing:  # else the close itself broke the connection
                 self.handle_error(request, client_address)
         finally:
+            # Free again before the close, so a client that has seen the
+            # connection close finds this handler free.
             with self._serving_lock:
                 self._serving.discard(request)
-            # Idle again before the close, so a client that has seen the
-            # connection close finds this handler free.
-            self._idle.release()
             self.shutdown_request(request)
 
     def server_close(self) -> None:
@@ -338,14 +335,10 @@ def _hung_up(sock: socket.socket) -> bool:
 
 
 def make_server(
-    port: int,
-    host: str = "127.0.0.1",
-    default_model: Optional[str] = None,
-    handlers: int = DEFAULT_HANDLERS,
+    port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
 ) -> MappingServer:
-    """A server bound to ``host:port`` with ``handlers`` handler threads
-    running, and with the oracle's assignment solver already imported so that
-    the first oracle request does not wait for it."""
+    """A server bound to ``host:port``, with the oracle's assignment solver
+    already imported so that the first oracle request does not wait for it."""
     import scipy.optimize  # noqa: F401
 
-    return MappingServer((host, port), default_model, handlers)
+    return MappingServer((host, port), default_model)

@@ -11,7 +11,9 @@ masked cost matrix. The canonical matching walk solves every candidate's
 remainder, so it can serve as an oracle for the pruned walk in
 ``oracle.solve_exact_matching``. The feasibility check makes one assignment
 solve on the masked cost matrix, so it can serve as an oracle for the matching
-on the capacity-fit mask in ``oracle.has_feasible_assignment``.
+on the capacity-fit mask in ``oracle.has_feasible_assignment``. The ``vms``
+walk reads every field of every entry with ``scenario.require``, so it can
+serve as an oracle for the one-pass read in ``scenario._read_vms``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from vnfcmap.oracle import (
     pair_cost,
     validate_assignment,
 )
-from vnfcmap.scenario import Scenario
+from vnfcmap.scenario import AMOUNT, INTEGER, Scenario, require
 
 PENALTY = -1.0
 
@@ -275,3 +277,14 @@ def reference_has_feasible_assignment(problem) -> bool:
     except InfeasibleAssignmentError:
         return False
     return not math.isinf(_matching_cost(cost))
+
+
+def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
+    return tuple(
+        VirtualMachine(
+            id=require(raw, "id", f"vms[{idx}].", INTEGER),
+            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
+            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
+        )
+        for idx, raw in enumerate(raw_vms)
+    )

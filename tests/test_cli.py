@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vnfcmap
 from vnfcmap import cli
@@ -426,3 +430,85 @@ def test_check_infra_reports_the_substrate(tmp_path, capsys, pm_of_vm, report):
     assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
     expected = "scenario: 9 vms, 2 pms\n" + report + _SLICE_REPORT
     assert capsys.readouterr().out == expected
+
+
+# Keys and strings a scenario file holds, so that drawn documents reach past
+# the first missing or unknown field.
+_SCENARIO_KEYS = (
+    "version", "seed", "params", "num_vms", "req_range", "cap_range", "slice", "components",
+    "id", "kind", "compute_req", "storage_req", "vms", "compute_cap", "storage_cap", "pms",
+    "max_vm_count", "active", "placement", "x", "pm_active",
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["RRC", "PHY_HIGH"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCENARIO_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+_SCENARIO_DOCUMENTS = _JSON_VALUES | st.fixed_dictionaries(
+    {"version": st.just(1) | _JSON_VALUES},
+    optional={key: _JSON_VALUES for key in ("seed", "params", "slice", "vms", "pms", "placement")},
+)
+
+
+@st.composite
+def _near_valid_scenario_files(draw):
+    """A scenario with 8 or 9 machines, one or two PMs and a placement, which
+    keeps the substrate rules when the PMs are roomy and active, with up to three of its
+    values, at any depth, deleted or replaced by any JSON value."""
+    base = generate(draw(st.integers(0, 3)), GenerationParams(num_vms=draw(st.integers(8, 9))))
+    roomy = draw(st.booleans())
+    pms = tuple(
+        PhysicalMachine(
+            id=k + 1,
+            compute_cap=100 if roomy else draw(st.integers(1, 80)),
+            storage_cap=100 if roomy else draw(st.integers(1, 80)),
+            max_vm_count=9 if roomy else draw(st.integers(1, 9)),
+            active=draw(st.booleans()),
+        )
+        for k in range(draw(st.integers(1, 2)))
+    )
+    hosts = [draw(st.integers(0, len(pms) - 1)) for _ in base.vms]
+    placement = VmPlacement(
+        x=tuple(tuple(int(k == host) for k in range(len(pms))) for host in hosts),
+        pm_active=tuple(roomy or draw(st.booleans()) for _ in pms),
+    )
+    doc = scenario_to_dict(
+        Scenario(base.subnet, base.vms, base.seed, base.params, pms=pms, placement=placement)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        target = doc
+        while True:
+            keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+            key = draw(st.sampled_from(keys))
+            descend = draw(st.integers(0, 3)) > 0
+            if isinstance(target[key], (dict, list)) and target[key] and descend:
+                target = target[key]
+            elif draw(st.booleans()):
+                del target[key]
+                break
+            else:
+                target[key] = draw(_JSON_VALUES)
+                break
+    return doc
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario-file")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_near_valid_scenario_files() | _SCENARIO_DOCUMENTS)
+def test_any_scenario_file_exits_0_2_or_3(scenario_dir, doc):
+    path = scenario_dir / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for command in ("oracle", "check-infra"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--scenario", str(path)])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE), command

@@ -225,6 +225,9 @@ def _substrate_doc():
         (("placement", "x"), 5),
         (("placement", "x"), [5, 5]),
         (("placement", "pm_active"), True),
+        (("placement", "pm_active"), ["yes"]),
+        (("placement", "x"), [[True], [1]]),
+        (("placement", "x"), [[1.0], [1]]),
     ],
     ids=[
         "string-seed",
@@ -242,6 +245,9 @@ def _substrate_doc():
         "x-not-a-list",
         "x-rows-not-lists",
         "pm-active-not-a-list",
+        "string-in-pm-active",
+        "boolean-in-x",
+        "float-in-x",
     ],
 )
 def test_substrate_and_generation_fields_are_checked(path, value):

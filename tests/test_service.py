@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vnfcmap
-from _reference import identity_scenario
+from _reference import identity_scenario, reference_read_vms
 from vnfcmap import agents, scenario as scenario_mod, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
@@ -525,15 +525,17 @@ def test_http_malformed_body(server, canonical):
     del doc["slice"]
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(port, "/map", doc)
-    assert err.value.code == 400
-    assert json.loads(err.value.read())["error"]["field"] == "slice"
+    with err.value:
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["field"] == "slice"
 
 
 def test_http_unknown_path(server):
     port = server.server_address[1]
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(f"http://127.0.0.1:{port}/nope")
-    assert err.value.code == 404
+    with err.value:
+        assert err.value.code == 404
 
 
 def test_http_invalid_json(server):
@@ -541,7 +543,8 @@ def test_http_invalid_json(server):
     req = urllib.request.Request(f"http://127.0.0.1:{port}/map", data=b"{not json")
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req)
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def _raw_post(port, content_length, body):
@@ -714,8 +717,9 @@ def _status_after_close(sock):
 
 def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, canonical):
     monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "HANDLERS", 2)
     threads_before = threading.active_count()
-    srv = make_server(0, handlers=2)
+    srv = make_server(0)
     port = srv.server_address[1]
     serving = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
     serving.start()
@@ -770,7 +774,8 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
     # 0.05 s, each within any per-read timeout. The whole request must arrive
     # within _Handler.timeout, so both free their handler by then.
     monkeypatch.setattr(service._Handler, "timeout", 0.3)
-    srv = make_server(0, handlers=2)
+    monkeypatch.setattr(service, "HANDLERS", 2)
+    srv = make_server(0)
     with _serving(srv) as port:
         started = perf_counter()
         idle = socket.create_connection(("127.0.0.1", port), timeout=5)
@@ -803,9 +808,10 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
         assert (status, body["status"]) == (200, "mapped")
 
 
-def test_server_close_ends_connections_still_being_read():
+def test_server_close_ends_connections_still_being_read(monkeypatch):
+    monkeypatch.setattr(service, "HANDLERS", 2)
     threads_before = threading.active_count()
-    srv = make_server(0, handlers=2)
+    srv = make_server(0)
     port = srv.server_address[1]
     serving = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
     serving.start()
@@ -827,11 +833,6 @@ def test_server_close_ends_connections_still_being_read():
     # Each handler would otherwise wait out the 10 s _Handler.timeout.
     assert closing < 1.0
     assert threading.active_count() == threads_before
-
-
-def test_server_refuses_zero_handlers_before_binding():
-    with pytest.raises(ValueError, match="at least one handler"):
-        make_server(0, handlers=0)
 
 
 def _parse_outcome(doc):
@@ -897,16 +898,16 @@ _NEAR_VALID_BODIES = st.builds(
     }
 )
 def test_one_pass_read_answers_like_the_field_walk(doc):
-    with mock.patch.object(scenario_mod, "_read_vms", scenario_mod._walk_vms):
+    with mock.patch.object(scenario_mod, "_read_vms", reference_read_vms):
         expected = _parse_outcome(doc)
     assert _parse_outcome(doc) == expected
 
 
-def test_one_pass_read_accepts_a_valid_inventory():
+def test_one_pass_read_walks_no_field_of_a_valid_inventory():
     vms = json.loads(json.dumps(scenario_to_dict(generate(1))["vms"]))
-    read = scenario_mod._vms_in_one_pass(vms)
-    assert read is not None
-    assert repr(read) == repr(scenario_mod._walk_vms(vms))
+    with mock.patch.object(scenario_mod, "require", side_effect=AssertionError("field walked")):
+        read = scenario_mod._read_vms(vms)
+    assert repr(read) == repr(reference_read_vms(vms))
 
 
 _POLICY_KEYS = ("version", "kind", "variant", "num_components", "num_vms", "values", "weights")
