@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 for validation problems, 3 when an instance is
 infeasible or a run diverged.
 
-Only ``oracle``, ``check-infra`` and ``serve`` load scipy, because only they
-solve an optimum; importing it would otherwise be most of every command's
-start-up. Only ``serve`` imports the service module, and with it
-``http.server``.
+Only ``oracle``, ``check-infra`` and ``serve`` load any of scipy, because only
+they solve an optimum, and they load only its assignment solver's extension
+module, not ``scipy.optimize``, whose import would be most of their start-up.
+Only ``serve`` imports the service module, and with it ``http.server``.
 """
 
 from __future__ import annotations

@@ -6,19 +6,26 @@ summed capacity surplus of the chosen machines, either in absolute resource
 units or normalized per machine. Both, and the greedy best-fit heuristic,
 read one ``inf``-masked cost matrix.
 
-Only the matching route needs scipy, for its assignment solver, and importing
-``scipy.optimize`` costs most of a command's start-up. So it is imported on the
-first solve, not with this module. The feasibility check that scenario
-generation makes is a bipartite matching on the capacity-fit mask, with no
-costs and no solve.
+Only the matching route needs scipy, for one compiled function: its
+assignment solver. On the first solve, only the extension module that holds it
+is loaded, not ``scipy.optimize``, whose import pulls in most of scipy and
+would take about twice as long as the rest of a command's start-up. The
+feasibility check that scenario generation makes is a bipartite matching on
+the capacity-fit mask, with no costs and no solve.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -211,13 +218,50 @@ def greedy_best_fit(
     return pairs
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's minimum-cost assignment of a cost matrix, importing scipy on the
-    first call; ``_matching_cost`` looks this name up on every call, so
-    wrapping or patching it here sees every solve."""
-    import scipy.optimize
+_LSAP_MODULE = "scipy.optimize._lsap"
 
-    return scipy.optimize.linear_sum_assignment(cost)
+
+def _lsap_file() -> Optional[str]:
+    """The path of scipy's compiled assignment solver, found without importing
+    scipy, or None when scipy has no such file or is not installed."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(spec.submodule_search_locations[0], "optimize", "_lsap" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+@functools.cache
+def assignment_solver() -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """scipy's ``linear_sum_assignment``, loaded once.
+
+    Only its extension module is loaded, under the name scipy imports it by,
+    so a later ``import scipy.optimize`` reuses that module and exports this
+    very function. Without the file (another scipy layout, or no scipy), the
+    function is imported from ``scipy.optimize`` as documented.
+    """
+    if _LSAP_MODULE not in sys.modules:
+        path = _lsap_file()
+        if path is None:
+            from scipy.optimize import linear_sum_assignment as solver
+
+            return solver
+        loader = importlib.machinery.ExtensionFileLoader(_LSAP_MODULE, path)
+        spec = importlib.util.spec_from_loader(_LSAP_MODULE, loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        sys.modules[_LSAP_MODULE] = module
+    return sys.modules[_LSAP_MODULE].linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's minimum-cost assignment of a cost matrix, loading the solver on
+    the first call; ``_matching_cost`` looks this name up on every call, so
+    wrapping or patching it here sees every solve."""
+    return assignment_solver()(cost)
 
 
 def _matching_cost(cost: np.ndarray) -> float:

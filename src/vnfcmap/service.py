@@ -29,6 +29,7 @@ from .oracle import (
     InfeasibleAssignmentError,
     ObjectiveMode,
     assignment_objective,
+    assignment_solver,
     greedy_best_fit,
     solve_exact_matching,
 )
@@ -338,7 +339,6 @@ def make_server(
     port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
 ) -> MappingServer:
     """A server bound to ``host:port``, with the oracle's assignment solver
-    already imported so that the first oracle request does not wait for it."""
-    import scipy.optimize  # noqa: F401
-
+    already loaded so that the first oracle request does not wait for it."""
+    assignment_solver()
     return MappingServer((host, port), default_model)

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,6 +337,70 @@ def test_canonical_fixture_needs_few_assignment_solves(monkeypatch):
         solve_exact_matching(AssignmentProblem(scenario.subnet.components, scenario.vms, mode))
         # The unpruned walk makes 281 and 282 solves here.
         assert 1 <= len(calls) <= 40, (mode, len(calls))
+
+
+# Runs in a fresh interpreter, which has loaded nothing the test process has.
+_SOLVE_THEN_IMPORT_SCIPY = """
+import json, sys
+from vnfcmap import oracle
+from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
+from vnfcmap.scenario import load
+
+scenario = load(sys.argv[1])
+solution = solve_exact_matching(AssignmentProblem(scenario.subnet.components, scenario.vms))
+solved_with = oracle.assignment_solver()
+loaded = sys.modules.get("scipy.optimize._lsap")
+optimize_after_solve = "scipy.optimize" in sys.modules
+import scipy.optimize
+print(json.dumps({
+    "optimize_after_solve": optimize_after_solve,
+    "module_reused": loaded is not None and sys.modules["scipy.optimize._lsap"] is loaded,
+    "same_function": solved_with is scipy.optimize.linear_sum_assignment,
+    "pairs": {str(c): v for c, v in solution.pairs.items()},
+}))
+"""
+
+
+def test_solver_is_the_function_scipy_optimize_exports():
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _SOLVE_THEN_IMPORT_SCIPY, str(FIXTURES / "canonical_scenario.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    run = json.loads(result.stdout)
+    recorded = json.loads((FIXTURES / "canonical_oracle.json").read_text())
+    assert not run["optimize_after_solve"]
+    assert run["module_reused"]
+    assert run["same_function"]
+    assert run["pairs"] == recorded[ObjectiveMode.ABSOLUTE_SURPLUS.value]["pairs"]
+
+
+def test_solver_falls_back_to_scipy_optimize_without_the_extension_file(monkeypatch):
+    lookups = []
+
+    def no_file():
+        lookups.append(None)
+        return None
+
+    monkeypatch.setattr(oracle, "_lsap_file", no_file)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+    oracle.assignment_solver.cache_clear()
+    scenario = load(FIXTURES / "canonical_scenario.json")
+    recorded = json.loads((FIXTURES / "canonical_oracle.json").read_text())
+    try:
+        for mode in ObjectiveMode:
+            solution = solve_exact_matching(
+                AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
+            )
+            expected = recorded[mode.value]
+            assert solution.objective_value.hex() == expected["objective_value"].hex()
+            assert {str(c): v for c, v in solution.pairs.items()} == expected["pairs"]
+    finally:
+        oracle.assignment_solver.cache_clear()
+    assert lookups == [None]  # the fallback ran, once, for every solve
 
 
 def test_cost_matrix_entries_equal_pair_cost():
