@@ -259,21 +259,31 @@ def assignment_solver() -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """scipy's minimum-cost assignment of a cost matrix, loading the solver on
-    the first call; ``_matching_cost`` looks this name up on every call, so
+    the first call; ``_optimal_matching`` looks this name up on every call, so
     wrapping or patching it here sees every solve."""
     return assignment_solver()(cost)
+
+
+def _optimal_matching(cost: np.ndarray) -> tuple[float, frozenset[int]]:
+    """Optimal matching cost of a matrix with no more rows than columns, inf
+    when none exists, and the columns one optimal matching uses."""
+    if not len(cost):
+        return 0.0, frozenset()
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError:
+        return math.inf, frozenset()
+    return float(cost[rows, cols].sum()), frozenset(cols.tolist())
 
 
 def _matching_cost(cost: np.ndarray) -> float:
     """Optimal matching cost of a matrix with no more rows than columns, inf
     when none exists."""
-    if not len(cost):
-        return 0.0
-    try:
-        rows, cols = linear_sum_assignment(cost)
-    except ValueError:
-        return math.inf
-    return float(cost[rows, cols].sum())
+    return _optimal_matching(cost)[0]
+
+
+def _without(columns: np.ndarray, idx: int) -> np.ndarray:
+    return np.concatenate((columns[:idx], columns[idx + 1 :]))
 
 
 def has_feasible_assignment(problem: AssignmentProblem) -> bool:
@@ -308,22 +318,30 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
     8 components against hundreds of machines. The optimum is then
     canonicalized to the same tie order the enumeration route uses; every
     sub-problem of that walk is a slice of the one cost matrix.
+
+    The walk fixes one component at a time onto the lowest-id machine whose
+    cost plus the optimum of the rows below, over the other machines, still
+    reaches the target. A machine that an optimal matching of the rows below
+    over all remaining machines does not use can be removed without changing
+    that optimum, so such a candidate's remainder is the one already solved.
+    Each position thus solves at most the first candidate, the rows below
+    once, and the machines that solve uses, one per row below: the number of
+    solves is bounded by the components, not by the machines that tie.
     """
     comps, vms, cost = _cost_matrix(problem)
     total = _matching_cost(cost)
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
 
-    # Fix components one at a time onto the lowest-id machine that keeps the
-    # remainder optimal; this reproduces the enumeration tie-breaking order.
     pairs: dict[int, int] = {}
     remaining = np.arange(len(vms))
     target = total
     for pos, comp in enumerate(comps):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
         row = cost[pos, remaining]
+        below = cost[pos + 1 :, remaining]
         # The minima of the rows below, over ``remaining`` (a superset of any
-        # candidate's ``rest``), sum to at most the exact cost of every
+        # candidate's rest), sum to at most the exact cost of every
         # completion. Component ids are unique in 1..NUM_COMPONENTS, so
         # ``row[idx] + lower`` and ``row[idx] + sub`` each add at most 8
         # non-negative fitting entries and lie within about 16 ulp-relative
@@ -332,16 +350,26 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
         # lower <= target + tolerance`` up to that rounding, and one more
         # ``tolerance`` covers it. Candidates beyond that margin, and machines
         # the component does not fit (inf), get no solve.
-        lower = cost[pos + 1 :, remaining].min(axis=1).sum()
-        for idx in np.flatnonzero(row + lower <= target + 2 * tolerance):
-            rest = np.concatenate((remaining[:idx], remaining[idx + 1 :]))
-            sub = _matching_cost(cost[pos + 1 :, rest])
+        lower = below.min(axis=1).sum()
+        # ``used`` is None until the first candidate fails; then ``below`` is
+        # solved once. A candidate outside the columns that solve uses has the
+        # same exact remainder optimum, and ``optimum`` sums at most 7 fitting
+        # entries whose exact total is that optimum, so the rounding bound
+        # above holds for it as for a solve of the candidate's own rest.
+        used = optimum = None
+        for idx in np.flatnonzero(row + lower <= target + 2 * tolerance).tolist():
+            if used is None or idx in used:
+                sub = _matching_cost(cost[pos + 1 :, _without(remaining, idx)])
+            else:
+                sub = optimum
             if abs(row[idx] + sub - target) <= tolerance:
                 break
+            if used is None:
+                optimum, used = _optimal_matching(below)
         else:
             raise RuntimeError("canonicalization failed to reconstruct the optimum")
         pairs[comp.id] = vms[remaining[idx]].id
-        remaining, target = rest, sub
+        remaining, target = _without(remaining, idx), sub
 
     validate_assignment(problem, pairs)
     return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)

@@ -69,6 +69,25 @@ def tiny_scenario() -> Scenario:
     return Scenario(subnet=subnet, vms=vms)
 
 
+def crafted_tie_scenario(num_vms: int) -> Scenario:
+    """A slice whose three centralized-unit components demand (2, 2) and whose
+    five distributed-unit components demand (1, 1), against ``num_vms - 8``
+    machines of (7, 7) at ids 1.., then eight small machines (2, 2), (2, 3),
+    ..., (5, 6) at the highest ids.
+
+    Under absolute surplus every component ranks the machines alike, so the
+    row-minimum bound counts the smallest machine once per later component and
+    every (7, 7) machine passes it; the optimum uses only the small machines.
+    """
+    subnet = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
+    small = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6)]
+    caps = [(7, 7)] * (num_vms - len(small)) + small
+    vms = tuple(
+        VirtualMachine(id=j + 1, compute_cap=c, storage_cap=s) for j, (c, s) in enumerate(caps)
+    )
+    return Scenario(subnet=subnet, vms=vms)
+
+
 def identity_scenario(subnet: SliceSubnet, extra_vms: tuple[VirtualMachine, ...] = ()) -> Scenario:
     """A scenario whose first eight machines exactly match the eight demands."""
     exact = tuple(

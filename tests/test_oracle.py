@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from _reference import (
     _fits,
+    crafted_tie_scenario,
     identity_scenario,
     reference_canonical_matching,
     reference_enumeration,
@@ -322,7 +323,9 @@ def test_pruned_walk_matches_the_unpruned_walk_on_near_ties(problem):
     assert solution.objective_value.hex() == expected.objective_value.hex()
 
 
-def test_canonical_fixture_needs_few_assignment_solves(monkeypatch):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The shapes of the assignment solves made while the test runs."""
     calls = []
     solve = oracle.linear_sum_assignment
 
@@ -331,12 +334,85 @@ def test_canonical_fixture_needs_few_assignment_solves(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(oracle, "linear_sum_assignment", counting)
+    return calls
+
+
+def test_canonical_fixture_needs_few_assignment_solves(solve_calls):
     scenario = load(FIXTURES / "canonical_scenario.json")
     for mode in ObjectiveMode:
-        calls.clear()
+        solve_calls.clear()
         solve_exact_matching(AssignmentProblem(scenario.subnet.components, scenario.vms, mode))
         # The unpruned walk makes 281 and 282 solves here.
-        assert 1 <= len(calls) <= 40, (mode, len(calls))
+        assert 1 <= len(solve_calls) <= 40, (mode, len(solve_calls))
+
+
+def test_crafted_tie_body_needs_solves_bounded_by_components(solve_calls):
+    scenario = crafted_tie_scenario(4000)
+    solution = solve_exact_matching(AssignmentProblem(scenario.subnet.components, scenario.vms))
+    # A solve for every tied (7, 7) machine below the small ones makes 19,968.
+    assert len(solve_calls) <= 8 * len(scenario.subnet.components)
+    # The optimum uses only the eight small machines, at the highest ids.
+    assert solution.pairs == {c: 4000 - 8 + c for c in range(1, 9)}
+    assert solution.objective_value == 38
+
+
+def test_crafted_tie_body_matches_the_unpruned_walk():
+    scenario = crafted_tie_scenario(100)
+    for mode in ObjectiveMode:
+        problem = AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
+        expected = reference_canonical_matching(problem)
+        solution = solve_exact_matching(problem)
+        assert solution.pairs == expected.pairs
+        assert solution.objective_value.hex() == expected.objective_value.hex()
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Up to eight components against up to 60 machines whose capacities come
+    from at most three distinct pairs, so that most candidates tie, some
+    machines occupied."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 60))
+    demand = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    pool = draw(st.lists(st.tuples(st.integers(2, 10), st.integers(2, 10)), min_size=1, max_size=3))
+    comp_specs = draw(st.lists(demand, min_size=k, max_size=k))
+    vm_specs = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    occupied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    problem = _problem(comp_specs, vm_specs, draw(st.sampled_from(list(ObjectiveMode))))
+    return _with_occupied(problem, occupied)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(tie_heavy_problems())
+def test_component_bounded_walk_matches_the_unpruned_walk_on_ties(problem):
+    try:
+        expected = reference_canonical_matching(problem)
+    except InfeasibleAssignmentError as err:
+        with pytest.raises(InfeasibleAssignmentError) as walk_err:
+            solve_exact_matching(problem)
+        assert (walk_err.value.rule, walk_err.value.detail) == (err.rule, err.detail)
+        return
+    solution = solve_exact_matching(problem)
+    assert solution.pairs == expected.pairs
+    assert solution.objective_value.hex() == expected.objective_value.hex()
+
+
+def test_tied_candidates_outside_the_remainder_get_no_solve(solve_calls):
+    # f1 (2, 2) costs 2 on each of the twenty (3, 3) machines, and the bound
+    # (row minima 0 and 0) admits them all; the optimum 2 puts f1 on machine
+    # 21, f2 on 22 and f3 on 23. The first (3, 3) machine fails the tie test
+    # and the rows below are solved once; that solve uses machine 22 and one
+    # of 21 and 23, so machines 2..20 fail with its optimum and no solve.
+    problem = _problem([(2, 2), (1, 1), (1, 1)], [(3, 3)] * 20 + [(2, 2), (1, 1), (2, 2)])
+    expected = reference_canonical_matching(problem)
+    reference_solves = len(solve_calls)
+    solve_calls.clear()
+    solution = solve_exact_matching(problem)
+    assert solution.pairs == expected.pairs == {1: 21, 2: 22, 3: 23}
+    assert solution.objective_value.hex() == expected.objective_value.hex()
+    # The total, machine 1, the rows below, at most machine 21, then one for
+    # f2; a solve per fitting candidate makes 1 + 21 + 21.
+    assert reference_solves == 43 and len(solve_calls) <= 5, (reference_solves, solve_calls)
 
 
 # Runs in a fresh interpreter, which has loaded nothing the test process has.

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vnfcmap
-from _reference import identity_scenario, reference_read_vms
+from _reference import crafted_tie_scenario, identity_scenario, reference_read_vms
 from vnfcmap import agents, scenario as scenario_mod, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
@@ -67,6 +67,16 @@ def test_oracle_policy_is_idempotent(canonical):
     first = handle_map(_request_doc(canonical, "oracle"))
     second = handle_map(_request_doc(canonical, "oracle"))
     assert first == second
+
+
+def test_oracle_policy_answers_the_crafted_tie_body():
+    # Every (7, 7) machine ties under the walk's bound; a solve for each kept
+    # a handler busy for seconds here and minutes near the body cap.
+    status, body = handle_map(_request_doc(crafted_tie_scenario(4000), "oracle"))
+    assert status == 200
+    assert body["status"] == "mapped"
+    assert body["pairs"] == {str(c): 4000 - 8 + c for c in range(1, 9)}
+    assert body["objective"]["value"] == 38
 
 
 def test_undersized_inventory_cites_capacity_fit():
