@@ -27,7 +27,7 @@ from .mdp import (
     MappingEnvironment,
     MappingEpisodeState,
 )
-from .metrics import EpisodeLog, RunRecord
+from .metrics import CONVERGENCE_WINDOW, EpisodeLog, RunRecord
 from .model import capacity_ratios
 from .scenario import (
     INTEGER,
@@ -434,7 +434,14 @@ def train(
 
     A linear learner's policy rows are filled once, after the last episode:
     features do not depend on the anchor, so every row of a component holds
-    the same greedy action."""
+    the same greedy action.
+
+    The run summary's convergence statistic needs two windows of episodes, so
+    fewer are refused before the first one."""
+    if hyper.episodes < 2 * CONVERGENCE_WINDOW:
+        raise ValueError(
+            f"need at least {2 * CONVERGENCE_WINDOW} episodes, got {hyper.episodes}"
+        )
     rng = np.random.default_rng(seed)
     env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
     learner = make_learner(variant, scenario, hyper, num_components)

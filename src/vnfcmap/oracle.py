@@ -276,12 +276,6 @@ def _optimal_matching(cost: np.ndarray) -> tuple[float, frozenset[int]]:
     return float(cost[rows, cols].sum()), frozenset(cols.tolist())
 
 
-def _matching_cost(cost: np.ndarray) -> float:
-    """Optimal matching cost of a matrix with no more rows than columns, inf
-    when none exists."""
-    return _optimal_matching(cost)[0]
-
-
 def _without(columns: np.ndarray, idx: int) -> np.ndarray:
     return np.concatenate((columns[:idx], columns[idx + 1 :]))
 
@@ -321,15 +315,17 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
 
     The walk fixes one component at a time onto the lowest-id machine whose
     cost plus the optimum of the rows below, over the other machines, still
-    reaches the target. A machine that an optimal matching of the rows below
-    over all remaining machines does not use can be removed without changing
-    that optimum, so such a candidate's remainder is the one already solved.
-    Each position thus solves at most the first candidate, the rows below
-    once, and the machines that solve uses, one per row below: the number of
-    solves is bounded by the components, not by the machines that tie.
+    reaches the target. At each position the rows below are solved once over
+    all still-unused machines. That optimum bounds every candidate's
+    remainder from below, so a candidate whose cost plus it misses the target
+    is skipped; and a machine that this solve does not use can be removed
+    without changing the optimum, so it is the remainder of every candidate
+    outside the at most seven machines the solve uses. Only those get a solve
+    of their own: a position makes at most eight solves, however many
+    machines tie.
     """
     comps, vms, cost = _cost_matrix(problem)
-    total = _matching_cost(cost)
+    total = _optimal_matching(cost)[0]
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
 
@@ -339,33 +335,21 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
     for pos, comp in enumerate(comps):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
         row = cost[pos, remaining]
-        below = cost[pos + 1 :, remaining]
-        # The minima of the rows below, over ``remaining`` (a superset of any
-        # candidate's rest), sum to at most the exact cost of every
-        # completion. Component ids are unique in 1..NUM_COMPONENTS, so
-        # ``row[idx] + lower`` and ``row[idx] + sub`` each add at most 8
-        # non-negative fitting entries and lie within about 16 ulp-relative
-        # error of their exact values, far below ``tolerance >= |target| *
-        # 1e-12``. A candidate the accepting test takes thus has ``row[idx] +
-        # lower <= target + tolerance`` up to that rounding, and one more
-        # ``tolerance`` covers it. Candidates beyond that margin, and machines
-        # the component does not fit (inf), get no solve.
-        lower = below.min(axis=1).sum()
-        # ``used`` is None until the first candidate fails; then ``below`` is
-        # solved once. A candidate outside the columns that solve uses has the
-        # same exact remainder optimum, and ``optimum`` sums at most 7 fitting
-        # entries whose exact total is that optimum, so the rounding bound
-        # above holds for it as for a solve of the candidate's own rest.
-        used = optimum = None
-        for idx in np.flatnonzero(row + lower <= target + 2 * tolerance).tolist():
-            if used is None or idx in used:
-                sub = _matching_cost(cost[pos + 1 :, _without(remaining, idx)])
+        optimum, used = _optimal_matching(cost[pos + 1 :, remaining])
+        # ``optimum`` is exactly the remainder of a candidate outside ``used``
+        # and at most that of any other. ``row[idx] + optimum`` and ``row[idx]
+        # + sub`` each add at most 8 non-negative fitting entries (component
+        # ids are unique in 1..NUM_COMPONENTS), so each lies within about 16
+        # ulp-relative error of its exact value, far below ``tolerance >=
+        # |target| * 1e-12``: a candidate the accepting test takes passes the
+        # bound with one more ``tolerance``. An unfit machine (inf) never does.
+        for idx in np.flatnonzero(row + optimum <= target + 2 * tolerance).tolist():
+            if idx in used:
+                sub = _optimal_matching(cost[pos + 1 :, _without(remaining, idx)])[0]
             else:
                 sub = optimum
             if abs(row[idx] + sub - target) <= tolerance:
                 break
-            if used is None:
-                optimum, used = _optimal_matching(below)
         else:
             raise RuntimeError("canonicalization failed to reconstruct the optimum")
         pairs[comp.id] = vms[remaining[idx]].id

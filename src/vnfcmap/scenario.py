@@ -189,8 +189,14 @@ NUMBER = FieldKind(_is_finite_number, "must be a finite number")
 # Below 1/16 of the largest float: the absolute objective sums 16 surpluses
 # (two axes of eight components), each at most the largest capacity.
 MAX_AMOUNT = 1e307
+# Beyond 2**53 an integer has no exact float, so the float64 capacity-fit mask
+# and the exact ``VirtualMachine.fits`` could disagree on it.
+MAX_INTEGER_AMOUNT = 2**53
 AMOUNT = FieldKind(
-    lambda v: _is_finite_number(v) and v <= MAX_AMOUNT, f"must be a finite number <= {MAX_AMOUNT:g}"
+    lambda v: _is_finite_number(v)
+    and v <= MAX_AMOUNT
+    and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
+    f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
 )
 STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
 BOOLEAN = FieldKind(lambda v: isinstance(v, bool), "must be a boolean")
@@ -351,9 +357,9 @@ def _read_scenario(doc: dict) -> Scenario:
 
 def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
     """The machines of a ``vms`` list. An entry whose ``id`` is an integer and
-    whose capacities are numbers in (0, ``MAX_AMOUNT``) is taken as it is; any
-    other is read field by field, so a refusal names its first offending field.
-    An integer capacity is compared with the bound exactly."""
+    whose capacities are floats in (0, ``MAX_AMOUNT``) or integers in (0,
+    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read field by
+    field, so a refusal names its first offending field."""
     vms = []
     for idx, raw in enumerate(raw_vms):
         if type(raw) is dict:
@@ -364,6 +370,8 @@ def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
                 and type(storage) in (int, float)
                 and 0 < compute < MAX_AMOUNT  # NaN and infinity fail too
                 and 0 < storage < MAX_AMOUNT
+                and (type(compute) is float or compute <= MAX_INTEGER_AMOUNT)
+                and (type(storage) is float or storage <= MAX_INTEGER_AMOUNT)
             ):
                 vms.append(VirtualMachine(vm_id, compute, storage))
                 continue

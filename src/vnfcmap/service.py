@@ -116,6 +116,11 @@ def _trained_pairs(scenario: Scenario, model_path: Optional[str]) -> dict[int, i
     return pairs
 
 
+def _error(field: str, detail: str) -> dict:
+    """The body of every refusal: the offending field and what is wrong with it."""
+    return {"error": {"field": field, "detail": detail}}
+
+
 def _wastage_entry(comp: VnfComponent, scenario: Scenario, vm_id: int) -> dict:
     vm = scenario.vms[vm_id - 1]
     return {
@@ -142,7 +147,7 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
                 pairs = _trained_pairs(scenario, request.model_path or default_model)
             objective = assignment_objective(problem, pairs)
     except ScenarioFormatError as exc:
-        return 400, {"error": {"field": exc.field, "detail": exc.detail}}
+        return 400, _error(exc.field, exc.detail)
     except InfeasibleAssignmentError as exc:
         return 200, {"status": "infeasible", "rule": exc.rule, "detail": exc.detail}
 
@@ -201,36 +206,36 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/health":
             self._send_json(200, {"status": "ok", "descriptor": DEFAULT_DESCRIPTOR})
         else:
-            self._send_json(404, {"error": {"field": "<path>", "detail": f"unknown {self.path}"}})
+            self._send_json(404, _error("<path>", f"unknown {self.path}"))
 
     def do_POST(self) -> None:  # noqa: N802
         if self.path != "/map":
-            self._send_json(404, {"error": {"field": "<path>", "detail": f"unknown {self.path}"}})
+            self._send_json(404, _error("<path>", f"unknown {self.path}"))
             return
         length = self.headers.get("Content-Length")
         if length is None or not (length.isascii() and length.isdigit()):
             detail = "is required" if length is None else (
                 f"must be a non-negative integer, got {length!r}"
             )
-            self._send_json(400, {"error": {"field": "<headers>.Content-Length", "detail": detail}})
+            self._send_json(400, _error("<headers>.Content-Length", detail))
             return
         # Digit counts are compared first, because int() refuses a string of
         # more than 4300 digits.
         digits = length.lstrip("0") or "0"
         if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             detail = f"declares more than the {MAX_BODY_BYTES} bytes accepted"
-            self._send_json(413, {"error": {"field": "<headers>.Content-Length", "detail": detail}})
+            self._send_json(413, _error("<headers>.Content-Length", detail))
             return
         try:
             raw = self.rfile.read(int(digits))
         except TimeoutError:
             detail = f"declared {length} bytes, but the request took over {self.timeout} s"
-            self._send_json(408, {"error": {"field": "<body>", "detail": detail}})
+            self._send_json(408, _error("<body>", detail))
             return
         try:
             status, body = handle_map(decode_document(raw, "<body>"), self.server.default_model)
         except ScenarioFormatError as exc:  # from decode_document; handle_map answers its own
-            status, body = 400, {"error": {"field": exc.field, "detail": exc.detail}}
+            status, body = 400, _error(exc.field, exc.detail)
         self._send_json(status, body)
 
     def log_message(self, format: str, *args) -> None:  # quiet by default
@@ -257,8 +262,8 @@ class MappingServer(HTTPServer):
         self._serving: set[socket.socket] = set()
         self._serving_lock = threading.Lock()
         self._closing = False
-        error = {"field": "<connection>", "detail": f"all {self._handlers} handlers are busy"}
-        payload = json.dumps({"error": error}).encode()
+        busy = _error("<connection>", f"all {self._handlers} handlers are busy")
+        payload = json.dumps(busy).encode()
         self._busy_reply = (
             "HTTP/1.0 503 Service Unavailable\r\n"
             f"Server: {_Handler.server_version}\r\n"

@@ -41,7 +41,7 @@ from vnfcmap.oracle import (
     ObjectiveMode,
     _TIE_TOLERANCE,
     _cost_matrix,
-    _matching_cost,
+    _optimal_matching,
     assignment_objective,
     pair_cost,
     validate_assignment,
@@ -75,9 +75,10 @@ def crafted_tie_scenario(num_vms: int) -> Scenario:
     machines of (7, 7) at ids 1.., then eight small machines (2, 2), (2, 3),
     ..., (5, 6) at the highest ids.
 
-    Under absolute surplus every component ranks the machines alike, so the
-    row-minimum bound counts the smallest machine once per later component and
-    every (7, 7) machine passes it; the optimum uses only the small machines.
+    Every (7, 7) machine costs the same to every component. A bound from the
+    row minima of the later components counts the smallest machine once per
+    component and admits every (7, 7) machine, though the optimum uses only
+    the small machines.
     """
     subnet = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
     small = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6)]
@@ -259,7 +260,7 @@ def reference_canonical_matching(problem) -> Assignment:
     fitting candidate, lowest machine id first, gets an assignment solve of
     the remaining rows until one reaches the optimum."""
     comps, vms, cost = _cost_matrix(problem)
-    total = _matching_cost(cost)
+    total = _optimal_matching(cost)[0]
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
     pairs: dict[int, int] = {}
@@ -270,7 +271,7 @@ def reference_canonical_matching(problem) -> Assignment:
         row = cost[pos, remaining]
         for idx in np.flatnonzero(np.isfinite(row)):
             rest = np.concatenate((remaining[:idx], remaining[idx + 1 :]))
-            sub = _matching_cost(cost[pos + 1 :, rest])
+            sub = _optimal_matching(cost[pos + 1 :, rest])[0]
             if abs(row[idx] + sub - target) <= tolerance:
                 break
         else:
@@ -295,7 +296,7 @@ def reference_has_feasible_assignment(problem) -> bool:
         _, _, cost = _cost_matrix(problem)
     except InfeasibleAssignmentError:
         return False
-    return not math.isinf(_matching_cost(cost))
+    return not math.isinf(_optimal_matching(cost)[0])
 
 
 def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _reference import features, reference_train, tiny_scenario, two_step_q_star
-from vnfcmap import agents
+from vnfcmap import agents, metrics
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
     AgentVariant,
@@ -442,6 +442,16 @@ def test_exploratory_count_bounded_by_length():
         assert 1 <= log.length <= 8
 
 
+def test_train_refuses_fewer_episodes_than_a_summary_needs(monkeypatch):
+    scenario = generate(80, GenerationParams(num_vms=20))
+    floor = 2 * metrics.CONVERGENCE_WINDOW
+    record, _ = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=floor), 0)
+    assert metrics.summarize(record)["episodes"] == floor
+    monkeypatch.setattr(agents, "run_episode", pytest.fail)
+    with pytest.raises(ValueError, match=f"need at least {floor} episodes, got {floor - 1}"):
+        train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=floor - 1), 0)
+
+
 # One 20-machine scenario: small enough that Q rows are revisited often, so the
 # running argmax meets ties and decreases of its greedy entry.
 _KERNEL_SCENARIO = generate(81, GenerationParams(num_vms=20))
@@ -621,7 +631,7 @@ def test_policy_snapshot_roundtrip(tmp_path):
 
 def test_snapshot_rejects_wrong_inventory_size(tmp_path):
     scenario = generate(84)
-    _, learner = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=5), 0)
+    _, learner = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=20), 0)
     path = tmp_path / "model.json"
     save_policy(learner, path)
     snapshot = load_policy(path)
@@ -632,7 +642,7 @@ def test_snapshot_rejects_wrong_inventory_size(tmp_path):
 
 def test_unchanged_policy_file_is_parsed_once(tmp_path):
     scenario = generate(85)
-    _, learner = train(AgentVariant.OFF_POLICY_LINEAR, scenario, Hyperparameters(episodes=5), 0)
+    _, learner = train(AgentVariant.OFF_POLICY_LINEAR, scenario, Hyperparameters(episodes=20), 0)
     path = tmp_path / "model.json"
     save_policy(learner, path)
     agents._policy_from_bytes.cache_clear()
@@ -648,7 +658,7 @@ def test_loaded_policy_arrays_are_read_only(tmp_path):
         (AgentVariant.OFF_POLICY_TABULAR, "values"),
         (AgentVariant.ON_POLICY_LINEAR, "weights"),
     ):
-        _, learner = train(variant, scenario, Hyperparameters(episodes=5), 0)
+        _, learner = train(variant, scenario, Hyperparameters(episodes=20), 0)
         path = tmp_path / f"{variant.value}.json"
         save_policy(learner, path)
         array = getattr(load_policy(path), name)

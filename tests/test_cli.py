@@ -321,11 +321,13 @@ def test_compare_names_a_missing_summary_field(small_scenario, tmp_path, capsys)
 
 def test_capacity_above_the_bound_is_validation_error(small_scenario, tmp_path, capsys):
     doc = json.loads(small_scenario.read_text())
-    doc["vms"][4]["compute_cap"] = 1e308
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
-    assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
-    assert "vms[4].compute_cap" in capsys.readouterr().err
+    # Beyond 2**53 an integer has no exact float.
+    for capacity in (1e308, 2**53 + 1):
+        doc["vms"][4]["compute_cap"] = capacity
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "vms[4].compute_cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -325,13 +325,15 @@ def test_pruned_walk_matches_the_unpruned_walk_on_near_ties(problem):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The shapes of the assignment solves made while the test runs."""
+    """The assignment solves made while the test runs: each cost matrix, and
+    the columns its optimal matching uses."""
     calls = []
     solve = oracle.linear_sum_assignment
 
     def counting(cost):
-        calls.append(cost.shape)
-        return solve(cost)
+        rows, cols = solve(cost)
+        calls.append((cost.copy(), frozenset(cols.tolist())))
+        return rows, cols
 
     monkeypatch.setattr(oracle, "linear_sum_assignment", counting)
     return calls
@@ -397,22 +399,62 @@ def test_component_bounded_walk_matches_the_unpruned_walk_on_ties(problem):
     assert solution.objective_value.hex() == expected.objective_value.hex()
 
 
+_TIED = _problem([(2, 2), (1, 1), (1, 1)], [(3, 3)] * 20 + [(2, 2), (1, 1), (2, 2)])
+
+
 def test_tied_candidates_outside_the_remainder_get_no_solve(solve_calls):
-    # f1 (2, 2) costs 2 on each of the twenty (3, 3) machines, and the bound
-    # (row minima 0 and 0) admits them all; the optimum 2 puts f1 on machine
-    # 21, f2 on 22 and f3 on 23. The first (3, 3) machine fails the tie test
-    # and the rows below are solved once; that solve uses machine 22 and one
-    # of 21 and 23, so machines 2..20 fail with its optimum and no solve.
-    problem = _problem([(2, 2), (1, 1), (1, 1)], [(3, 3)] * 20 + [(2, 2), (1, 1), (2, 2)])
-    expected = reference_canonical_matching(problem)
+    # f1 (2, 2) costs 2 on each of the twenty (3, 3) machines and 0 on
+    # machines 21 and 23; the optimum 2 puts f1 on 21, f2 on 22 and f3 on 23.
+    # The rows below, solved once, cost 2 (f2 on 22, f3 on 21 or 23), so the
+    # (3, 3) machines miss the target by 2 and get no solve.
+    expected = reference_canonical_matching(_TIED)
     reference_solves = len(solve_calls)
     solve_calls.clear()
-    solution = solve_exact_matching(problem)
+    solution = solve_exact_matching(_TIED)
     assert solution.pairs == expected.pairs == {1: 21, 2: 22, 3: 23}
     assert solution.objective_value.hex() == expected.objective_value.hex()
-    # The total, machine 1, the rows below, at most machine 21, then one for
-    # f2; a solve per fitting candidate makes 1 + 21 + 21.
+    # The total, the rows below f1, at most machine 21, the row below f2 and
+    # machine 22; a solve per fitting candidate makes 1 + 21 + 21.
     assert reference_solves == 43 and len(solve_calls) <= 5, (reference_solves, solve_calls)
+
+
+def _rule_cases():
+    crafted = crafted_tie_scenario(100)
+    for mode in ObjectiveMode:
+        # Machine 1, a (7, 7), is the first candidate the row minima of the
+        # rows below admit, though no optimum of those rows uses it.
+        yield pytest.param(
+            AssignmentProblem(crafted.subnet.components, crafted.vms, mode),
+            id=f"crafted-{mode.value}",
+        )
+    yield pytest.param(_TIED, id="tied")
+    for seed, mode in zip((3, 4), ObjectiveMode):
+        scenario = generate(seed, GenerationParams(num_vms=20))
+        problem = AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
+        occupied = [j % 5 == 0 for j in range(20)]
+        yield pytest.param(_with_occupied(problem, occupied), id=f"generated-{seed}")
+
+
+@pytest.mark.parametrize("problem", _rule_cases())
+def test_each_position_solves_the_rows_below_then_only_the_machines_they_use(solve_calls, problem):
+    solution = solve_exact_matching(problem)
+    comps, vms, cost = _cost_matrix(problem)
+    column = {vm.id: j for j, vm in enumerate(vms)}
+    assert np.array_equal(solve_calls[0][0], cost)
+    remaining = list(range(len(vms)))
+    solves = 1
+    for pos, comp in enumerate(comps[:-1]):
+        below = cost[pos + 1 :]
+        calls = [call for call in solve_calls if len(call[0]) == len(below)]
+        (first, used), further = calls[0], calls[1:]
+        assert np.array_equal(first, below[:, remaining]), pos
+        assert len(further) <= len(used), pos
+        for matrix, _ in further:
+            assert any(np.array_equal(matrix, below[:, np.delete(remaining, k)]) for k in used), pos
+        remaining.remove(column[solution.pairs[comp.id]])
+        solves += len(calls)
+    assert solves == len(solve_calls)
+    assert solution.pairs == reference_canonical_matching(problem).pairs
 
 
 # Runs in a fresh interpreter, which has loaded nothing the test process has.

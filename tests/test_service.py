@@ -428,6 +428,23 @@ def test_amounts_up_to_the_bound_keep_the_objective_finite(policy):
             assert answer[1]["error"]["field"] == "vms[0].compute_cap"
 
 
+@pytest.mark.parametrize("policy", ["greedy", "oracle"])
+def test_integer_amounts_beyond_2_to_the_53_are_refused(policy):
+    # As a float, 2**53 + 1 rounds to 2**53: greedy's fit mask put component 1
+    # on vm 1, which it does not fit, and the oracle answered infeasible.
+    doc = _request_doc(generate(1), policy)
+    doc["vms"][0].update(compute_cap=2**53, storage_cap=100)
+    for vm in doc["vms"][1:]:
+        vm["compute_cap"] = min(vm["compute_cap"], 9)
+    component = doc["slice"]["components"][0]
+    component["compute_req"] = 2**53 + 1
+    status, body = handle_map(doc)
+    assert (status, body["error"]["field"]) == (400, "slice.components[0].compute_req")
+    component["compute_req"] = 2**53
+    status, body = handle_map(doc)
+    assert (status, body["status"], body["pairs"]["1"]) == (200, "mapped", 1)
+
+
 def test_tiny_capacities_are_infeasible_without_a_warning(tmp_path):
     # Every demand over 5e-324 overflows to inf; the pytest settings turn
     # numpy's overflow warning into an error.
@@ -859,7 +876,7 @@ def _parse_outcome(doc):
 _VALID_AMOUNTS = st.integers(1, 10) | st.floats(0.5, 10.0)
 _BAD_AMOUNTS = st.sampled_from(
     [True, False, math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 5e-324, MAX_AMOUNT,
-     int(MAX_AMOUNT), int(MAX_AMOUNT) + 1, 2**1024, "5", None, [1]]
+     int(MAX_AMOUNT), int(MAX_AMOUNT) + 1, 2**53 + 1, 2**1024, "5", None, [1]]
 )
 _NOT_OBJECTS = st.sampled_from([None, [], [1, 2, 3], "vm", 3, 1.5, True])
 
