@@ -1,7 +1,7 @@
 """Command-line entry point wiring scenarios, agents, metrics, and the service.
 
-Exit codes: 0 success, 2 for validation problems, 3 when an instance is
-infeasible or a run diverged.
+Exit codes: 0 success, 2 for validation problems and for an output path that
+cannot be written, 3 when an instance is infeasible or a run diverged.
 
 Only ``oracle``, ``check-infra`` and ``serve`` load any of scipy, because only
 they solve an optimum, and they load only its assignment solver's extension
@@ -348,7 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # a ScenarioFormatError, a SizeLimitError or a bad flag value
+    # A ScenarioFormatError, a SizeLimitError or a bad flag value; or an output
+    # path that cannot be written, such as a missing directory.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InfeasibleAssignmentError, DivergenceError, ScenarioGenerationError) as exc:

@@ -98,6 +98,12 @@ def make_slice(compute_reqs: Sequence[float], storage_reqs: Sequence[float]) -> 
     return SliceSubnet(comps)
 
 
+def check_ids_in_order(items: Sequence, noun: str, count: str) -> None:
+    """Refuse ``items`` unless their ids are 1..n in order; ``count`` names n."""
+    if [item.id for item in items] != list(range(1, len(items) + 1)):
+        raise ValueError(f"{noun} ids must be 1..{count} in order")
+
+
 @dataclass(frozen=True)
 class VirtualMachine:
     """A candidate host with fixed capacities and an occupancy status.

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import VirtualMachine, VnfComponent, resource_grid
+from .model import VirtualMachine, VnfComponent, check_ids_in_order, resource_grid
 
 # Assignment rule identifiers, mirrored in service responses.
 RULE_COMPONENT_PLACED = "component-placed-once"
@@ -62,6 +62,9 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class AssignmentProblem:
+    """Component ids 1..k and machine ids 1..m in order, as in a ``Scenario``:
+    id i is row i - 1, and id j column j - 1, of every matrix the solvers read."""
+
     components: tuple[VnfComponent, ...]
     vms: tuple[VirtualMachine, ...]
     objective_mode: ObjectiveMode = ObjectiveMode.ABSOLUTE_SURPLUS
@@ -69,14 +72,8 @@ class AssignmentProblem:
     def __post_init__(self) -> None:
         if not self.components or not self.vms:
             raise ValueError("components and vms must be non-empty")
-        if len({c.id for c in self.components}) != len(self.components):
-            raise ValueError("duplicate component ids")
-        if len({v.id for v in self.vms}) != len(self.vms):
-            raise ValueError("duplicate vm ids")
-
-    @property
-    def available_vms(self) -> tuple[VirtualMachine, ...]:
-        return tuple(v for v in self.vms if v.available)
+        check_ids_in_order(self.components, "component", "k")
+        check_ids_in_order(self.vms, "vm", "m")
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class Assignment:
 
     pairs: dict[int, int]
     objective_value: float
-    objective_mode: ObjectiveMode
 
 
 def _surplus(req_c, req_s, cap_c, cap_s, mode: ObjectiveMode):
@@ -110,10 +106,9 @@ def assignment_objective(problem: AssignmentProblem, pairs: dict[int, int]) -> f
     Both solvers report their result through this function so equal
     assignments always yield bit-identical objective values.
     """
-    vm_by_id = {v.id: v for v in problem.vms}
     total = 0.0
-    for comp in sorted(problem.components, key=lambda c: c.id):
-        total += pair_cost(comp, vm_by_id[pairs[comp.id]], problem.objective_mode)
+    for comp in problem.components:
+        total += pair_cost(comp, problem.vms[pairs[comp.id] - 1], problem.objective_mode)
     return total
 
 
@@ -126,49 +121,53 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
         )
     if len(set(pairs.values())) != len(pairs):
         raise InfeasibleAssignmentError("a vm hosts more than one component", rule=RULE_VM_EXCLUSIVE)
-    vm_by_id = {v.id: v for v in problem.vms}
     for comp in problem.components:
-        vm = vm_by_id[pairs[comp.id]]
-        if not (vm.available and vm.fits(comp)):
+        vm_id = pairs[comp.id]
+        vm = problem.vms[vm_id - 1] if 1 <= vm_id <= len(problem.vms) else None
+        if vm is None or not (vm.available and vm.fits(comp)):
             raise InfeasibleAssignmentError(
-                f"component {comp.id} does not fit vm {vm.id}", rule=RULE_CAPACITY_FIT
+                f"component {comp.id} does not fit vm {vm_id}", rule=RULE_CAPACITY_FIT
             )
 
 
-def _masked_cost(comps, vms, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray]:
-    """The capacity-fit mask of every (component, machine) pair, and their
-    surplus cost matrix, ``inf`` where the component does not fit."""
-    req_c, req_s, cap_c, cap_s, fits = resource_grid(comps, vms)
+def _allowed(comps, vms) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The available machines, and ``resource_grid`` with its mask narrowed to
+    the allowed pairs: the machine is available and the component fits it."""
+    free = np.fromiter((vm.hosted is None for vm in vms), bool, len(vms))
+    *grid, fits = resource_grid(comps, vms)
+    return free, (*grid, fits & free)
+
+
+def _masked_cost(comps, vms, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_allowed``'s available machines and mask, and the surplus cost matrix
+    of every (component, machine) pair, ``inf`` where the pair is not allowed."""
+    free, (req_c, req_s, cap_c, cap_s, allowed) = _allowed(comps, vms)
     # Only pairs that do not fit can overflow, and the mask discards them.
     with np.errstate(over="ignore"):
-        return fits, np.where(fits, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
+        return free, allowed, np.where(allowed, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
 
 
-def _cost_matrix(
-    problem: AssignmentProblem,
-) -> tuple[list[VnfComponent], list[VirtualMachine], np.ndarray]:
-    """The id-sorted components and available machines, and the surplus cost
-    matrix between them, ``inf`` where the component does not fit.
+def _cost_matrix(problem: AssignmentProblem) -> np.ndarray:
+    """The surplus cost matrix of every (component, machine) pair, row i - 1
+    for component id i and column j - 1 for machine id j, ``inf`` where the
+    machine is occupied or the component does not fit.
 
     Raises when there are fewer available machines than components, or when
     some component fits none of them.
     """
-    vms = sorted(problem.available_vms, key=lambda v: v.id)
-    if len(problem.components) > len(vms):
+    free, allowed, cost = _masked_cost(problem.components, problem.vms, problem.objective_mode)
+    if len(problem.components) > np.count_nonzero(free):
         raise InfeasibleAssignmentError(
-            f"{len(problem.components)} components but only {len(vms)} available vms",
+            f"{len(problem.components)} components but only {np.count_nonzero(free)} available vms",
             rule=RULE_VM_EXCLUSIVE,
         )
-    comps = sorted(problem.components, key=lambda c: c.id)
-    fits, cost = _masked_cost(comps, vms, problem.objective_mode)
-    hostless = {comp.id for comp, hostable in zip(comps, fits.any(axis=1)) if not hostable}
-    for comp in problem.components:
-        if comp.id in hostless:
+    for comp, hostable in zip(problem.components, allowed.any(axis=1)):
+        if not hostable:
             raise InfeasibleAssignmentError(
                 f"no available vm can host component {comp.id} "
                 f"(needs compute {comp.compute_req}, storage {comp.storage_req})"
             )
-    return comps, vms, cost
+    return cost
 
 
 def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
@@ -181,12 +180,12 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_COMPONENTS} components")
     if len(problem.vms) > ENUMERATION_MAX_VMS:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_VMS} vms")
-    comps, vms, cost = _cost_matrix(problem)
-    rows = cost.tolist()
+    rows = _cost_matrix(problem).tolist()
+    free = [col for col, vm in enumerate(problem.vms) if vm.available]
     best_chosen, best_value = None, math.inf
     # Summed left to right in component order from 0.0, as the objective is;
     # an infeasible (inf) or NaN total loses every comparison.
-    for chosen in itertools.permutations(range(len(vms)), len(comps)):
+    for chosen in itertools.permutations(free, len(rows)):
         value = 0.0
         for row, col in zip(rows, chosen):
             value += row[col]
@@ -194,18 +193,17 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
             best_chosen, best_value = chosen, value
     if best_chosen is None:
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
-    pairs = {comp.id: vms[col].id for comp, col in zip(comps, best_chosen)}
-    return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)
+    pairs = {pos + 1: col + 1 for pos, col in enumerate(best_chosen)}
+    return Assignment(pairs, assignment_objective(problem, pairs))
 
 
 def greedy_best_fit(
     components: tuple[VnfComponent, ...], vms: tuple[VirtualMachine, ...]
 ) -> dict[int, int]:
     """Best-fit walk: each component, in the order given, takes the available
-    machine that leaves the least normalized idle capacity behind, lowest id
-    on ties."""
-    available = sorted((v for v in vms if v.available), key=lambda v: v.id)
-    _, cost = _masked_cost(components, available, ObjectiveMode.NORMALIZED_SURPLUS)
+    machine that leaves the least normalized idle capacity behind, the first
+    machine in inventory order on ties."""
+    *_, cost = _masked_cost(components, vms, ObjectiveMode.NORMALIZED_SURPLUS)
     pairs: dict[int, int] = {}
     for comp, row in zip(components, cost):
         if math.isinf(row.min(initial=np.inf)):
@@ -214,7 +212,7 @@ def greedy_best_fit(
             )
         col = int(np.argmin(row))
         cost[:, col] = np.inf
-        pairs[comp.id] = available[col].id
+        pairs[comp.id] = vms[col].id
     return pairs
 
 
@@ -282,13 +280,10 @@ def _without(columns: np.ndarray, idx: int) -> np.ndarray:
 
 def has_feasible_assignment(problem: AssignmentProblem) -> bool:
     """Whether an injective, capacity-feasible assignment exists: an
-    augmenting-path matching of the components on the capacity-fit mask of
-    the available machines, with no costs and no assignment solve."""
-    vms = problem.available_vms
-    if len(problem.components) > len(vms):
-        return False
-    *_, fits = resource_grid(problem.components, vms)
-    rows, columns = fits.tolist(), range(len(vms))
+    augmenting-path matching of the components on ``_allowed``'s mask, where
+    an occupied machine hosts nothing, with no costs and no assignment solve."""
+    _, (*_, allowed) = _allowed(problem.components, problem.vms)
+    rows, columns = allowed.tolist(), range(len(problem.vms))
     owner: dict[int, int] = {}  # machine column -> the component row it hosts
 
     def place(row: int, seen: set[int]) -> bool:
@@ -324,15 +319,15 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
     of their own: a position makes at most eight solves, however many
     machines tie.
     """
-    comps, vms, cost = _cost_matrix(problem)
+    cost = _cost_matrix(problem)
     total = _optimal_matching(cost)[0]
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
 
     pairs: dict[int, int] = {}
-    remaining = np.arange(len(vms))
+    remaining = np.arange(len(problem.vms))
     target = total
-    for pos, comp in enumerate(comps):
+    for pos, comp in enumerate(problem.components):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
         row = cost[pos, remaining]
         optimum, used = _optimal_matching(cost[pos + 1 :, remaining])
@@ -352,8 +347,8 @@ def solve_exact_matching(problem: AssignmentProblem) -> Assignment:
                 break
         else:
             raise RuntimeError("canonicalization failed to reconstruct the optimum")
-        pairs[comp.id] = vms[remaining[idx]].id
+        pairs[comp.id] = int(remaining[idx]) + 1
         remaining, target = _without(remaining, idx), sub
 
     validate_assignment(problem, pairs)
-    return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)
+    return Assignment(pairs, assignment_objective(problem, pairs))

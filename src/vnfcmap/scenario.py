@@ -23,6 +23,7 @@ from .model import (
     VirtualMachine,
     VnfcKind,
     VnfComponent,
+    check_ids_in_order,
     make_slice,
 )
 from .oracle import AssignmentProblem, has_feasible_assignment
@@ -83,9 +84,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.vms:
             raise ValueError("scenario needs at least one vm")
-        ids = [vm.id for vm in self.vms]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError("vm ids must be 1..m in order")
+        check_ids_in_order(self.vms, "vm", "m")
         if self.placement is not None and not self.pms:
             raise ValueError("placement given without a pm substrate")
 

@@ -211,9 +211,11 @@ def reference_train(variant, scenario, hyper, seed, num_components=None):
 
 def reference_enumeration(problem) -> Assignment:
     """``oracle.solve_exact_enumeration`` scanning machine objects: the same
-    edge checks, then every permutation summed pair by pair in component
-    order, stopping at the first pair that does not fit."""
-    comps, vms, _ = _cost_matrix(problem)
+    edge checks, then every permutation of the available machines summed pair
+    by pair in component order, stopping at the first pair that does not fit."""
+    _cost_matrix(problem)  # the edge checks
+    comps = problem.components
+    vms = [vm for vm in problem.vms if vm.available]
     best_pairs = None
     best_value = math.inf
     for chosen in itertools.permutations(vms, len(comps)):
@@ -229,7 +231,7 @@ def reference_enumeration(problem) -> Assignment:
             best_pairs = {comp.id: vm.id for comp, vm in zip(comps, chosen)}
     if best_pairs is None:
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
-    return Assignment(best_pairs, assignment_objective(problem, best_pairs), problem.objective_mode)
+    return Assignment(best_pairs, assignment_objective(problem, best_pairs))
 
 
 def reference_greedy_best_fit(components, vms) -> dict[int, int]:
@@ -256,17 +258,18 @@ def reference_greedy_best_fit(components, vms) -> dict[int, int]:
 
 
 def reference_canonical_matching(problem) -> Assignment:
-    """``oracle.solve_exact_matching`` without its lower-bound skip: every
-    fitting candidate, lowest machine id first, gets an assignment solve of
-    the remaining rows until one reaches the optimum."""
-    comps, vms, cost = _cost_matrix(problem)
-    total = _optimal_matching(cost)[0]
+    """``oracle.solve_exact_matching`` without its lower-bound skip, and over
+    the columns of the available machines only: every fitting candidate,
+    lowest machine id first, gets an assignment solve of the remaining rows
+    until one reaches the optimum."""
+    cost = _cost_matrix(problem)
+    remaining = np.array([j for j, vm in enumerate(problem.vms) if vm.available])
+    total = _optimal_matching(cost[:, remaining])[0]
     if math.isinf(total):
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
     pairs: dict[int, int] = {}
-    remaining = np.arange(len(vms))
     target = total
-    for pos, comp in enumerate(comps):
+    for pos, comp in enumerate(problem.components):
         tolerance = max(_TIE_TOLERANCE, abs(target) * 1e-12)
         row = cost[pos, remaining]
         for idx in np.flatnonzero(np.isfinite(row)):
@@ -276,10 +279,10 @@ def reference_canonical_matching(problem) -> Assignment:
                 break
         else:
             raise RuntimeError("canonicalization failed to reconstruct the optimum")
-        pairs[comp.id] = vms[remaining[idx]].id
+        pairs[comp.id] = problem.vms[remaining[idx]].id
         remaining, target = rest, sub
     validate_assignment(problem, pairs)
-    return Assignment(pairs, assignment_objective(problem, pairs), problem.objective_mode)
+    return Assignment(pairs, assignment_objective(problem, pairs))
 
 
 def reference_has_feasible_assignment(problem) -> bool:
@@ -293,10 +296,11 @@ def reference_has_feasible_assignment(problem) -> bool:
     as a pair that does not fit.
     """
     try:
-        _, _, cost = _cost_matrix(problem)
+        cost = _cost_matrix(problem)
     except InfeasibleAssignmentError:
         return False
-    return not math.isinf(_optimal_matching(cost)[0])
+    free = [j for j, vm in enumerate(problem.vms) if vm.available]
+    return not math.isinf(_optimal_matching(cost[:, free])[0])
 
 
 def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:

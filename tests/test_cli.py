@@ -52,6 +52,30 @@ def test_generate_scenario_custom_ranges(tmp_path):
     assert all(vm.compute_cap <= 6 for vm in scenario.vms)
 
 
+@pytest.mark.parametrize(
+    "command, flag, target",
+    [
+        ("generate-scenario", "--out", "missing/s.json"),
+        ("generate-scenario", "--out", "."),
+        ("train", "--out-dir", "a-file"),
+    ],
+    ids=["missing-directory", "a-directory", "train-into-a-file"],
+)
+def test_unwritable_output_path_is_validation_error(
+    small_scenario, tmp_path, capsys, command, flag, target
+):
+    (tmp_path / "a-file").write_text("")
+    path = str(tmp_path / target)
+    if command == "train":
+        argv = [command, "--scenario", str(small_scenario), "--episodes", "20", flag, path]
+    else:
+        argv = [command, "--seed", "3", "--vms", "12", flag, path]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(tmp_path) in err
+
+
 def test_train_writes_run_artifacts(small_scenario, tmp_path):
     run_dir = tmp_path / "run"
     code = main(

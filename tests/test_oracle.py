@@ -254,6 +254,25 @@ def test_validate_assignment_rules():
         validate_assignment(tight, {1: 1})
 
 
+@pytest.mark.parametrize("vm_id", [0, -1, 4])
+def test_validate_assignment_refuses_a_machine_outside_the_inventory(vm_id):
+    problem = _problem([(1, 1), (1, 1)], [(2, 2), (2, 2), (2, 2)])
+    with pytest.raises(InfeasibleAssignmentError) as err:
+        validate_assignment(problem, {1: 1, 2: vm_id})
+    assert err.value.rule == RULE_CAPACITY_FIT
+    assert err.value.detail == f"component 2 does not fit vm {vm_id}"
+
+
+@pytest.mark.parametrize("ids", [(2, 1), (1, 3), (1, 1)], ids=["order", "gap", "duplicate"])
+def test_problem_refuses_ids_that_are_not_one_to_n_in_order(ids):
+    comps = tuple(_comp(1, 1, 1) for _ in ids)
+    vms = tuple(_vm(j + 1, 2, 2) for j in range(3))
+    with pytest.raises(ValueError, match=r"^component ids must be 1\.\.k in order$"):
+        AssignmentProblem(tuple(replace(c, id=i) for c, i in zip(comps, ids)), vms)
+    with pytest.raises(ValueError, match=r"^vm ids must be 1\.\.m in order$"):
+        AssignmentProblem(comps[:1], tuple(_vm(i, 2, 2) for i in ids))
+
+
 @st.composite
 def small_problems(draw):
     """Integer instances small enough for enumeration, some machines occupied."""
@@ -438,12 +457,11 @@ def _rule_cases():
 @pytest.mark.parametrize("problem", _rule_cases())
 def test_each_position_solves_the_rows_below_then_only_the_machines_they_use(solve_calls, problem):
     solution = solve_exact_matching(problem)
-    comps, vms, cost = _cost_matrix(problem)
-    column = {vm.id: j for j, vm in enumerate(vms)}
+    cost = _cost_matrix(problem)
     assert np.array_equal(solve_calls[0][0], cost)
-    remaining = list(range(len(vms)))
+    remaining = list(range(len(problem.vms)))
     solves = 1
-    for pos, comp in enumerate(comps[:-1]):
+    for pos, comp in enumerate(problem.components[:-1]):
         below = cost[pos + 1 :]
         calls = [call for call in solve_calls if len(call[0]) == len(below)]
         (first, used), further = calls[0], calls[1:]
@@ -451,7 +469,7 @@ def test_each_position_solves_the_rows_below_then_only_the_machines_they_use(sol
         assert len(further) <= len(used), pos
         for matrix, _ in further:
             assert any(np.array_equal(matrix, below[:, np.delete(remaining, k)]) for k in used), pos
-        remaining.remove(column[solution.pairs[comp.id]])
+        remaining.remove(solution.pairs[comp.id] - 1)
         solves += len(calls)
     assert solves == len(solve_calls)
     assert solution.pairs == reference_canonical_matching(problem).pairs
@@ -523,16 +541,21 @@ def test_solver_falls_back_to_scipy_optimize_without_the_extension_file(monkeypa
 
 def test_cost_matrix_entries_equal_pair_cost():
     scenario = generate(5)
+    occupied = [j % 3 == 1 for j in range(scenario.num_vms)]
     for mode in ObjectiveMode:
         problem = AssignmentProblem(scenario.subnet.components, scenario.vms, mode)
-        comps, vms, cost = _cost_matrix(problem)
+        problem = _with_occupied(problem, occupied)
+        cost = _cost_matrix(problem)
         assert cost.shape == (len(scenario.subnet.components), scenario.num_vms)
-        for i, comp in enumerate(comps):
-            for j, vm in enumerate(vms):
-                if _fits(comp, vm):
+        for i, comp in enumerate(problem.components):
+            for j, vm in enumerate(problem.vms):
+                assert (comp.id, vm.id) == (i + 1, j + 1)
+                if vm.available and _fits(comp, vm):
                     assert cost[i, j] == pair_cost(comp, vm, mode)
                 else:
                     assert cost[i, j] == math.inf
+    # Occupancy, not capacity, makes some of those columns inf.
+    assert any(_fits(c, vm) for c in problem.components for vm in problem.vms if not vm.available)
     comp, vm = scenario.subnet.components[0], scenario.vms[0]
     assert isinstance(pair_cost(comp, vm, ObjectiveMode.ABSOLUTE_SURPLUS), int)
 
@@ -684,7 +707,7 @@ def test_enumeration_matches_pairwise_reference():
         if any(math.isnan(vm.compute_cap) or math.isinf(vm.storage_cap) for vm in vms):
             seen.add("non-finite")
         if outcome[1:] == (RULE_CAPACITY_FIT, "no injective feasible assignment exists"):
-            if np.isnan(_cost_matrix(problem)[2]).any():
+            if np.isnan(_cost_matrix(problem)).any():
                 seen.add("nan cost")
     assert seen == {
         "mapped", "components", "available", "injective", "tie", "occupied", "non-finite",
