@@ -252,17 +252,10 @@ def _effective_alpha(hyper: Hyperparameters, visits: int) -> float:
     return hyper.alpha
 
 
-def _backup(
-    q: QTable, i: int, a: int, j: int, target: float, hyper: Hyperparameters
-) -> tuple[float, float]:
-    """Move ``values[i, a, j]`` toward ``target`` and count the visit; returns
-    the entry's old and new value."""
-    current = q.values.item(i, a, j)
-    count = q.visits.item(i, a, j)
-    updated = current - _effective_alpha(hyper, count) * (current - target)
-    q.values[i, a, j] = updated
-    q.visits[i, a, j] = count + 1
-    return current, updated
+def _diverged(weights: np.ndarray) -> bool:
+    """``(np.abs(weights) > DIVERGENCE_LIMIT).any()``, NaN included (a NaN
+    weight alone does not count), at a fraction of its cost on seven weights."""
+    return any(abs(x) > DIVERGENCE_LIMIT for x in weights.tolist())
 
 
 def tabular_update(
@@ -280,27 +273,12 @@ def tabular_update(
     """
     bootstrap = 0.0 if next_state.terminal else q.max_value(next_state)
     target = reward + hyper.gamma * bootstrap
-    current, _ = _backup(q, *state_key(state), action.target_vm - 1, target, hyper)
+    entry = (*state_key(state), action.target_vm - 1)
+    current = q.values.item(entry)
+    count = q.visits.item(entry)
+    q.values[entry] = current - _effective_alpha(hyper, count) * (current - target)
+    q.visits[entry] = count + 1
     return target - current
-
-
-def _semi_gradient_step(
-    lq: LinearQ,
-    phi: np.ndarray,
-    reward: float,
-    next_features: Optional[np.ndarray],
-    hyper: Hyperparameters,
-) -> float:
-    """``linear_update`` given the taken action's features and the next
-    state's feature block (None when the successor is terminal)."""
-    bootstrap = 0.0 if next_features is None else float((next_features @ lq.weights).max())
-    td_error = reward + hyper.gamma * bootstrap - float(lq.weights @ phi)
-    alpha = _effective_alpha(hyper, lq.updates)
-    lq.weights += alpha * td_error * phi
-    lq.updates += 1
-    if (np.abs(lq.weights) > DIVERGENCE_LIMIT).any():
-        raise DivergenceError(lq.weights, lq.updates)
-    return td_error
 
 
 def linear_update(
@@ -313,8 +291,15 @@ def linear_update(
 ) -> float:
     """Semi-gradient step: the features of the taken action are the gradient
     of the linear estimate, so the weights move by alpha * td_error * features."""
-    next_features = None if next_state.terminal else lq.feature_matrix(next_state)
-    return _semi_gradient_step(lq, lq.feature_vector(state, action), reward, next_features, hyper)
+    phi = lq.feature_vector(state, action)
+    bootstrap = 0.0 if next_state.terminal else lq.max_value(next_state)
+    td_error = reward + hyper.gamma * bootstrap - float(lq.weights @ phi)
+    alpha = _effective_alpha(hyper, lq.updates)
+    lq.weights += alpha * td_error * phi
+    lq.updates += 1
+    if _diverged(lq.weights):
+        raise DivergenceError(lq.weights, lq.updates)
+    return td_error
 
 
 @dataclass
@@ -347,79 +332,108 @@ def run_episode(
     rng: np.random.Generator,
     episode_index: int = 1,
 ) -> EpisodeLog:
-    """Play one episode, updating the value estimate after every step.
+    """Play one episode, updating the value estimate after every step."""
+    return _run_episodes(env, learner, hyper, rng, episode_index, 1)[0]
+
+
+def _run_episodes(
+    env: MappingEnvironment,
+    learner: Learner,
+    hyper: Hyperparameters,
+    rng: np.random.Generator,
+    first: int,
+    count: int,
+) -> list[EpisodeLog]:
+    """Play episodes ``first`` to ``first + count - 1``, updating the value
+    estimate after every step.
 
     This is the training loop. It does what one call per step of
     ``select_action``, ``MappingEnvironment.step`` and the variant's TD update
     would do, with the same arithmetic in the same order, but it holds the
     state as zero-based ints (component index i, anchor a) plus a set of
-    occupied machines and creates no objects per step.
+    occupied machines and creates no state, action or outcome objects per
+    step. Tables, flags and a fixed step size are read once per call, not
+    once per episode.
 
     Tabular: the policy's ``greedy_index[i, a]`` is kept as the exact argmax
     of ``values[i, a]`` after every step, so the greedy pick and the
     bootstrap max are lookups. Linear: the greedy pick is ``LinearQ``'s
-    ``blocks[i] @ w`` argmax and the update is ``linear_update``'s own step;
-    their numpy expressions must stay as written, because computing the same
-    dot products in another order moves the weights in the last bit. No
-    linear policy row is written here; ``train`` derives them from the final
-    weights.
+    ``blocks[i] @ w`` argmax and the update is ``linear_update``'s step. Both
+    apply the same numpy ufuncs to the same operands in the same order,
+    writing into buffers made once per call; computing the same dot products
+    in another order would move the weights in the last bit. No linear policy
+    row is written here; ``train`` derives them from the final weights.
     """
     q = learner.q
     fit_mask, reward_table = env.fit_mask, env.reward_table
     last_index, num_vms = env.num_components - 1, env.num_vms
-    epsilon, gamma = hyper.epsilon, hyper.gamma
+    epsilon, gamma, alpha = hyper.epsilon, hyper.gamma, hyper.alpha
+    harmonic = hyper.alpha_schedule is AlphaSchedule.HARMONIC
+    random, draw_anchor = rng.random, env.draw_anchor
     tabular = isinstance(q, QTable)
     if tabular:
-        values, greedy = q.values, learner.policy.greedy_index
+        values, visits, greedy = q.values, q.visits, learner.policy.greedy_index
     else:
-        blocks = q._blocks
-    i, a = 0, env.reset().anchor_vm - 1
-    occupied: set[int] = set()
-    total = 0.0
-    length = 0
-    exploratory = 0
-    while True:
-        u = rng.random()
-        if u < epsilon:
-            j = _explore_index(u, epsilon, num_vms)
-            exploratory += 1
-        elif tabular:
-            j = greedy.item(i, a)
-        else:
-            j = int((blocks[i] @ q.weights).argmax())
-        feasible = j not in occupied and fit_mask[i][j]
-        reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
-        done = not feasible or i == last_index
-
-        if tabular:
-            bootstrap = 0.0 if done else values.item(i + 1, j, greedy.item(i + 1, j))
-            current, updated = _backup(q, i, a, j, reward + gamma * bootstrap, hyper)
-            g = greedy.item(i, a)
-            if j == g:
-                if updated < current:
-                    greedy[i, a] = values[i, a].argmax()
+        blocks, w = list(q._blocks), q.weights
+        scores, delta = np.empty(num_vms), np.empty(FEATURE_DIM)
+    logs = []
+    for episode_index in range(first, first + count):
+        i, a = 0, draw_anchor() - 1
+        occupied: set[int] = set()
+        total = 0.0
+        length = 0
+        exploratory = 0
+        while True:
+            u = random()
+            if u < epsilon:
+                j = _explore_index(u, epsilon, num_vms)
+                exploratory += 1
+            elif tabular:
+                j = greedy.item(i, a)
             else:
-                best = values.item(i, a, g)
-                if updated > best or (updated == best and j < g):
-                    greedy[i, a] = j
-        else:
-            next_features = None if done else blocks[i + 1]
-            _semi_gradient_step(q, blocks[i][j], reward, next_features, hyper)
+                j = int(np.matmul(blocks[i], w, out=scores).argmax())
+            feasible = j not in occupied and fit_mask[i][j]
+            reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
+            done = not feasible or i == last_index
 
-        total += reward
-        length += 1
-        if done:
-            # Only a feasible placement of the last component ends an episode
-            # successfully.
-            return EpisodeLog(
-                episode_index=episode_index,
-                total_reward=total,
-                length=length,
-                exploratory_actions=exploratory,
-                success=feasible,
-            )
-        occupied.add(j)
-        i, a = i + 1, j
+            if tabular:
+                bootstrap = 0.0 if done else values.item(i + 1, j, greedy.item(i + 1, j))
+                target = reward + gamma * bootstrap
+                current = values.item(i, a, j)
+                visited = visits.item(i, a, j)
+                step_size = _effective_alpha(hyper, visited) if harmonic else alpha
+                updated = current - step_size * (current - target)
+                values[i, a, j] = updated
+                visits[i, a, j] = visited + 1
+                g = greedy.item(i, a)
+                if j == g:
+                    if updated < current:
+                        greedy[i, a] = values[i, a].argmax()
+                else:
+                    best = values.item(i, a, g)
+                    if updated > best or (updated == best and j < g):
+                        greedy[i, a] = j
+            else:
+                phi = blocks[i][j]
+                bootstrap = 0.0 if done else float(np.matmul(blocks[i + 1], w, out=scores).max())
+                td_error = reward + gamma * bootstrap - float(w @ phi)
+                step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
+                # phi * c is c * phi with the operands swapped, exact in IEEE.
+                w += np.multiply(phi, step_size * td_error, out=delta)
+                q.updates += 1
+                if _diverged(w):
+                    raise DivergenceError(w, q.updates)
+
+            total += reward
+            length += 1
+            if done:
+                break
+            occupied.add(j)
+            i, a = i + 1, j
+        # Only a feasible placement of the last component ends an episode
+        # successfully.
+        logs.append(EpisodeLog(episode_index, total, length, exploratory, feasible))
+    return logs
 
 
 def train(
@@ -445,10 +459,7 @@ def train(
     rng = np.random.default_rng(seed)
     env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
     learner = make_learner(variant, scenario, hyper, num_components)
-    logs = [
-        run_episode(env, learner, hyper, rng, episode_index=e)
-        for e in range(1, hyper.episodes + 1)
-    ]
+    logs = _run_episodes(env, learner, hyper, rng, 1, hyper.episodes)
     if not variant.tabular:
         for i, block in enumerate(learner.q._blocks):
             learner.policy.greedy_index[i, :] = (block @ learner.q.weights).argmax()

@@ -135,9 +135,10 @@ def _hyper_from_args(args: argparse.Namespace) -> Hyperparameters:
 
 def _train_run(inst: Scenario, variant: str, hyper: Hyperparameters, seed: int, out: Path) -> dict:
     """Train one seed, write ``episodes.csv``, ``summary.json`` and ``model.json``
-    to ``out``, and return the run's summary."""
-    record, learner = agents.train(VARIANT_ALIASES[variant], inst, hyper, seed=seed)
+    to ``out``, and return the run's summary. ``out`` is made first, so a path
+    that cannot be a directory is refused before any training."""
     out.mkdir(parents=True, exist_ok=True)
+    record, learner = agents.train(VARIANT_ALIASES[variant], inst, hyper, seed=seed)
     metrics.write_episode_csv(record, out / "episodes.csv")
     metrics.write_summary_json(record, out / "summary.json")
     agents.save_policy(learner, out / "model.json")

@@ -90,8 +90,8 @@ class MappingEnvironment:
 
     The environment owns no mutable episode state: ``step`` is a pure function
     of (state, action), and ``reset`` draws the starting anchor machine from
-    the generator. ``agents.train`` passes that same generator to
-    ``run_episode`` for its action draws, so both share one random stream.
+    the generator through ``draw_anchor``. ``agents.train`` uses that same
+    generator for its action draws, so both share one random stream.
     """
 
     def __init__(
@@ -120,10 +120,13 @@ class MappingEnvironment:
             ratio_c, ratio_s, reward_mode
         ).tolist()
 
+    def draw_anchor(self) -> int:
+        """The machine id an episode starts anchored on, uniform over 1..m."""
+        return int(self._rng.integers(1, self.num_vms + 1))
+
     def reset(self) -> MappingEpisodeState:
-        anchor = int(self._rng.integers(1, self.num_vms + 1))
         return MappingEpisodeState(
-            next_component_index=1, anchor_vm=anchor, occupied=frozenset()
+            next_component_index=1, anchor_vm=self.draw_anchor(), occupied=frozenset()
         )
 
     def step(self, state: MappingEpisodeState, action: Action) -> StepOutcome:

@@ -116,9 +116,11 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
     """Raise if the pairing breaks totality, exclusivity, or capacity rules."""
     comp_ids = {c.id for c in problem.components}
     if set(pairs) != comp_ids:
-        raise InfeasibleAssignmentError(
-            f"components {sorted(comp_ids - set(pairs))} unplaced", rule=RULE_COMPONENT_PLACED
-        )
+        unplaced, unknown = sorted(comp_ids - set(pairs)), sorted(set(pairs) - comp_ids)
+        reasons = [f"components {unplaced} unplaced"] if unplaced else []
+        if unknown:
+            reasons.append(f"components {unknown} are not in the slice")
+        raise InfeasibleAssignmentError("; ".join(reasons), rule=RULE_COMPONENT_PLACED)
     if len(set(pairs.values())) != len(pairs):
         raise InfeasibleAssignmentError("a vm hosts more than one component", rule=RULE_VM_EXCLUSIVE)
     for comp in problem.components:

@@ -254,7 +254,6 @@ class MappingServer(HTTPServer):
         self.default_model = default_model
         # Refused connections still open, each with the time it is closed by.
         self._refused: list[tuple[socket.socket, float]] = []
-        super().__init__(address, _Handler)
         self._handlers = HANDLERS
         self._pool = ThreadPoolExecutor(self._handlers, thread_name_prefix="vnfcmap-handler")
         # Connections handed to the pool and not yet released by their handler;
@@ -262,6 +261,8 @@ class MappingServer(HTTPServer):
         self._serving: set[socket.socket] = set()
         self._serving_lock = threading.Lock()
         self._closing = False
+        # Last: a failed bind calls ``server_close``, which reads the state above.
+        super().__init__(address, _Handler)
         busy = _error("<connection>", f"all {self._handlers} handlers are busy")
         payload = json.dumps(busy).encode()
         self._busy_reply = (

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _reference import features, reference_train, tiny_scenario, two_step_q_star
+from _reference import (
+    features,
+    reference_episode,
+    reference_train,
+    tiny_scenario,
+    two_step_q_star,
+)
 from vnfcmap import agents, metrics
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
@@ -447,7 +453,7 @@ def test_train_refuses_fewer_episodes_than_a_summary_needs(monkeypatch):
     floor = 2 * metrics.CONVERGENCE_WINDOW
     record, _ = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=floor), 0)
     assert metrics.summarize(record)["episodes"] == floor
-    monkeypatch.setattr(agents, "run_episode", pytest.fail)
+    monkeypatch.setattr(agents, "_run_episodes", pytest.fail)
     with pytest.raises(ValueError, match=f"need at least {floor} episodes, got {floor - 1}"):
         train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=floor - 1), 0)
 
@@ -501,6 +507,70 @@ def test_kernel_diverges_like_reference(variant):
         reference_train(variant, _KERNEL_SCENARIO, hyper, seed=0)
     assert kernel.value.updates == reference.value.updates
     assert kernel.value.weights.tobytes() == reference.value.weights.tobytes()
+
+
+def _estimate_bytes(learner):
+    """The bytes of a learner's value estimate, and of its running argmax for
+    a tabular learner; a linear learner's policy rows are left out, because
+    only ``train`` writes them."""
+    q = learner.q
+    if learner.variant.tabular:
+        return q.values.tobytes(), q.visits.tobytes(), learner.policy.greedy_index.tobytes()
+    return q.weights.tobytes(), q.updates
+
+
+@pytest.mark.parametrize("schedule", list(AlphaSchedule), ids=lambda s: s.value)
+@pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
+def test_run_episode_with_its_own_generators_matches_reference(variant, schedule):
+    # The anchors come from the environment's generator, the actions from the
+    # one passed in; the kernel must not mix the two streams.
+    hyper = Hyperparameters(epsilon=0.3, episodes=1, alpha_schedule=schedule)
+    runs = []
+    for play in (run_episode, reference_episode):
+        env = MappingEnvironment(_KERNEL_SCENARIO, np.random.default_rng(11), hyper.reward_mode)
+        learner = make_learner(variant, _KERNEL_SCENARIO, hyper)
+        actions = np.random.default_rng(12)
+        logs = [play(env, learner, hyper, actions, episode) for episode in range(1, 81)]
+        runs.append((logs, _estimate_bytes(learner)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
+def test_train_equals_a_loop_of_run_episode(variant):
+    hyper = Hyperparameters(episodes=120)
+    record, learner = train(variant, _KERNEL_SCENARIO, hyper, seed=7)
+    rng = np.random.default_rng(7)
+    env = MappingEnvironment(_KERNEL_SCENARIO, rng, hyper.reward_mode)
+    looped = make_learner(variant, _KERNEL_SCENARIO, hyper)
+    logs = [run_episode(env, looped, hyper, rng, e) for e in range(1, hyper.episodes + 1)]
+    assert record.episodes == tuple(logs)
+    assert _estimate_bytes(learner) == _estimate_bytes(looped)
+
+
+@pytest.mark.parametrize(
+    "weights,diverged",
+    [
+        ([math.nan], False),
+        ([math.nan, 2e9], True),
+        ([2e9, math.nan], True),
+        ([math.inf], True),
+        ([-math.inf], True),
+        ([DIVERGENCE_LIMIT], False),
+        ([-DIVERGENCE_LIMIT], False),
+        ([math.nextafter(DIVERGENCE_LIMIT, math.inf)], True),
+        ([-2e9, 0.5], True),
+        ([], False),
+    ],
+    ids=[
+        "nan-first", "nan-next-to-2e9", "2e9-next-to-nan", "inf", "minus-inf",
+        "exactly-the-limit", "minus-the-limit", "just-above-the-limit", "minus-2e9", "all-zero",
+    ],
+)
+def test_divergence_check_agrees_with_numpy(weights, diverged):
+    w = np.zeros(7)
+    w[: len(weights)] = weights
+    assert bool((np.abs(w) > DIVERGENCE_LIMIT).any()) is diverged
+    assert agents._diverged(w) is diverged
 
 
 @pytest.mark.parametrize(

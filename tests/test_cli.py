@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnfcmap
-from vnfcmap import cli
+from vnfcmap import agents, cli
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
@@ -58,16 +59,20 @@ def test_generate_scenario_custom_ranges(tmp_path):
         ("generate-scenario", "--out", "missing/s.json"),
         ("generate-scenario", "--out", "."),
         ("train", "--out-dir", "a-file"),
+        ("sweep", "--out-dir", "a-file"),
     ],
-    ids=["missing-directory", "a-directory", "train-into-a-file"],
+    ids=["missing-directory", "a-directory", "train-into-a-file", "sweep-into-a-file"],
 )
 def test_unwritable_output_path_is_validation_error(
-    small_scenario, tmp_path, capsys, command, flag, target
+    small_scenario, tmp_path, capsys, monkeypatch, command, flag, target
 ):
     (tmp_path / "a-file").write_text("")
     path = str(tmp_path / target)
-    if command == "train":
-        argv = [command, "--scenario", str(small_scenario), "--episodes", "20", flag, path]
+    if command in ("train", "sweep"):
+        # Refused before the first episode.
+        monkeypatch.setattr(agents, "train", pytest.fail)
+        argv = [command, "--scenario", str(small_scenario), flag, path]
+        argv += ["--workers", "1"] if command == "sweep" else []
     else:
         argv = [command, "--seed", "3", "--vms", "12", flag, path]
     assert main(argv) == EXIT_VALIDATION
@@ -406,6 +411,24 @@ def test_too_few_episodes_is_a_usage_error_before_training(
     assert err.value.code == 2
     assert "--episodes: must be in 20.." in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_serve_on_a_port_in_use_is_a_validation_error():
+    # A fresh interpreter with a timeout: a server that did bind would serve forever.
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        result = subprocess.run(
+            [sys.executable, "-m", "vnfcmap.cli", "serve", "--port", str(holder.getsockname()[1])],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    assert result.returncode == EXIT_VALIDATION, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == ""
 
 
 def _two_pm_scenario(tmp_path, pm_of_vm):

@@ -254,6 +254,21 @@ def test_validate_assignment_rules():
         validate_assignment(tight, {1: 1})
 
 
+def test_validate_assignment_names_components_not_in_the_slice():
+    scenario = generate(1, GenerationParams(num_vms=10))
+    problem = AssignmentProblem(scenario.subnet.components, scenario.vms)
+    pairs = dict(solve_exact_matching(problem).pairs)
+    spare = next(vm for vm in range(1, 11) if vm not in pairs.values())
+    with pytest.raises(InfeasibleAssignmentError, match=r"components \[9\] are not in the slice") as err:
+        validate_assignment(problem, {**pairs, 9: spare})
+    assert err.value.rule == oracle.RULE_COMPONENT_PLACED
+    assert "unplaced" not in str(err.value)
+    del pairs[3]
+    with pytest.raises(InfeasibleAssignmentError) as err:
+        validate_assignment(problem, {**pairs, 9: spare})
+    assert err.value.detail == "components [3] unplaced; components [9] are not in the slice"
+
+
 @pytest.mark.parametrize("vm_id", [0, -1, 4])
 def test_validate_assignment_refuses_a_machine_outside_the_inventory(vm_id):
     problem = _problem([(1, 1), (1, 1)], [(2, 2), (2, 2), (2, 2)])
