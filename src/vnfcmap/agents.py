@@ -1,10 +1,11 @@
 """The four Q-learning variants: tabular and linear, on- and off-policy.
 
 All four act epsilon-greedily on their current value estimates and back up
-toward the best next-state value. What separates the two families is the
-policy table they keep, the greedy action of the value estimate: on-policy
-variants render it as the epsilon-greedy distribution they are acting out,
-off-policy variants as a one-hot greedy target beside their exploration.
+toward the best next-state value, so a learner is its variant and its value
+estimate, and the on- and off-policy variant of a family train alike. The two
+policy forms the variants are named after, the epsilon-greedy distribution an
+on-policy learner acts out and the one-hot greedy target of an off-policy
+learner, are defined by ``PolicyTable`` and its two per-step updates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -65,10 +66,6 @@ class AgentVariant(Enum):
     OFF_POLICY_LINEAR = "off-lin"
 
     @property
-    def on_policy(self) -> bool:
-        return self in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.ON_POLICY_LINEAR)
-
-    @property
     def tabular(self) -> bool:
         return self in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR)
 
@@ -78,7 +75,19 @@ def state_key(state: MappingEpisodeState) -> tuple[int, int]:
     return state.next_component_index - 1, state.anchor_vm - 1
 
 
-class QTable:
+class ValueEstimator:
+    """A value estimate's greedy action and best value in a state, over the
+    ``action_values`` its subclass defines. Greedy ties go to the lowest
+    machine id."""
+
+    def greedy_action(self, state: MappingEpisodeState) -> int:
+        return int(np.argmax(self.action_values(state))) + 1
+
+    def max_value(self, state: MappingEpisodeState) -> float:
+        return float(self.action_values(state).max())
+
+
+class QTable(ValueEstimator):
     """Dense action values keyed by (next component index, anchor machine)."""
 
     def __init__(self, num_components: int, num_vms: int, values: Optional[np.ndarray] = None):
@@ -97,14 +106,8 @@ class QTable:
     def action_values(self, state: MappingEpisodeState) -> np.ndarray:
         return self.values[state_key(state)]
 
-    def greedy_action(self, state: MappingEpisodeState) -> int:
-        return int(np.argmax(self.action_values(state))) + 1
 
-    def max_value(self, state: MappingEpisodeState) -> float:
-        return float(self.action_values(state).max())
-
-
-class LinearQ:
+class LinearQ(ValueEstimator):
     """Linear value estimates over the fixed 7-dimensional feature map.
 
     Feature layout: bias, compute and storage demand-to-capacity ratios
@@ -151,12 +154,6 @@ class LinearQ:
     def action_values(self, state: MappingEpisodeState) -> np.ndarray:
         return self.feature_matrix(state) @ self.weights
 
-    def greedy_action(self, state: MappingEpisodeState) -> int:
-        return int(np.argmax(self.action_values(state))) + 1
-
-    def max_value(self, state: MappingEpisodeState) -> float:
-        return float(self.action_values(state).max())
-
 
 def feature_map(
     state: MappingEpisodeState,
@@ -168,9 +165,6 @@ def feature_map(
     return LinearQ(scenario, num_components).feature_vector(state, action)
 
 
-ValueEstimator = Union[QTable, LinearQ]
-
-
 class PolicyMode(Enum):
     EPSILON_GREEDY = "epsilon-greedy"
     GREEDY_TARGET = "greedy-target"
@@ -180,8 +174,8 @@ class PolicyTable:
     """Per-state action distributions, derived from one greedy action per
     state.
 
-    Only that action is stored: the greedy action of the learner's value
-    estimate, lowest machine id on ties. ``row`` renders it as an
+    Only that action is stored: the greedy action of a value estimate,
+    lowest machine id on ties. ``row`` renders it as an
     epsilon-greedy (on-policy) or a one-hot (off-policy) distribution.
     """
 
@@ -306,23 +300,16 @@ def linear_update(
 class Learner:
     variant: AgentVariant
     q: ValueEstimator
-    policy: PolicyTable
 
 
 def make_learner(
     variant: AgentVariant,
     scenario: Scenario,
-    hyper: Hyperparameters,
     num_components: Optional[int] = None,
 ) -> Learner:
     k = num_components if num_components is not None else len(scenario.subnet.components)
-    m = scenario.num_vms
-    q: ValueEstimator = QTable(k, m) if variant.tabular else LinearQ(scenario, k)
-    if variant.on_policy:
-        policy = PolicyTable(k, m, PolicyMode.EPSILON_GREEDY, epsilon=hyper.epsilon)
-    else:
-        policy = PolicyTable(k, m, PolicyMode.GREEDY_TARGET)
-    return Learner(variant=variant, q=q, policy=policy)
+    q = QTable(k, scenario.num_vms) if variant.tabular else LinearQ(scenario, k)
+    return Learner(variant=variant, q=q)
 
 
 def run_episode(
@@ -355,14 +342,14 @@ def _run_episodes(
     step. Tables, flags and a fixed step size are read once per call, not
     once per episode.
 
-    Tabular: the policy's ``greedy_index[i, a]`` is kept as the exact argmax
-    of ``values[i, a]`` after every step, so the greedy pick and the
-    bootstrap max are lookups. Linear: the greedy pick is ``LinearQ``'s
-    ``blocks[i] @ w`` argmax and the update is ``linear_update``'s step. Both
-    apply the same numpy ufuncs to the same operands in the same order,
-    writing into buffers made once per call; computing the same dot products
-    in another order would move the weights in the last bit. No linear policy
-    row is written here; ``train`` derives them from the final weights.
+    Tabular: a running argmax, ``greedy[i, a]``, is taken from the values
+    once per call and kept as the exact argmax of ``values[i, a]`` after
+    every step, so the greedy pick and the bootstrap max are lookups. Linear:
+    the greedy pick is ``LinearQ``'s ``blocks[i] @ w`` argmax and the update
+    is ``linear_update``'s step. Both apply the same numpy ufuncs to the same
+    operands in the same order, writing into buffers made once per call;
+    computing the same dot products in another order would move the weights
+    in the last bit.
     """
     q = learner.q
     fit_mask, reward_table = env.fit_mask, env.reward_table
@@ -372,7 +359,7 @@ def _run_episodes(
     random, draw_anchor = rng.random, env.draw_anchor
     tabular = isinstance(q, QTable)
     if tabular:
-        values, visits, greedy = q.values, q.visits, learner.policy.greedy_index
+        values, visits, greedy = q.values, q.visits, q.values.argmax(-1)
     else:
         blocks, w = list(q._blocks), q.weights
         scores, delta = np.empty(num_vms), np.empty(FEATURE_DIM)
@@ -446,10 +433,6 @@ def train(
     """Full training run: one seeded generator drives both the environment
     resets and the action selection, which makes runs reproducible.
 
-    A linear learner's policy rows are filled once, after the last episode:
-    features do not depend on the anchor, so every row of a component holds
-    the same greedy action.
-
     The run summary's convergence statistic needs two windows of episodes, so
     fewer are refused before the first one."""
     if hyper.episodes < 2 * CONVERGENCE_WINDOW:
@@ -458,11 +441,8 @@ def train(
         )
     rng = np.random.default_rng(seed)
     env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
-    learner = make_learner(variant, scenario, hyper, num_components)
+    learner = make_learner(variant, scenario, num_components)
     logs = _run_episodes(env, learner, hyper, rng, 1, hyper.episodes)
-    if not variant.tabular:
-        for i, block in enumerate(learner.q._blocks):
-            learner.policy.greedy_index[i, :] = (block @ learner.q.weights).argmax()
     record = RunRecord(variant=variant.value, seed=seed, hyper=hyper, episodes=tuple(logs))
     return record, learner
 

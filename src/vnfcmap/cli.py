@@ -274,12 +274,19 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
                 (inst.vms[j].compute_cap / pm.compute_cap, inst.vms[j].storage_cap / pm.storage_cap)
                 for j in hosted
             ]
+            compute = sum(inst.vms[j].compute_cap for j in hosted)
+            storage = sum(inst.vms[j].storage_cap for j in hosted)
             try:
                 workload = infra.pm_workload((0.0, 0.0), loads)
-                avail = (
-                    pm.compute_cap - sum(inst.vms[j].compute_cap for j in hosted),
-                    pm.storage_cap - sum(inst.vms[j].storage_cap for j in hosted),
-                )
+                # Rounded apart, the load fractions can sum below 1 while the
+                # amounts sum above the capacity.
+                for axis, demand, cap in (
+                    ("compute", compute, pm.compute_cap),
+                    ("storage", storage, pm.storage_cap),
+                ):
+                    if demand > cap:
+                        raise infra.OverloadError(f"{axis} demand {demand} exceeds {cap}")
+                avail = (pm.compute_cap - compute, pm.storage_cap - storage)
                 wastage = infra.pm_wastage(avail, (pm.compute_cap, pm.storage_cap))
                 print(
                     f"pm {pm.id}: {len(hosted)} vms, workload {workload:.4f}, "

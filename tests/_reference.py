@@ -4,7 +4,7 @@ The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
 an oracle for the learners. The step-by-step training loop is written against
 the public environment and agent functions only, so it can serve as an oracle
-for the training kernel in ``agents.run_episode``. The enumeration and greedy
+for the training kernel in ``agents._run_episodes``. The enumeration and greedy
 best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
 ``pair_cost``, so they can serve as oracles for the routes that read the
 masked cost matrix. The canonical matching walk solves every candidate's
@@ -24,8 +24,6 @@ import math
 import numpy as np
 
 from vnfcmap.agents import (
-    epsilon_greedy_policy_update,
-    greedy_target_update,
     linear_update,
     make_learner,
     select_action,
@@ -170,7 +168,7 @@ def two_step_q_star(
 
 def reference_episode(env, learner, hyper, rng, episode_index=1) -> EpisodeLog:
     """One episode stepped through ``env.step`` with one call per step to
-    ``select_action``, the variant's TD update and its policy update."""
+    ``select_action`` and the variant's TD update."""
     state = env.reset()
     total = 0.0
     length = 0
@@ -181,10 +179,6 @@ def reference_episode(env, learner, hyper, rng, episode_index=1) -> EpisodeLog:
         outcome = env.step(state, action)
         update = tabular_update if learner.variant.tabular else linear_update
         update(learner.q, state, action, outcome.reward, outcome.next_state, hyper)
-        if learner.variant.on_policy:
-            epsilon_greedy_policy_update(learner.policy, state, learner.q, hyper.epsilon)
-        else:
-            greedy_target_update(learner.policy, state, learner.q)
         total += outcome.reward
         length += 1
         exploratory += int(explored)
@@ -204,7 +198,7 @@ def reference_train(variant, scenario, hyper, seed, num_components=None):
     returns the episode logs and the learner."""
     rng = np.random.default_rng(seed)
     env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
-    learner = make_learner(variant, scenario, hyper, num_components)
+    learner = make_learner(variant, scenario, num_components)
     logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, hyper.episodes + 1)]
     return logs, learner
 

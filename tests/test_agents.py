@@ -52,12 +52,6 @@ def _state(index=1, anchor=1, occupied=()):
     return MappingEpisodeState(index, anchor, frozenset(occupied))
 
 
-def _all_rows(policy):
-    """``policy.row`` of every state, as a (components, machines, machines) array."""
-    k, m = policy.greedy_index.shape
-    return np.array([[policy.row(_state(i + 1, a + 1)) for a in range(m)] for i in range(k)])
-
-
 def _uniform_scenario(num_vms=6, cap=8):
     subnet = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
     vms = tuple(VirtualMachine(id=j + 1, compute_cap=cap, storage_cap=cap) for j in range(num_vms))
@@ -232,29 +226,6 @@ def test_policy_mode_mismatch_raises():
         epsilon_greedy_policy_update(
             PolicyTable(1, 3, PolicyMode.EPSILON_GREEDY, 0.1), _state(), q, 0.2
         )
-
-
-def test_rows_remain_distributions_during_training():
-    scenario = generate(50)
-    hyper = Hyperparameters(episodes=40)
-    for variant in AgentVariant:
-        _, learner = train(variant, scenario, hyper, seed=1)
-        rows = _all_rows(learner.policy)
-        assert np.all(np.abs(rows.sum(axis=2) - 1.0) < 1e-12)
-        assert np.all(rows >= 0.0)
-
-
-def test_policy_rows_point_at_the_greedy_action():
-    # A trained policy is a function of the value estimate for every state,
-    # unvisited ones included: tabular rows are refreshed right after their Q
-    # row changes, linear rows are derived from the final weights.
-    scenario = generate(50)
-    hyper = Hyperparameters(episodes=40)
-    for variant in AgentVariant:
-        _, learner = train(variant, scenario, hyper, seed=1)
-        pointed = np.argmax(_all_rows(learner.policy), axis=2)
-        for (i, a), j in np.ndenumerate(pointed):
-            assert j == learner.q.greedy_action(_state(i + 1, a + 1)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +405,7 @@ def test_episode_log_is_deterministic_without_exploration():
     for _ in range(2):
         rng = np.random.default_rng(3)
         env = MappingEnvironment(scenario, rng, RewardMode.WASTAGE, num_components=2)
-        learner = make_learner(AgentVariant.OFF_POLICY_TABULAR, scenario, hyper, num_components=2)
+        learner = make_learner(AgentVariant.OFF_POLICY_TABULAR, scenario, num_components=2)
         logs.append(run_episode(env, learner, hyper, rng))
     assert logs[0] == logs[1]
 
@@ -470,19 +441,12 @@ def _kernel_cases():
         yield pytest.param(variant, reward_mode, schedule, epsilon, k, id=case_id)
 
 
-def _assert_same_learner(kernel, reference):
-    if kernel.variant.tabular:
-        assert np.array_equal(kernel.policy.greedy_index, reference.policy.greedy_index)
-        assert kernel.q.values.tobytes() == reference.q.values.tobytes()
-        assert kernel.q.visits.tobytes() == reference.q.visits.tobytes()
-    else:
-        # The reference refreshes a linear row at each update; the kernel
-        # derives every row from the final weights, which must be bit-equal.
-        assert kernel.q.weights.tobytes() == reference.q.weights.tobytes()
-        assert kernel.q.updates == reference.q.updates
-        w = reference.q.weights
-        for i, block in enumerate(reference.q._blocks):
-            assert (kernel.policy.greedy_index[i] == (block @ w).argmax()).all()
+def _estimate_bytes(learner):
+    """The bytes of a learner's value estimate and its visit or update counts."""
+    q = learner.q
+    if learner.variant.tabular:
+        return q.values.tobytes(), q.visits.tobytes()
+    return q.weights.tobytes(), q.updates
 
 
 @pytest.mark.parametrize("variant,reward_mode,schedule,epsilon,k", _kernel_cases())
@@ -493,7 +457,7 @@ def test_kernel_matches_step_by_step_reference(variant, reward_mode, schedule, e
     record, learner = train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
     logs, reference = reference_train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
     assert list(record.episodes) == logs
-    _assert_same_learner(learner, reference)
+    assert _estimate_bytes(learner) == _estimate_bytes(reference)
 
 
 @pytest.mark.parametrize(
@@ -509,16 +473,6 @@ def test_kernel_diverges_like_reference(variant):
     assert kernel.value.weights.tobytes() == reference.value.weights.tobytes()
 
 
-def _estimate_bytes(learner):
-    """The bytes of a learner's value estimate, and of its running argmax for
-    a tabular learner; a linear learner's policy rows are left out, because
-    only ``train`` writes them."""
-    q = learner.q
-    if learner.variant.tabular:
-        return q.values.tobytes(), q.visits.tobytes(), learner.policy.greedy_index.tobytes()
-    return q.weights.tobytes(), q.updates
-
-
 @pytest.mark.parametrize("schedule", list(AlphaSchedule), ids=lambda s: s.value)
 @pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
 def test_run_episode_with_its_own_generators_matches_reference(variant, schedule):
@@ -528,7 +482,7 @@ def test_run_episode_with_its_own_generators_matches_reference(variant, schedule
     runs = []
     for play in (run_episode, reference_episode):
         env = MappingEnvironment(_KERNEL_SCENARIO, np.random.default_rng(11), hyper.reward_mode)
-        learner = make_learner(variant, _KERNEL_SCENARIO, hyper)
+        learner = make_learner(variant, _KERNEL_SCENARIO)
         actions = np.random.default_rng(12)
         logs = [play(env, learner, hyper, actions, episode) for episode in range(1, 81)]
         runs.append((logs, _estimate_bytes(learner)))
@@ -541,7 +495,7 @@ def test_train_equals_a_loop_of_run_episode(variant):
     record, learner = train(variant, _KERNEL_SCENARIO, hyper, seed=7)
     rng = np.random.default_rng(7)
     env = MappingEnvironment(_KERNEL_SCENARIO, rng, hyper.reward_mode)
-    looped = make_learner(variant, _KERNEL_SCENARIO, hyper)
+    looped = make_learner(variant, _KERNEL_SCENARIO)
     logs = [run_episode(env, looped, hyper, rng, e) for e in range(1, hyper.episodes + 1)]
     assert record.episodes == tuple(logs)
     assert _estimate_bytes(learner) == _estimate_bytes(looped)
@@ -573,53 +527,69 @@ def test_divergence_check_agrees_with_numpy(weights, diverged):
     assert agents._diverged(w) is diverged
 
 
-@pytest.mark.parametrize(
+_TABULAR_VARIANTS = pytest.mark.parametrize(
     "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
 )
+
+
+def _one_call_and_reference(variant, scenario, hyper, seed, episodes, num_components=None, row=None):
+    """The logs and learner bytes of ``episodes`` episodes played by one
+    ``agents._run_episodes`` call, then by as many ``reference_episode``
+    calls, each from a fresh learner whose first component's Q rows, when
+    ``row`` is given, all hold ``row``."""
+    runs = []
+    for one_call in (True, False):
+        rng = np.random.default_rng(seed)
+        env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
+        learner = make_learner(variant, scenario, num_components)
+        if row is not None:
+            learner.q.values[0, :, :] = row
+        if one_call:
+            logs = agents._run_episodes(env, learner, hyper, rng, 1, episodes)
+        else:
+            logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, episodes + 1)]
+        runs.append((logs, _estimate_bytes(learner)))
+    return runs
+
+
+@_TABULAR_VARIANTS
 def test_running_argmax_holds_after_every_episode(variant):
+    # The kernel takes its running argmax once per call; every greedy pick and
+    # bootstrap of the 200 episodes reads it where the reference scans a row,
+    # so one call must equal 200 reference episodes bit for bit.
     for scenario in (generate(50), _KERNEL_SCENARIO):
-        hyper = Hyperparameters(episodes=1)
-        rng = np.random.default_rng(6)
-        env = MappingEnvironment(scenario, rng, hyper.reward_mode)
-        learner = make_learner(variant, scenario, hyper)
-        for episode in range(1, 201):
-            run_episode(env, learner, hyper, rng, episode_index=episode)
-            assert np.array_equal(learner.policy.greedy_index, learner.q.values.argmax(-1))
+        kernel, reference = _one_call_and_reference(variant, scenario, Hyperparameters(), 6, 200)
+        assert kernel == reference
 
 
 @pytest.mark.parametrize(
-    "row,epsilon,seed,expected",
+    "row,epsilon",
     [
         # Machine 2 cannot host f1, so playing it sets its entry to the
         # penalty. As the greedy pick, the entry drops to a tie with
-        # machine 1, which wins as the lower id ...
-        ([-1.0, 0.5, -2.0], 0.0, 0, 0),
+        # machine 1, which takes over as the lower id ...
+        ([-1.0, 0.5, -2.0], 0.0),
         # ... or to a value below machine 3's.
-        ([-2.0, 0.5, 0.0], 0.0, 0, 2),
-        # As an exploratory pick (seed 4 explores machine 2 first), it rises
-        # to a tie with the greedy machine 3 and takes over as the lower id.
-        ([-4.0, -3.0, -1.0], 1.0, 4, 1),
+        ([-2.0, 0.5, 0.0], 0.0),
+        # As an exploratory pick, it rises to a tie with the greedy machine 3
+        # and takes over as the lower id.
+        ([-4.0, -3.0, -1.0], 0.5),
     ],
     ids=["drop-to-tie-with-lower-id", "drop-below-another-action", "rise-to-tie-from-below"],
 )
-@pytest.mark.parametrize(
-    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
-)
-def test_running_argmax_follows_hand_built_updates(variant, row, epsilon, seed, expected):
-    scenario = tiny_scenario()
-    hyper = Hyperparameters(alpha=1.0, epsilon=epsilon, episodes=1)
-    rng = np.random.default_rng(seed)
-    env = MappingEnvironment(scenario, rng, num_components=2)
-    learner = make_learner(variant, scenario, hyper, num_components=2)
-    learner.q.values[0, :, :] = row
-    learner.policy.greedy_index[:] = learner.q.values.argmax(-1)
-    log = run_episode(env, learner, hyper, rng)
-    assert log.length == 1 and log.total_reward == -1.0 and not log.success
-    anchor = int(np.flatnonzero(learner.q.visits[0].sum(axis=1))[0])
-    assert learner.q.visits[0, anchor].tolist() == [0, 1, 0]
-    assert learner.q.values[0, anchor].tolist() == [row[0], -1.0, row[2]]
-    assert learner.policy.greedy_index[0, anchor] == expected
-    assert np.array_equal(learner.policy.greedy_index, learner.q.values.argmax(-1))
+@_TABULAR_VARIANTS
+def test_running_argmax_follows_hand_built_updates(variant, row, epsilon):
+    # With seed 0 the first episode plays machine 2 and ends on the penalty,
+    # and later episodes pick greedily from the updated row: a running argmax
+    # that missed the update, or broke the tie toward the higher id, would
+    # pick another machine there.
+    hyper = Hyperparameters(alpha=1.0, epsilon=epsilon)
+    kernel, reference = _one_call_and_reference(
+        variant, tiny_scenario(), hyper, 0, 20, num_components=2, row=row
+    )
+    first = reference[0][0]
+    assert (first.length, first.total_reward, first.success) == (1, -1.0, False)
+    assert kernel == reference
 
 
 def test_paired_variants_coincide_with_shared_seed():
@@ -642,18 +612,6 @@ def test_paired_tabular_identical_without_exploration():
         _, learner = train(variant, scenario, hyper, seed=9, num_components=2)
         tables.append(learner.q.values.copy())
     assert np.array_equal(tables[0], tables[1])
-
-
-def test_policies_differ_between_families():
-    scenario = generate(82)
-    hyper = Hyperparameters(episodes=30)
-    _, on_learner = train(AgentVariant.ON_POLICY_TABULAR, scenario, hyper, seed=1)
-    _, off_learner = train(AgentVariant.OFF_POLICY_TABULAR, scenario, hyper, seed=1)
-    assert on_learner.policy.mode is PolicyMode.EPSILON_GREEDY
-    assert off_learner.policy.mode is PolicyMode.GREEDY_TARGET
-    # target rows are one-hot, behavior rows spread epsilon mass
-    assert np.all(np.isin(_all_rows(off_learner.policy), (0.0, 1.0)))
-    assert not np.all(np.isin(_all_rows(on_learner.policy), (0.0, 1.0)))
 
 
 def test_small_mdp_converges_to_backward_induction():

@@ -486,6 +486,32 @@ def test_check_infra_reports_the_substrate(tmp_path, capsys, pm_of_vm, report):
     assert capsys.readouterr().out == expected
 
 
+def test_check_infra_reports_a_pm_overcommitted_by_rounding(tmp_path, capsys):
+    # PM 1's four machines sum to compute 3.0000000000000004 against a
+    # capacity of 3, while their load fractions sum to 0.9999999999999999:
+    # below 100%, so only the summed amounts show the overcommitment.
+    caps = (0.6864106804389194, 0.5549792526936609, 1.155163064285101, 0.6034470025823188)
+    vms = tuple(VirtualMachine(j + 1, c, 1) for j, c in enumerate(caps))
+    vms += tuple(VirtualMachine(j, 4, 4) for j in range(5, 13))
+    pms = (PhysicalMachine(1, 3, 8, max_vm_count=4), PhysicalMachine(2, 100, 100, max_vm_count=8))
+    placement = VmPlacement(
+        x=tuple((int(j < 4), int(j >= 4)) for j in range(12)), pm_active=(True, True)
+    )
+    path = tmp_path / "overcommitted.json"
+    subnet = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
+    save(Scenario(subnet=subnet, vms=vms, pms=pms, placement=placement), path)
+    assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:6] == [
+        "placement violations (1):",
+        "  [pm-compute-capacity] #1: compute demand 3.0000000000000004 exceeds 3",
+        "pm 1: overloaded (compute demand 3.0000000000000004 exceeds 3)",
+        "pm 2: 8 vms, workload 2.1626, idle fraction 0.6800",
+        "f1 -> vm 5: workload 4.0000",
+    ]
+    assert lines[-1] == "slice workload skipped: 1 saturated placement(s)"
+
+
 # Keys and strings a scenario file holds, so that drawn documents reach past
 # the first missing or unknown field.
 _SCENARIO_KEYS = (
