@@ -112,13 +112,14 @@ class LinearQ(ValueEstimator):
 
     Feature layout: bias, compute and storage demand-to-capacity ratios
     (capped at 2), predicted compute and storage idle fractions (clamped to
-    [0, 1]), a capacity-fit bit, and the placement progress fraction.
+    [0, 1]), an allowed bit (``model.resource_grid``'s mask: the machine hosts
+    no component and fits this one), and the placement progress fraction.
 
-    The map is deliberately occupancy-blind: a machine's features do not
-    change when it gets taken, so the linear agents generalize aggressively
-    across placement stages and keep re-ranking already-used machines. This
-    coarseness is what caps their attainable reward well below the tabular
-    agents'.
+    The map is deliberately occupancy-blind within an episode: a machine's
+    features do not change when the episode takes it, so the linear agents
+    generalize aggressively across placement stages and keep re-ranking
+    already-used machines. This coarseness is what caps their attainable
+    reward well below the tabular agents'.
     """
 
     def __init__(self, scenario: Scenario, num_components: Optional[int] = None):

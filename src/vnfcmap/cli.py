@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import agents, infra, metrics, scenario as scenario_mod
 from .agents import AgentVariant, DivergenceError
 from .mdp import AlphaSchedule, Hyperparameters, RewardMode
+from .model import NUM_COMPONENTS
 from .oracle import (
     AssignmentProblem,
     InfeasibleAssignmentError,
@@ -37,6 +38,14 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 VARIANT_ALIASES = {v.value: v for v in AgentVariant}
+
+# CI generates and solves 15,000 machines, and a POST /map body of at most
+# 1 MiB holds about 20,700; a generated scenario file is about 80 bytes a machine.
+MAX_GENERATED_VMS = 100_000
+# A tabular learner keeps two k x m x m tables (values and visits). The gate
+# and the benchmarks train on 8 x 100; this allows m up to 1,000 at k = 8,
+# 64 MB a table, where one 20-episode run peaks near 450 MB.
+MAX_TABLE_ENTRIES = 8_000_000
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -58,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate-scenario", help="generate and save a random instance")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--vms", type=int, default=GenerationParams.num_vms)
+    gen.add_argument(
+        "--vms", type=_int_in(NUM_COMPONENTS, MAX_GENERATED_VMS), default=GenerationParams.num_vms
+    )
     gen.add_argument(
         "--req-range", type=int, nargs=2, default=GenerationParams.req_range, metavar=("LO", "HI")
     )
@@ -155,8 +166,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _training_scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario to train on, refused before anything is made or allocated
+    when a tabular variant's tables would exceed ``MAX_TABLE_ENTRIES``."""
     inst = scenario_mod.load(args.scenario)
+    entries = len(inst.subnet.components) * inst.num_vms**2
+    if VARIANT_ALIASES[args.variant].tabular and entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"--variant {args.variant}: a scenario of {inst.num_vms} vms needs tables of "
+            f"{entries} entries, more than {MAX_TABLE_ENTRIES}; the linear variants keep none"
+        )
+    return inst
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    inst = _training_scenario(args)
     summary = _train_run(inst, args.variant, _hyper_from_args(args), args.seed, Path(args.out_dir))
     print(
         f"{args.variant} seed {args.seed}: average reward {summary['average_reward']:.4f}, "
@@ -167,7 +191,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     hyper = _hyper_from_args(args)
-    inst = scenario_mod.load(args.scenario)
+    inst = _training_scenario(args)
     out_root = Path(args.out_dir)
     seeds = range(args.seeds)
     out_dirs = [out_root / f"seed-{seed}" for seed in seeds]

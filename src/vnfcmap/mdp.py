@@ -3,7 +3,9 @@
 An episode walks the slice components in fixed order f1..f8 and places each
 one on a machine. Feasible placements pay a per-step reward derived from the
 target machine's capacity margins; an infeasible choice (occupied target or
-capacities too small) ends the episode with a flat penalty.
+capacities too small) ends the episode with a flat penalty. A machine that is
+already hosting a component (``hosted`` is set) is an infeasible target from
+the first step: the fit mask is ``model.resource_grid``'s allowed mask.
 """
 
 from __future__ import annotations

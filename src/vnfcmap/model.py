@@ -186,26 +186,25 @@ def classify_vms(vms: Sequence[VirtualMachine], component: VnfComponent) -> VmCl
 
 def resource_grid(
     components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Compute and storage demands as (components, 1) columns, capacities as
     (1, machines) rows, so that elementwise arithmetic on them covers every
-    (component, machine) pair, plus the capacity-fit mask (both capacities at
-    least the demand) of shape (components, machines)."""
+    (component, machine) pair; the mask of the allowed pairs, those that
+    ``classify_vms`` labels sufficient; and the availability mask it reads."""
     req_c = np.array([c.compute_req for c in components], dtype=float)[:, None]
     req_s = np.array([c.storage_req for c in components], dtype=float)[:, None]
     cap_c = np.array([v.compute_cap for v in vms], dtype=float)[None, :]
     cap_s = np.array([v.storage_cap for v in vms], dtype=float)[None, :]
-    fits = (cap_c >= req_c) & (cap_s >= req_s)
-    return req_c, req_s, cap_c, cap_s, fits
+    free = np.fromiter((v.hosted is None for v in vms), bool, len(vms))
+    return req_c, req_s, cap_c, cap_s, (cap_c >= req_c) & (cap_s >= req_s) & free, free
 
 
 def capacity_ratios(
     components: Sequence[VnfComponent], vms: Sequence[VirtualMachine]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compute and storage demand-to-capacity ratios of every (component,
-    machine) pair, plus the capacity-fit mask, each of shape (components,
-    machines)."""
-    req_c, req_s, cap_c, cap_s, fits = resource_grid(components, vms)
+    machine) pair, plus the allowed mask, each of shape (components, machines)."""
+    req_c, req_s, cap_c, cap_s, allowed, _ = resource_grid(components, vms)
     # Only pairs that do not fit can overflow; their ratios are capped or masked.
     with np.errstate(over="ignore"):
-        return req_c / cap_c, req_s / cap_s, fits
+        return req_c / cap_c, req_s / cap_s, allowed

@@ -11,7 +11,7 @@ assignment solver. On the first solve, only the extension module that holds it
 is loaded, not ``scipy.optimize``, whose import pulls in most of scipy and
 would take about twice as long as the rest of a command's start-up. The
 feasibility check that scenario generation makes is a bipartite matching on
-the capacity-fit mask, with no costs and no solve.
+the same allowed-pair mask, with no costs and no solve.
 """
 
 from __future__ import annotations
@@ -132,18 +132,10 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
             )
 
 
-def _allowed(comps, vms) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The available machines, and ``resource_grid`` with its mask narrowed to
-    the allowed pairs: the machine is available and the component fits it."""
-    free = np.fromiter((vm.hosted is None for vm in vms), bool, len(vms))
-    *grid, fits = resource_grid(comps, vms)
-    return free, (*grid, fits & free)
-
-
 def _masked_cost(comps, vms, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_allowed``'s available machines and mask, and the surplus cost matrix
-    of every (component, machine) pair, ``inf`` where the pair is not allowed."""
-    free, (req_c, req_s, cap_c, cap_s, allowed) = _allowed(comps, vms)
+    """``resource_grid``'s availability and allowed masks, and the surplus cost
+    matrix of every (component, machine) pair, ``inf`` where it is not allowed."""
+    req_c, req_s, cap_c, cap_s, allowed, free = resource_grid(comps, vms)
     # Only pairs that do not fit can overflow, and the mask discards them.
     with np.errstate(over="ignore"):
         return free, allowed, np.where(allowed, _surplus(req_c, req_s, cap_c, cap_s, mode), np.inf)
@@ -182,12 +174,13 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_COMPONENTS} components")
     if len(problem.vms) > ENUMERATION_MAX_VMS:
         raise SizeLimitError(f"enumeration supports at most {ENUMERATION_MAX_VMS} vms")
-    rows = _cost_matrix(problem).tolist()
-    free = [col for col, vm in enumerate(problem.vms) if vm.available]
-    best_chosen, best_value = None, math.inf
+    cost = _cost_matrix(problem)
     # Summed left to right in component order from 0.0, as the objective is;
-    # an infeasible (inf) or NaN total loses every comparison.
-    for chosen in itertools.permutations(free, len(rows)):
+    # an infeasible (inf) or NaN total loses every comparison, so a column
+    # with no finite entry, such as an occupied machine's, is left out.
+    rows, columns = cost.tolist(), np.flatnonzero(np.isfinite(cost).any(axis=0)).tolist()
+    best_chosen, best_value = None, math.inf
+    for chosen in itertools.permutations(columns, len(rows)):
         value = 0.0
         for row, col in zip(rows, chosen):
             value += row[col]
@@ -282,9 +275,9 @@ def _without(columns: np.ndarray, idx: int) -> np.ndarray:
 
 def has_feasible_assignment(problem: AssignmentProblem) -> bool:
     """Whether an injective, capacity-feasible assignment exists: an
-    augmenting-path matching of the components on ``_allowed``'s mask, where
-    an occupied machine hosts nothing, with no costs and no assignment solve."""
-    _, (*_, allowed) = _allowed(problem.components, problem.vms)
+    augmenting-path matching of the components on ``resource_grid``'s allowed
+    mask, with no costs and no assignment solve."""
+    *_, allowed, _ = resource_grid(problem.components, problem.vms)
     rows, columns = allowed.tolist(), range(len(problem.vms))
     owner: dict[int, int] = {}  # machine column -> the component row it hosts
 

@@ -11,7 +11,7 @@ masked cost matrix. The canonical matching walk solves every candidate's
 remainder, so it can serve as an oracle for the pruned walk in
 ``oracle.solve_exact_matching``. The feasibility check makes one assignment
 solve on the masked cost matrix, so it can serve as an oracle for the matching
-on the capacity-fit mask in ``oracle.has_feasible_assignment``. The ``vms``
+on the allowed mask in ``oracle.has_feasible_assignment``. The ``vms``
 walk reads every field of every entry with ``scenario.require``, so it can
 serve as an oracle for the one-pass read in ``scenario._read_vms``.
 """
@@ -103,7 +103,13 @@ def identity_scenario(subnet: SliceSubnet, extra_vms: tuple[VirtualMachine, ...]
 
 
 def _fits(comp, vm) -> bool:
-    return vm.compute_cap >= comp.compute_req and vm.storage_cap >= comp.storage_req
+    """Whether ``comp`` may go on ``vm``: the machine hosts no component and
+    both its capacities are at least the demand."""
+    return (
+        vm.hosted is None
+        and vm.compute_cap >= comp.compute_req
+        and vm.storage_cap >= comp.storage_req
+    )
 
 
 def _reward(comp, vm, mode: RewardMode) -> float:

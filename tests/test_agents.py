@@ -1,10 +1,13 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import (
     features,
@@ -43,13 +46,19 @@ from vnfcmap.mdp import (
     MappingEpisodeState,
     RewardMode,
 )
-from vnfcmap.model import VirtualMachine, make_slice
+from vnfcmap.model import VirtualMachine, VmLabel, classify_vms, make_slice, resource_grid
 from vnfcmap.oracle import AssignmentProblem, solve_exact_enumeration
 from vnfcmap.scenario import GenerationParams, Scenario, generate
 
 
 def _state(index=1, anchor=1, occupied=()):
     return MappingEpisodeState(index, anchor, frozenset(occupied))
+
+
+def _hosting(scenario, hosted_ids):
+    """``scenario`` with the machines of ``hosted_ids`` already hosting a component."""
+    vms = tuple(replace(vm, hosted=1) if vm.id in hosted_ids else vm for vm in scenario.vms)
+    return Scenario(scenario.subnet, vms)
 
 
 def _uniform_scenario(num_vms=6, cap=8):
@@ -285,8 +294,7 @@ def test_feature_bounds():
         assert np.all(phi >= 0.0) and np.all(phi <= 2.0)
 
 
-def test_linear_q_matches_feature_map():
-    scenario = generate(78)
+def _assert_linear_q_matches_feature_map(scenario):
     lq = LinearQ(scenario)
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -297,6 +305,65 @@ def test_linear_q_matches_feature_map():
         )
         state = _state(index, int(rng.integers(1, 101)))
         assert lq.feature_vector(state, action).tolist() == expected
+
+
+def test_linear_q_matches_feature_map():
+    _assert_linear_q_matches_feature_map(generate(78))
+
+
+def test_linear_q_matches_feature_map_with_hosted_machines():
+    _assert_linear_q_matches_feature_map(_hosting(generate(78), set(range(1, 101, 3))))
+
+
+# Demands with a fraction, and capacities one float step either side of each
+# demand, so that every fit is decided at its boundary.
+_BOUNDARY_SLICE = make_slice([3, 2.5, 4, 1, 2, 1, 2, 1.5], [2, 3, 3, 2, 1, 2, 1, 1])
+_BOUNDARY_AMOUNTS = sorted(
+    {float(x) for d in (1, 1.5, 2, 2.5, 3, 4) for x in (np.nextafter(d, 0), d, np.nextafter(d, 9))}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_BOUNDARY_AMOUNTS),
+            st.sampled_from(_BOUNDARY_AMOUNTS),
+            st.one_of(st.none(), st.integers(1, 8)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_grid_environment_and_features_share_one_allowed_mask(machines):
+    vms = tuple(VirtualMachine(j + 1, c, s, hosted) for j, (c, s, hosted) in enumerate(machines))
+    scenario = Scenario(_BOUNDARY_SLICE, vms)
+    *_, allowed, _ = resource_grid(scenario.subnet.components, vms)
+    env = MappingEnvironment(scenario, np.random.default_rng(0))
+    lq = LinearQ(scenario)
+    for i, comp in enumerate(scenario.subnet.components):
+        labels = classify_vms(vms, comp).labels
+        for j, vm in enumerate(vms):
+            sufficient = labels[vm.id] is VmLabel.AVAILABLE_SUFFICIENT
+            feature = lq.feature_vector(_state(i + 1), Action(vm.id))[5]
+            assert (bool(allowed[i, j]), env.fit_mask[i][j], feature) == (
+                sufficient, sufficient, float(sufficient)
+            )
+
+
+@pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
+)
+def test_greedy_rollouts_place_nothing_on_a_hosted_machine(variant):
+    # The linear replays end infeasibly on this inventory with or without
+    # hosted machines, so they would check nothing here.
+    hosted = set(range(2, 41, 2))
+    scenario = _hosting(generate(1, GenerationParams(num_vms=40)), hosted)
+    _, learner = train(variant, scenario, Hyperparameters(episodes=500), seed=0)
+    env = MappingEnvironment(scenario, np.random.default_rng(0))
+    rollouts = [greedy_rollout(learner.q, env, anchor) for anchor in range(1, 41)]
+    placed = [set(pairs.values()) for pairs in rollouts if pairs is not None]
+    assert placed and not any(machines & hosted for machines in placed)
 
 
 def test_linear_update_from_zero_weights():
@@ -432,13 +499,21 @@ def test_train_refuses_fewer_episodes_than_a_summary_needs(monkeypatch):
 # One 20-machine scenario: small enough that Q rows are revisited often, so the
 # running argmax meets ties and decreases of its greedy entry.
 _KERNEL_SCENARIO = generate(81, GenerationParams(num_vms=20))
+# The same inventory with every third machine already hosting a component.
+_HOSTED_KERNEL_SCENARIO = _hosting(_KERNEL_SCENARIO, set(range(3, 21, 3)))
 
 
 def _kernel_cases():
-    grid = itertools.product(AgentVariant, RewardMode, AlphaSchedule, (0.0, 0.1, 1.0), (2, 8))
-    for variant, reward_mode, schedule, epsilon, k in grid:
+    scenarios = {"available": _KERNEL_SCENARIO, "some-hosted": _HOSTED_KERNEL_SCENARIO}
+    grid = itertools.product(
+        AgentVariant, RewardMode, AlphaSchedule, (0.0, 0.1, 1.0), (2, 8), scenarios
+    )
+    for variant, reward_mode, schedule, epsilon, k, inventory in grid:
         case_id = f"{variant.value}-{reward_mode.value}-{schedule.value}-eps{epsilon}-k{k}"
-        yield pytest.param(variant, reward_mode, schedule, epsilon, k, id=case_id)
+        case_id += "-some-hosted" if inventory == "some-hosted" else ""
+        yield pytest.param(
+            variant, reward_mode, schedule, epsilon, k, scenarios[inventory], id=case_id
+        )
 
 
 def _estimate_bytes(learner):
@@ -449,13 +524,13 @@ def _estimate_bytes(learner):
     return q.weights.tobytes(), q.updates
 
 
-@pytest.mark.parametrize("variant,reward_mode,schedule,epsilon,k", _kernel_cases())
-def test_kernel_matches_step_by_step_reference(variant, reward_mode, schedule, epsilon, k):
+@pytest.mark.parametrize("variant,reward_mode,schedule,epsilon,k,scenario", _kernel_cases())
+def test_kernel_matches_step_by_step_reference(variant, reward_mode, schedule, epsilon, k, scenario):
     hyper = Hyperparameters(
         epsilon=epsilon, episodes=150, reward_mode=reward_mode, alpha_schedule=schedule
     )
-    record, learner = train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
-    logs, reference = reference_train(variant, _KERNEL_SCENARIO, hyper, seed=4, num_components=k)
+    record, learner = train(variant, scenario, hyper, seed=4, num_components=k)
+    logs, reference = reference_train(variant, scenario, hyper, seed=4, num_components=k)
     assert list(record.episodes) == logs
     assert _estimate_bytes(learner) == _estimate_bytes(reference)
 

@@ -413,6 +413,79 @@ def test_too_few_episodes_is_a_usage_error_before_training(
     assert not out_dir.exists()
 
 
+_ADDRESS_LIMITED_CLI = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from vnfcmap.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _cli_with_address_limit(argv, cwd, limit=512 * 2**20):
+    """Run the CLI in a child process whose address space is capped at
+    ``limit`` bytes, so that an allocation the CLI should have refused fails
+    there at once instead of taking gigabytes. One BLAS thread keeps numpy's
+    own reservation small on a host with many CPUs."""
+    src = str(Path(vnfcmap.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", _ADDRESS_LIMITED_CLI, str(limit), *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("vms", [cli.MAX_GENERATED_VMS + 1, 10**8], ids=["bound-plus-one", "1e8"])
+def test_generating_more_vms_than_the_bound_is_a_usage_error(tmp_path, vms):
+    result = _cli_with_address_limit(
+        ["generate-scenario", "--seed", "1", "--vms", str(vms), "--out", "big.json"], tmp_path
+    )
+    assert result.returncode == EXIT_VALIDATION, result.stderr
+    assert f"--vms: must be in 8..{cli.MAX_GENERATED_VMS}, got {vms}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "big.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_tabular_tables_beyond_the_budget_are_refused_before_allocation(tmp_path, command):
+    # 8 x 4,000 x 4,000 entries: 977 MiB a table, far above the child's limit.
+    save(generate(3, GenerationParams(num_vms=4000)), tmp_path / "big.json")
+    argv = [command, "--scenario", "big.json", "--episodes", "20", "--out-dir", "run"]
+    result = _cli_with_address_limit(argv, tmp_path)
+    assert result.returncode == EXIT_VALIDATION, result.stderr
+    assert result.stderr.startswith("error: --variant off-tab: a scenario of 4000 vms ")
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("variant", ["on-tab", "off-tab", "on-lin", "off-lin"])
+def test_the_table_budget_binds_tabular_variants_only(
+    small_scenario, tmp_path, capsys, monkeypatch, variant
+):
+    # small_scenario has 15 machines: 8 x 15 x 15 = 1,800 entries a table.
+    argv = ["train", "--scenario", str(small_scenario), "--variant", variant, "--episodes", "20"]
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 1800)
+    assert main(argv + ["--out-dir", str(tmp_path / "at")]) == EXIT_OK
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 1799)
+    code = main(argv + ["--out-dir", str(tmp_path / "above")])
+    if variant.endswith("-tab"):
+        assert code == EXIT_VALIDATION
+        assert f"error: --variant {variant}: a scenario of 15 vms " in capsys.readouterr().err
+        assert not (tmp_path / "above").exists()
+    else:
+        assert code == EXIT_OK
+
+
+def test_linear_training_runs_on_15000_machines(tmp_path):
+    save(generate(1, GenerationParams(num_vms=15000)), tmp_path / "big.json")
+    argv = ["train", "--scenario", str(tmp_path / "big.json"), "--variant", "off-lin"]
+    assert main(argv + ["--episodes", "20", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+    assert json.loads((tmp_path / "run" / "model.json").read_text())["num_vms"] == 15000
+
+
 def test_serve_on_a_port_in_use_is_a_validation_error():
     # A fresh interpreter with a timeout: a server that did bind would serve forever.
     src = str(Path(vnfcmap.__file__).resolve().parents[1])

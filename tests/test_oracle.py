@@ -565,12 +565,12 @@ def test_cost_matrix_entries_equal_pair_cost():
         for i, comp in enumerate(problem.components):
             for j, vm in enumerate(problem.vms):
                 assert (comp.id, vm.id) == (i + 1, j + 1)
-                if vm.available and _fits(comp, vm):
+                if _fits(comp, vm):
                     assert cost[i, j] == pair_cost(comp, vm, mode)
                 else:
                     assert cost[i, j] == math.inf
     # Occupancy, not capacity, makes some of those columns inf.
-    assert any(_fits(c, vm) for c in problem.components for vm in problem.vms if not vm.available)
+    assert any(vm.fits(c) for c in problem.components for vm in problem.vms if not vm.available)
     comp, vm = scenario.subnet.components[0], scenario.vms[0]
     assert isinstance(pair_cost(comp, vm, ObjectiveMode.ABSOLUTE_SURPLUS), int)
 
@@ -586,7 +586,7 @@ def _hopcroft_karp_feasible(problem):
         (("c", c.id), ("v", v.id))
         for c in problem.components
         for v in problem.vms
-        if v.available and _fits(c, v)
+        if _fits(c, v)
     )
     matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=top)
     return len(matching) // 2 == len(problem.components)
