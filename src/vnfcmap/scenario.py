@@ -30,7 +30,12 @@ from .oracle import AssignmentProblem, has_feasible_assignment
 from .oracle import solve_exact_matching  # noqa: F401 (perfbench/layers.py wraps it here)
 
 SCHEMA_VERSION = 1
+# Beyond 2**53 an integer has no exact float, so the float64 capacity-fit mask
+# and the exact ``VirtualMachine.fits`` could disagree on it.
+MAX_INTEGER_AMOUNT = 2**53
 MAX_RESAMPLES = 1000
+# Demand rows per draw; the default ranges accept about one row in 12.
+_DEMAND_BLOCK = 64
 
 
 class ScenarioFormatError(ValueError):
@@ -68,8 +73,9 @@ class GenerationParams:
         if self.num_vms < NUM_COMPONENTS:
             raise ValueError(f"need at least {NUM_COMPONENTS} vms, got {self.num_vms}")
         for name, (lo, hi) in (("req_range", self.req_range), ("cap_range", self.cap_range)):
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+            # Above 2**53 a drawn amount would be refused by the readers of its file.
+            if lo < 1 or hi < lo or hi > MAX_INTEGER_AMOUNT:
+                raise ValueError(f"{name} must satisfy 1 <= lo <= hi <= 2**53, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -102,11 +108,24 @@ def placement_violations(scenario: Scenario) -> list:
 
 def _draw_requirements(rng: np.random.Generator, lo: int, hi: int) -> list[int]:
     """One axis of component demands, resampled until the centralized-unit
-    aggregate dominates the distributed-unit aggregate."""
-    for _ in range(MAX_RESAMPLES):
-        values = [int(v) for v in rng.integers(lo, hi + 1, size=NUM_COMPONENTS)]
-        if sum(values[:3]) >= sum(values[3:]):
-            return values
+    aggregate dominates the distributed-unit aggregate.
+
+    Rows are drawn ``_DEMAND_BLOCK`` at a time. numpy draws the same values
+    for n rows in one call as in n calls, so once a block holds an accepted
+    row, the generator is rewound and redrawn up to that row: it ends where a
+    draw of one row per call would leave it."""
+    drawn = 0
+    while drawn < MAX_RESAMPLES:
+        count = min(_DEMAND_BLOCK, MAX_RESAMPLES - drawn)
+        state = rng.bit_generator.state
+        rows = rng.integers(lo, hi + 1, size=(count, NUM_COMPONENTS))
+        # exact in int64: ``hi`` is at most 2**53
+        accepted = np.flatnonzero(rows[:, :3].sum(axis=1) >= rows[:, 3:].sum(axis=1))
+        if accepted.size:
+            rng.bit_generator.state = state
+            first = int(accepted[0])
+            return rng.integers(lo, hi + 1, size=(first + 1, NUM_COMPONENTS))[first].tolist()
+        drawn += count
     raise ScenarioGenerationError(
         f"could not satisfy cu-dominance within {MAX_RESAMPLES} draws for range ({lo}, {hi})"
     )
@@ -126,11 +145,8 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
 
     lo, hi = params.cap_range
     for _ in range(MAX_RESAMPLES):
-        caps = rng.integers(lo, hi + 1, size=(params.num_vms, 2))
-        vms = tuple(
-            VirtualMachine(id=j + 1, compute_cap=int(caps[j, 0]), storage_cap=int(caps[j, 1]))
-            for j in range(params.num_vms)
-        )
+        caps = rng.integers(lo, hi + 1, size=(params.num_vms, 2)).tolist()
+        vms = tuple(VirtualMachine(j, c, s) for j, (c, s) in enumerate(caps, 1))
         if has_feasible_assignment(AssignmentProblem(subnet.components, vms)):
             return Scenario(subnet=subnet, vms=vms, seed=seed, params=params)
     raise ScenarioGenerationError(
@@ -188,9 +204,6 @@ NUMBER = FieldKind(_is_finite_number, "must be a finite number")
 # Below 1/16 of the largest float: the absolute objective sums 16 surpluses
 # (two axes of eight components), each at most the largest capacity.
 MAX_AMOUNT = 1e307
-# Beyond 2**53 an integer has no exact float, so the float64 capacity-fit mask
-# and the exact ``VirtualMachine.fits`` could disagree on it.
-MAX_INTEGER_AMOUNT = 2**53
 AMOUNT = FieldKind(
     lambda v: _is_finite_number(v)
     and v <= MAX_AMOUNT
@@ -244,6 +257,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for v in scenario.vms
         ],
     }
+    for entry, vm in zip(doc["vms"], scenario.vms):
+        if vm.hosted is not None:  # written only when set, so other files keep their bytes
+            entry["hosted"] = vm.hosted
     if scenario.params is not None:
         doc["params"] = {
             "num_vms": scenario.params.num_vms,
@@ -294,6 +310,10 @@ _ROWS = FieldKind(
 )
 _FLAGS = FieldKind(
     lambda v: LIST.valid(v) and all(map(BOOLEAN.valid, v)), "must be a list of booleans"
+)
+HOSTED = FieldKind(
+    lambda v: INTEGER.valid(v) and 1 <= v <= NUM_COMPONENTS,
+    f"must be a component id, an integer in 1..{NUM_COMPONENTS}",
 )
 
 
@@ -355,10 +375,12 @@ def _read_scenario(doc: dict) -> Scenario:
 
 
 def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
-    """The machines of a ``vms`` list. An entry whose ``id`` is an integer and
-    whose capacities are floats in (0, ``MAX_AMOUNT``) or integers in (0,
-    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read field by
-    field, so a refusal names its first offending field."""
+    """The machines of a ``vms`` list. An entry with no ``hosted`` key, whose
+    ``id`` is an integer and whose capacities are floats in (0,
+    ``MAX_AMOUNT``) or integers in (0, ``MAX_INTEGER_AMOUNT``] is taken as it
+    is; any other is read field by field, so a refusal names its first
+    offending field. ``hosted``, the component a machine already hosts, is
+    optional."""
     vms = []
     for idx, raw in enumerate(raw_vms):
         if type(raw) is dict:
@@ -371,6 +393,7 @@ def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
                 and 0 < storage < MAX_AMOUNT
                 and (type(compute) is float or compute <= MAX_INTEGER_AMOUNT)
                 and (type(storage) is float or storage <= MAX_INTEGER_AMOUNT)
+                and "hosted" not in raw
             ):
                 vms.append(VirtualMachine(vm_id, compute, storage))
                 continue
@@ -380,6 +403,7 @@ def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
                 id=require(raw, "id", path, INTEGER),
                 compute_cap=require(raw, "compute_cap", path, AMOUNT),
                 storage_cap=require(raw, "storage_cap", path, AMOUNT),
+                hosted=require(raw, "hosted", path, HOSTED, default=None),
             )
         )
     return tuple(vms)

@@ -13,7 +13,9 @@ remainder, so it can serve as an oracle for the pruned walk in
 solve on the masked cost matrix, so it can serve as an oracle for the matching
 on the allowed mask in ``oracle.has_feasible_assignment``. The ``vms``
 walk reads every field of every entry with ``scenario.require``, so it can
-serve as an oracle for the one-pass read in ``scenario._read_vms``.
+serve as an oracle for the one-pass read in ``scenario._read_vms``. The
+generator draws one demand row per ``rng.integers`` call, so it can serve as
+an oracle for the block draw in ``scenario._draw_requirements``.
 """
 
 from __future__ import annotations
@@ -35,16 +37,27 @@ from vnfcmap.model import NUM_COMPONENTS, SliceSubnet, VirtualMachine, make_slic
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
     Assignment,
+    AssignmentProblem,
     InfeasibleAssignmentError,
     ObjectiveMode,
     _TIE_TOLERANCE,
     _cost_matrix,
     _optimal_matching,
     assignment_objective,
+    has_feasible_assignment,
     pair_cost,
     validate_assignment,
 )
-from vnfcmap.scenario import AMOUNT, INTEGER, Scenario, require
+from vnfcmap.scenario import (
+    AMOUNT,
+    HOSTED,
+    INTEGER,
+    MAX_RESAMPLES,
+    GenerationParams,
+    Scenario,
+    ScenarioGenerationError,
+    require,
+)
 
 PENALTY = -1.0
 
@@ -309,6 +322,37 @@ def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
             id=require(raw, "id", f"vms[{idx}].", INTEGER),
             compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
             storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
+            hosted=require(raw, "hosted", f"vms[{idx}].", HOSTED, default=None),
         )
         for idx, raw in enumerate(raw_vms)
+    )
+
+
+def reference_draw_requirements(rng: np.random.Generator, lo: int, hi: int) -> list[int]:
+    for _ in range(MAX_RESAMPLES):
+        values = [int(v) for v in rng.integers(lo, hi + 1, size=NUM_COMPONENTS)]
+        if sum(values[:3]) >= sum(values[3:]):
+            return values
+    raise ScenarioGenerationError(
+        f"could not satisfy cu-dominance within {MAX_RESAMPLES} draws for range ({lo}, {hi})"
+    )
+
+
+def reference_generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenario:
+    rng = np.random.default_rng(seed)
+    compute_reqs = reference_draw_requirements(rng, *params.req_range)
+    storage_reqs = reference_draw_requirements(rng, *params.req_range)
+    subnet = make_slice(compute_reqs, storage_reqs)
+
+    lo, hi = params.cap_range
+    for _ in range(MAX_RESAMPLES):
+        caps = rng.integers(lo, hi + 1, size=(params.num_vms, 2))
+        vms = tuple(
+            VirtualMachine(id=j + 1, compute_cap=int(caps[j, 0]), storage_cap=int(caps[j, 1]))
+            for j in range(params.num_vms)
+        )
+        if has_feasible_assignment(AssignmentProblem(subnet.components, vms)):
+            return Scenario(subnet=subnet, vms=vms, seed=seed, params=params)
+    raise ScenarioGenerationError(
+        f"no feasible capacity draw within {MAX_RESAMPLES} attempts for params {params}"
     )

@@ -54,6 +54,24 @@ def test_generate_scenario_custom_ranges(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flag, lo, hi",
+    [
+        ("--cap-range", "3", "9223372036854775807"),
+        ("--req-range", "1", "9007199254740993"),
+        ("--cap-range", "1", "100000000000000000000"),
+    ],
+    ids=["cap-at-int64-max", "req-past-2**53", "cap-past-int64"],
+)
+def test_generate_scenario_refuses_amounts_its_readers_refuse(tmp_path, capsys, flag, lo, hi):
+    out = tmp_path / "scenario.json"
+    argv = ["generate-scenario", "--seed", "1", flag, lo, hi, "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must satisfy"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, target",
     [
         ("generate-scenario", "--out", "missing/s.json"),

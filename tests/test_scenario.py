@@ -4,15 +4,21 @@ import math
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import identity_scenario
+from _reference import (
+    identity_scenario,
+    reference_draw_requirements,
+    reference_generate,
+)
 from vnfcmap.infra import VmPlacement
 from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
 from vnfcmap.scenario import (
+    MAX_INTEGER_AMOUNT,
     GenerationParams,
     Scenario,
     ScenarioFormatError,
@@ -24,6 +30,7 @@ from vnfcmap.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from vnfcmap.scenario import _draw_requirements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -86,6 +93,38 @@ def test_generation_error_when_dominance_impossible():
     # always outweigh three centralized-unit ones.
     with pytest.raises(ScenarioGenerationError, match="cu-dominance"):
         generate(0, GenerationParams(num_vms=10, req_range=(3, 3)))
+
+
+def _generated(make, seed, params):
+    """The file ``make`` generates, as text, or its refusal."""
+    try:
+        return json.dumps(scenario_to_dict(make(seed, params)))
+    except ScenarioGenerationError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(8, 30),
+    st.sampled_from([(1, 5), (1, 2**32 - 1), (1, 2**40), (3, MAX_INTEGER_AMOUNT)]),
+)
+def test_block_draw_generates_like_one_row_per_call(seed, num_vms, req_range):
+    lo, hi = req_range
+    # Half of the (1, 2**40) draws stay infeasible, so refusals are compared too.
+    params = GenerationParams(num_vms=num_vms, req_range=req_range, cap_range=(hi // 2 + 1, hi))
+    assert _generated(generate, seed, params) == _generated(reference_generate, seed, params)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        assert _draw_requirements(rng, lo, hi) == reference_draw_requirements(reference_rng, lo, hi)
+    # The generator ends where one row per call leaves it.
+    assert rng.integers(2**63) == reference_rng.integers(2**63)
+
+
+def test_block_draw_refuses_like_one_row_per_call():
+    params = GenerationParams(num_vms=10, req_range=(5, 5))
+    assert _generated(generate, 0, params) == _generated(reference_generate, 0, params)
+    assert "cu-dominance within 1000 draws" in _generated(generate, 0, params)
 
 
 def test_generation_error_when_capacity_hopeless():
@@ -187,6 +226,12 @@ def test_params_validation():
         GenerationParams(req_range=(0, 3))
     with pytest.raises(ValueError):
         GenerationParams(cap_range=(5, 2))
+    # A drawn amount above 2**53 would be refused by the readers of its file.
+    GenerationParams(req_range=(3, MAX_INTEGER_AMOUNT), cap_range=(3, MAX_INTEGER_AMOUNT))
+    with pytest.raises(ValueError, match="req_range"):
+        GenerationParams(req_range=(1, MAX_INTEGER_AMOUNT + 1))
+    with pytest.raises(ValueError, match="cap_range"):
+        GenerationParams(cap_range=(3, 2**63 - 1))
 
 
 def test_canonical_fixture_loads():
@@ -305,6 +350,44 @@ def test_scenario_dict_roundtrip_is_exact(scenario):
     assert loaded == scenario
     # equal numbers of another type (3 against 3.0) would print differently
     assert json.dumps(scenario_to_dict(loaded)) == json.dumps(doc)
+
+
+def test_hosted_machines_survive_save_and_load(tmp_path):
+    base = generate(1)
+    vms = tuple(
+        VirtualMachine(vm.id, vm.compute_cap, vm.storage_cap, hosted=vm.id if vm.id <= 3 else None)
+        for vm in base.vms
+    )
+    scenario = Scenario(subnet=base.subnet, vms=vms, seed=1, params=base.params)
+    path = tmp_path / "hosted.json"
+    save(scenario, path)
+    assert load(path) == scenario
+    entries = json.loads(path.read_text())["vms"]
+    assert [entry.get("hosted") for entry in entries[:4]] == [1, 2, 3, None]
+    assert sum("hosted" in entry for entry in entries) == 3
+
+
+@pytest.mark.parametrize("value", [0, 9, 1.0, True, "1", [1]])
+def test_bad_hosted_is_named(value):
+    doc = scenario_to_dict(generate(1))
+    doc["vms"][4]["hosted"] = value
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc)
+    assert err.value.field == "vms[4].hosted"
+
+
+def test_null_hosted_reads_as_available():
+    doc = scenario_to_dict(generate(1))
+    doc["vms"][4]["hosted"] = None
+    assert scenario_from_dict(doc) == generate(1)
+
+
+def test_empty_vms_is_a_document_error():
+    doc = scenario_to_dict(generate(1))
+    doc["vms"] = []
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "<document>: scenario needs at least one vm"
 
 
 def test_format_error_survives_pickling():

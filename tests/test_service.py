@@ -79,6 +79,19 @@ def test_oracle_policy_answers_the_crafted_tie_body():
     assert body["objective"]["value"] == 38
 
 
+@pytest.mark.parametrize("policy", ["oracle", "greedy"])
+def test_body_can_mark_machines_hosted(canonical, policy):
+    _, free = handle_map(_request_doc(canonical, policy))
+    doc = _request_doc(canonical, policy)
+    taken = sorted(free["pairs"].values())
+    for component, vm_id in enumerate(taken, 1):
+        doc["vms"][vm_id - 1]["hosted"] = component
+    assert [vm.hosted for vm in parse_request(doc).scenario.vms if vm.hosted] == [1, 2, 3, 4, 5, 6, 7, 8]
+    status, body = handle_map(doc)
+    assert status == 200 and body["status"] == "mapped"
+    assert not set(body["pairs"].values()) & set(taken)
+
+
 def test_undersized_inventory_cites_capacity_fit():
     subnet = make_slice([4, 3, 3, 2, 2, 2, 2, 2], [3, 3, 3, 2, 2, 2, 1, 1])
     scenario = identity_scenario(subnet)
@@ -885,8 +898,8 @@ _NOT_OBJECTS = st.sampled_from([None, [], [1, 2, 3], "vm", 3, 1.5, True])
 def _near_valid_vms(draw):
     """A valid ``vms`` list with up to three faults: an entry that is not an
     object, a missing key, an id that is a float, a bool, a repeat, a gap or
-    not a number, or a capacity that is not a positive finite number up to the
-    bound."""
+    not a number, a capacity that is not a positive finite number up to the
+    bound, or a ``hosted`` key, valid or not."""
     vms = [
         {"id": j + 1, "compute_cap": draw(_VALID_AMOUNTS), "storage_cap": draw(_VALID_AMOUNTS)}
         for j in range(draw(st.integers(0, 10)))
@@ -895,7 +908,7 @@ def _near_valid_vms(draw):
         j = draw(st.integers(0, len(vms) - 1))
         if not isinstance(vms[j], dict) or not vms[j]:
             continue
-        fault = draw(st.sampled_from(["entry", "key", "id", "capacity"]))
+        fault = draw(st.sampled_from(["entry", "key", "id", "capacity", "hosted"]))
         if fault == "entry":
             vms[j] = draw(_NOT_OBJECTS)
         elif fault == "key":
@@ -903,6 +916,8 @@ def _near_valid_vms(draw):
         elif fault == "id":
             ids = [float(j + 1), True, j, j + 2, 0, -1, str(j + 1), None]
             vms[j]["id"] = draw(st.sampled_from(ids))
+        elif fault == "hosted":
+            vms[j]["hosted"] = draw(st.sampled_from([1, 8, None, 0, 9, 1.0, True, "1"]))
         else:
             vms[j][draw(st.sampled_from(["compute_cap", "storage_cap"]))] = draw(_BAD_AMOUNTS)
     return vms
