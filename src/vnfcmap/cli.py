@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 for validation problems and for an output path that
 cannot be written, 3 when an instance is infeasible or a run diverged.
 
-Only ``oracle``, ``check-infra`` and ``serve`` load any of scipy, because only
-they solve an optimum, and they load only its assignment solver's extension
-module, not ``scipy.optimize``, whose import would be most of their start-up.
-Only ``serve`` imports the service module, and with it ``http.server``.
+Only ``generate-scenario``, ``oracle``, ``check-infra`` and ``serve`` solve an
+assignment and load any of scipy: only its solver's extension module, not
+``scipy.optimize``, whose import would be most of their start-up. Only
+``serve`` imports the service module, and with it ``http.server``.
 """
 
 from __future__ import annotations
@@ -270,11 +270,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     }
     if not args.json:
         print(f"optimum {solution.objective_value:.6g} ({mode.value})")
-        for comp in inst.subnet.components:
-            vm = inst.vms[solution.pairs[comp.id] - 1]
+        for comp, entry in zip(inst.subnet.components, doc["per_pair_wastage"]):
             print(
-                f"  f{comp.id} ({comp.kind.name}) -> vm {vm.id}: "
-                f"surplus {pair_cost(comp, vm, mode):.6g}"
+                f"  f{comp.id} ({comp.kind.name}) -> vm {entry['vm']}: "
+                f"surplus {entry['surplus']:.6g}"
             )
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK

@@ -131,10 +131,8 @@ class VirtualMachine:
 
     def fits(self, component: VnfComponent) -> bool:
         """Capacity check only; ignores occupancy."""
-        return (
-            self.compute_cap >= component.compute_req
-            and self.storage_cap >= component.storage_req
-        )
+        req = float(component.compute_req), float(component.storage_req)
+        return _fit(*req, float(self.compute_cap), float(self.storage_cap))
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,11 @@ class PhysicalMachine:
             raise ValueError(f"pm {self.id}: capacities must be positive")
         if self.max_vm_count < 1:
             raise ValueError(f"pm {self.id}: max_vm_count must be at least 1")
+
+
+def _fit(req_c, req_s, cap_c, cap_s):
+    """The capacity-fit rule on float64 amounts; elementwise on arrays."""
+    return (cap_c >= req_c) & (cap_s >= req_s)
 
 
 class VmLabel(Enum):
@@ -196,7 +199,7 @@ def resource_grid(
     cap_c = np.array([v.compute_cap for v in vms], dtype=float)[None, :]
     cap_s = np.array([v.storage_cap for v in vms], dtype=float)[None, :]
     free = np.fromiter((v.hosted is None for v in vms), bool, len(vms))
-    return req_c, req_s, cap_c, cap_s, (cap_c >= req_c) & (cap_s >= req_s) & free, free
+    return req_c, req_s, cap_c, cap_s, _fit(req_c, req_s, cap_c, cap_s) & free, free
 
 
 def capacity_ratios(

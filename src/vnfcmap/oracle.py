@@ -6,12 +6,10 @@ summed capacity surplus of the chosen machines, either in absolute resource
 units or normalized per machine. Both, and the greedy best-fit heuristic,
 read one ``inf``-masked cost matrix.
 
-Only the matching route needs scipy, for one compiled function: its
+Only the matching route and generation's feasibility check need scipy, for its
 assignment solver. On the first solve, only the extension module that holds it
 is loaded, not ``scipy.optimize``, whose import pulls in most of scipy and
-would take about twice as long as the rest of a command's start-up. The
-feasibility check that scenario generation makes is a bipartite matching on
-the same allowed-pair mask, with no costs and no solve.
+would take about twice as long as the rest of a command's start-up.
 """
 
 from __future__ import annotations
@@ -274,25 +272,12 @@ def _without(columns: np.ndarray, idx: int) -> np.ndarray:
 
 
 def has_feasible_assignment(problem: AssignmentProblem) -> bool:
-    """Whether an injective, capacity-feasible assignment exists: an
-    augmenting-path matching of the components on ``resource_grid``'s allowed
-    mask, with no costs and no assignment solve."""
+    """Whether an injective, capacity-feasible assignment exists: one solve on the
+    allowed mask at cost 0, as a surplus can overflow to ``inf`` and hide a fitting pair."""
+    if len(problem.components) > len(problem.vms):
+        return False  # a solve would match only as many rows as there are columns
     *_, allowed, _ = resource_grid(problem.components, problem.vms)
-    rows, columns = allowed.tolist(), range(len(problem.vms))
-    owner: dict[int, int] = {}  # machine column -> the component row it hosts
-
-    def place(row: int, seen: set[int]) -> bool:
-        # Each level of recursion moves a different component, so it goes at
-        # most 8 deep.
-        for col in itertools.compress(columns, rows[row]):
-            if col not in seen:
-                seen.add(col)
-                if col not in owner or place(owner[col], seen):
-                    owner[col] = row
-                    return True
-        return False
-
-    return all(place(row, set()) for row in range(len(rows)))
+    return not math.isinf(_optimal_matching(np.where(allowed, 0.0, np.inf))[0])
 
 
 def solve_exact_matching(problem: AssignmentProblem) -> Assignment:

@@ -30,9 +30,9 @@ from .oracle import AssignmentProblem, has_feasible_assignment
 from .oracle import solve_exact_matching  # noqa: F401 (perfbench/layers.py wraps it here)
 
 SCHEMA_VERSION = 1
-# Beyond 2**53 an integer has no exact float, so the float64 capacity-fit mask
-# and the exact ``VirtualMachine.fits`` could disagree on it.
+# Fit tests compare float64 amounts (``model._fit``), exact only up to 2**53.
 MAX_INTEGER_AMOUNT = 2**53
+_MAX_FILE_BYTES = 1 << 28  # a tabular model.json at cli.MAX_TABLE_ENTRIES is about 208 MB
 MAX_RESAMPLES = 1000
 # Demand rows per draw; the default ranges accept about one row in 12.
 _DEMAND_BLOCK = 64
@@ -170,15 +170,25 @@ def decode_document(raw: bytes | str, field: str = "<document>") -> dict:
 
 
 def read_regular_file(path: str | Path) -> bytes:
-    """The bytes of a regular file; a FIFO or a device, whose read may never
-    end, is refused unread."""
+    """The bytes of a regular file of at most ``_MAX_FILE_BYTES``; a FIFO or a
+    device, whose read may never end, and a larger file are refused unread."""
     path = Path(path)
     try:
         if not path.is_file():
             raise ScenarioFormatError("<document>", f"{path} is not a regular file")
-        return path.read_bytes()
+        size = path.stat().st_size
+        if size <= _MAX_FILE_BYTES:
+            with path.open("rb") as handle:
+                # A read of n bytes allocates n first; a file that grew reads on.
+                data = handle.read(size + 1)
+                if len(data) > size:
+                    data += handle.read(_MAX_FILE_BYTES - size)
+            size = len(data)
     except OSError as exc:
         raise ScenarioFormatError("<document>", f"cannot be read: {exc}") from exc
+    if size > _MAX_FILE_BYTES:
+        raise ScenarioFormatError("<document>", f"{path} has {size} bytes, over {_MAX_FILE_BYTES}")
+    return data
 
 
 def read_document(path: str | Path) -> dict:

@@ -344,7 +344,9 @@ def _hung_up(sock: socket.socket) -> bool:
 def make_server(
     port: int, host: str = "127.0.0.1", default_model: Optional[str] = None
 ) -> MappingServer:
-    """A server bound to ``host:port``, with the oracle's assignment solver
-    already loaded so that the first oracle request does not wait for it."""
+    """A server bound to ``host:port``. A bad ``default_model`` raises before the
+    bind; a good one, and the oracle's solver, are loaded first so no request waits."""
+    if default_model:
+        load_policy(default_model)
     assignment_solver()
     return MappingServer((host, port), default_model)

@@ -10,8 +10,10 @@ best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
 masked cost matrix. The canonical matching walk solves every candidate's
 remainder, so it can serve as an oracle for the pruned walk in
 ``oracle.solve_exact_matching``. The feasibility check makes one assignment
-solve on the masked cost matrix, so it can serve as an oracle for the matching
-on the allowed mask in ``oracle.has_feasible_assignment``. The ``vms``
+solve on the masked surplus matrix, after ``_cost_matrix``'s own refusals;
+``oracle.has_feasible_assignment`` makes one on the allowed mask at cost 0.
+Since both routes solve, networkx's Hopcroft-Karp matching in
+``tests/test_oracle.py`` is the independent reference for the verdict. The ``vms``
 walk reads every field of every entry with ``scenario.require``, so it can
 serve as an oracle for the one-pass read in ``scenario._read_vms``. The
 generator draws one demand row per ``rng.integers`` call, so it can serve as

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnfcmap
-from vnfcmap import agents, cli
+from vnfcmap import agents, cli, scenario as scenario_mod, service
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
@@ -151,55 +151,96 @@ def test_non_finite_capacity_in_scenario_file_is_validation_error(small_scenario
     assert "vms[2].storage_cap" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter, which has loaded nothing the test process has.
-_LIGHT_THEN_ORACLE = """
+def test_file_above_the_read_cap_is_refused_unread(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    path.touch()
+    os.truncate(path, scenario_mod._MAX_FILE_BYTES + 1)  # a hole: no disk blocks
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: <document>: ")
+    assert f"has {scenario_mod._MAX_FILE_BYTES + 1} bytes, over" in err
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [("scenario", "kind"), ("missing", "<document>"), ("directory", "<document>"),
+     ("truncated", "<document>")],
+)
+def test_serve_refuses_a_bad_default_model_before_serving(
+    small_scenario, tmp_path, monkeypatch, capsys, model, field
+):
+    paths = {"scenario": small_scenario, "missing": tmp_path / "none.json", "directory": tmp_path}
+    paths["truncated"] = tmp_path / "model.json"
+    paths["truncated"].write_text('{"version": 1')
+    served = []
+    monkeypatch.setattr(service.MappingServer, "serve_forever", lambda srv: served.append(srv))
+    assert main(["serve", "--port", "0", "--model", str(paths[model])]) == EXIT_VALIDATION
+    assert served == []
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+# Runs the commands given as JSON in argv[1] in a fresh interpreter, which has
+# loaded nothing the test process has, and prints each command's exit code,
+# the scipy modules (and http.server) loaded after it, and its stdout.
+_COMMANDS_THEN_MODULES = """
 import contextlib, io, json, sys
 from vnfcmap import cli
 
-codes = []
-with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(cli.main(["generate-scenario", "--seed", "1", "--out", "scenario.json"]))
-    codes.append(cli.main(["train", "--scenario", "scenario.json", "--episodes", "20", "--out-dir", "run"]))
-    codes.append(cli.main(["compare", "--runs", "run"]))
-    try:
-        cli.main(["--help"])
-    except SystemExit as exc:
-        codes.append(exc.code)
 def loaded():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "http.server")
 
-light = loaded()
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    codes.append(cli.main(["oracle", "--scenario", "scenario.json", "--json"]))
-print(json.dumps({
-    "codes": codes,
-    "light": light,
-    "oracle_loads": loaded(),
-    "oracle": json.loads(out.getvalue()),
-}))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    runs.append({"code": code, "loaded": loaded(), "stdout": out.getvalue()})
+print(json.dumps(runs))
 """
 
 
-def test_only_solving_commands_load_scipy(tmp_path):
-    # The light commands load no scipy module at all, and oracle loads only
-    # the solver's extension module, not scipy.optimize or even scipy.
+def _fresh_runs(cwd, *argvs):
     src = str(Path(vnfcmap.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", _LIGHT_THEN_ORACLE],
-        cwd=tmp_path,
+        [sys.executable, "-c", _COMMANDS_THEN_MODULES, json.dumps(argvs)],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    run = json.loads(result.stdout)
-    assert run["codes"] == [EXIT_OK] * 5
-    assert run["light"] == []
-    assert run["oracle_loads"] == ["scipy.optimize._lsap"]
+    return json.loads(result.stdout)
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    # train, compare and --help load no scipy module at all. generate-scenario
+    # (which asks whether a draw has a feasible assignment), oracle and
+    # check-infra each load only the solver's extension module, not
+    # scipy.optimize or even scipy.
+    save(generate(1), tmp_path / "scenario.json")
+    light = _fresh_runs(
+        tmp_path,
+        ["train", "--scenario", "scenario.json", "--episodes", "20", "--out-dir", "run"],
+        ["compare", "--runs", "run"],
+        ["--help"],
+    )
+    assert [(run["code"], run["loaded"]) for run in light] == [(EXIT_OK, [])] * 3
+    solving = [
+        ["generate-scenario", "--seed", "1", "--out", "generated.json"],
+        ["oracle", "--scenario", "scenario.json", "--json"],
+        ["check-infra", "--scenario", "scenario.json"],
+    ]
+    runs = {argv[0]: _fresh_runs(tmp_path, argv)[0] for argv in solving}
+    for command, run in runs.items():
+        assert (run["code"], run["loaded"]) == (EXIT_OK, ["scipy.optimize._lsap"]), command
+    assert (tmp_path / "generated.json").read_bytes() == (tmp_path / "scenario.json").read_bytes()
+    oracle = json.loads(runs["oracle"]["stdout"])
     inst = load(tmp_path / "scenario.json")
     expected = solve_exact_matching(AssignmentProblem(inst.subnet.components, inst.vms))
-    assert run["oracle"]["objective_value"] == expected.objective_value
-    assert run["oracle"]["pairs"] == {str(c): v for c, v in expected.pairs.items()}
+    assert oracle["objective_value"] == expected.objective_value
+    assert oracle["pairs"] == {str(c): v for c, v in expected.pairs.items()}
 
 
 def test_oracle_json_matches_library(small_scenario, capsys):

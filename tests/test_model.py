@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vnfcmap
 from vnfcmap.model import (
@@ -15,6 +18,7 @@ from vnfcmap.model import (
     VnfComponent,
     classify_vms,
     make_slice,
+    resource_grid,
 )
 
 
@@ -162,3 +166,47 @@ def test_model_and_infra_import_without_scipy_or_the_learners():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+_NEAR_2_53 = st.integers(2**53 - 3, 2**53 + 3)
+
+
+@st.composite
+def near_fits(draw):
+    """Components against machines whose capacities tie or nearly tie their
+    demands: integers around 2**53, which float64 rounds, or a fractional
+    float and its float neighbours."""
+    amount = st.one_of(_NEAR_2_53, st.floats(0.25, 8))
+    demands = draw(st.lists(st.tuples(amount, amount), min_size=1, max_size=4))
+
+    def near(amount):
+        if isinstance(amount, int):
+            return draw(_NEAR_2_53)
+        return draw(st.sampled_from([math.nextafter(amount, 0), amount, math.nextafter(amount, 9)]))
+
+    comps = [_component(i, c, s) for i, (c, s) in enumerate(demands, start=1)]
+    vms = []
+    for j in range(1, draw(st.integers(1, 6)) + 1):
+        compute, storage = draw(st.sampled_from(demands))
+        hosted = draw(st.sampled_from([None, 1]))
+        vms.append(VirtualMachine(j, near(compute), near(storage), hosted))
+    return comps, vms
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(near_fits())
+def test_fits_labels_and_mask_agree_near_ties(inventory):
+    comps, vms = inventory
+    allowed = resource_grid(comps, vms)[4]
+    for i, comp in enumerate(comps):
+        labels = classify_vms(vms, comp).labels
+        for j, vm in enumerate(vms):
+            in_float64 = (
+                float(vm.compute_cap) >= float(comp.compute_req)
+                and float(vm.storage_cap) >= float(comp.storage_req)
+            )
+            assert vm.fits(comp) == in_float64
+            assert allowed[i, j] == (vm.available and in_float64)
+            sufficient = labels[vm.id] is VmLabel.AVAILABLE_SUFFICIENT
+            assert sufficient == allowed[i, j]
+            assert (labels[vm.id] is VmLabel.OCCUPIED) == (not vm.available)

@@ -23,7 +23,7 @@ from _reference import (
     reference_has_feasible_assignment,
 )
 from vnfcmap import oracle
-from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent
+from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent, make_slice
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
     AssignmentProblem,
@@ -594,22 +594,48 @@ def _hopcroft_karp_feasible(problem):
 
 def test_feasibility_check_agrees_with_hopcroft_karp():
     rng = np.random.default_rng(25)
-    verdicts = []
-    for _ in range(300):
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 10))
-        problem = _problem(
-            rng.integers(1, 6, size=(k, 2)).tolist(), rng.integers(1, 7, size=(m, 2)).tolist()
-        )
-        taken = rng.random(m) < 0.2
-        problem = AssignmentProblem(
-            problem.components,
-            tuple(replace(vm, hosted=1) if t else vm for vm, t in zip(problem.vms, taken)),
-        )
-        verdict = has_feasible_assignment(problem)
-        assert verdict == _hopcroft_karp_feasible(problem)
-        verdicts.append(verdict)
-    assert 0 < sum(verdicts) < len(verdicts)
+
+    def few():  # often more components than machines
+        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        comp_specs, vm_specs = rng.integers(1, 6, size=(k, 2)), rng.integers(1, 7, size=(m, 2))
+        return _problem(comp_specs.tolist(), vm_specs.tolist())
+
+    def many(m):
+        # Most machines fit only small demands and a few fit larger ones, so
+        # whether all eight components find hosts turns on those few.
+        caps = rng.integers(1, 4, size=(m, 2))
+        large = rng.choice(m, size=int(rng.integers(0, 12)), replace=False)
+        caps[large] = rng.integers(3, 8, size=(len(large), 2))
+        return _problem(rng.integers(1, 7, size=(8, 2)).tolist(), caps.tolist())
+
+    for draw, count in ((few, 300), (lambda: many(100), 40), (lambda: many(400), 40)):
+        verdicts = []
+        for _ in range(count):
+            problem = draw()
+            taken = rng.random(len(problem.vms)) < 0.2
+            problem = AssignmentProblem(
+                problem.components,
+                tuple(replace(vm, hosted=1) if t else vm for vm, t in zip(problem.vms, taken)),
+            )
+            verdict = has_feasible_assignment(problem)
+            assert verdict == _hopcroft_karp_feasible(problem)
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts), count
+
+
+def test_demand_above_2_53_is_judged_as_the_mask_judges_it():
+    # Exactly, 2**53 + 1 exceeds 2**53; as float64 the two are equal, and the
+    # allowed mask, the solvers and validate_assignment all compare float64.
+    subnet = make_slice([2**53 + 1, 1, 1, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
+    vms = (_vm(1, 2**53, 5),) + tuple(_vm(j, 2**54, 5) for j in range(2, 11))
+    problem = AssignmentProblem(subnet.components, vms)
+    assert vms[0].fits(subnet.components[0])
+    solution = solve_exact_matching(problem)
+    assert solution.pairs[1] == 1
+    validate_assignment(problem, solution.pairs)
+    pairs = greedy_best_fit(problem.components, problem.vms)
+    assert pairs[1] == 1
+    validate_assignment(problem, pairs)
 
 
 def test_generate_feasibility_draws_agree_with_hopcroft_karp(monkeypatch):

@@ -30,7 +30,8 @@ from vnfcmap.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from vnfcmap.scenario import _draw_requirements
+from vnfcmap import cli, scenario as scenario_mod
+from vnfcmap.scenario import _MAX_FILE_BYTES, _draw_requirements, read_regular_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -395,3 +396,34 @@ def test_format_error_survives_pickling():
     err = pickle.loads(pickle.dumps(ScenarioFormatError("params.num_vms", "must be an integer")))
     assert (err.field, err.detail) == ("params.num_vms", "must be an integer")
     assert str(err) == "params.num_vms: must be an integer"
+
+
+def test_file_cap_holds_the_largest_document_vnfcmap_writes():
+    # A tabular model.json at the table budget: each value is at most 24
+    # characters of repr (sign, 17 digits, the point and a 5-character
+    # exponent) plus ", ".
+    widest = max(map(len, map(repr, (-2.2250738585072014e-308, -1.7976931348623157e308))))
+    assert widest == 24
+    assert _MAX_FILE_BYTES >= cli.MAX_TABLE_ENTRIES * (widest + len(", "))
+
+
+@pytest.mark.parametrize("grown, refused", [(50, False), (200, True)])
+def test_file_grown_after_its_size_check_is_read_to_the_cap(tmp_path, monkeypatch, grown, refused):
+    monkeypatch.setattr(scenario_mod, "_MAX_FILE_BYTES", 100)
+    path = tmp_path / "growing.json"
+    path.write_bytes(b"{}")
+    real_open = Path.open
+
+    def grow_then_open(self, *args, **kwargs):
+        with real_open(self, "ab") as handle:
+            handle.write(b" " * grown)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", grow_then_open)
+    if not refused:
+        assert read_regular_file(path) == b"{}" + b" " * grown
+        return
+    with pytest.raises(ScenarioFormatError) as err:
+        read_regular_file(path)
+    assert err.value.field == "<document>"
+    assert err.value.detail.endswith("has 101 bytes, over 100")

@@ -317,6 +317,21 @@ def test_make_server_loads_the_solver_before_any_request():
     assert result.stdout.split() == ["[]", "['scipy.optimize._lsap']"]
 
 
+def test_make_server_parses_its_default_model_before_it_binds(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_FORWARD)[:-1])
+    with pytest.raises(ScenarioFormatError) as err:
+        make_server(0, default_model=str(path))
+    assert err.value.field == "<document>"
+    path.write_text(json.dumps(_FORWARD))
+    srv = make_server(0, default_model=str(path))
+    srv.server_close()
+    # The first trained request reuses the parse made at start.
+    monkeypatch.setattr(agents, "decode_document", mock.Mock(side_effect=AssertionError))
+    status, body = handle_map(_roomy_request({"kind": "trained"}), default_model=str(path))
+    assert (status, body["pairs"]) == (200, _FORWARD_PAIRS)
+
+
 def test_model_file_fixed_at_the_same_path_is_served(tmp_path):
     # A refusal is not remembered: the fixed file is parsed on the next request.
     model_path = tmp_path / "model.json"
@@ -559,6 +574,22 @@ def test_http_concurrent_trained_requests_over_two_models(tmp_path):
     assert len(answers) == 80
     for index, answer in answers.values():
         assert answer == expected[index]
+
+
+def test_http_trained_model_above_the_read_cap_is_400(server, tmp_path):
+    # Read whole, a model file of any size would be loaded into the server's memory.
+    path = tmp_path / "sparse.json"
+    path.touch()
+    os.truncate(path, scenario_mod._MAX_FILE_BYTES + 1)  # a hole: no disk blocks
+    doc = _roomy_request({"kind": "trained", "model": str(path)})
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server.server_address[1], "/map", doc)
+    with err.value:
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+    assert error["field"] == "policy.model"
+    assert error["detail"].startswith("<document>: ")
+    assert f"has {scenario_mod._MAX_FILE_BYTES + 1} bytes, over" in error["detail"]
 
 
 def test_http_malformed_body(server, canonical):
