@@ -293,12 +293,10 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
             print("placement violations: none")
         for k, pm in enumerate(inst.pms):
             hosted = [j for j in range(inst.num_vms) if inst.placement.x[j][k] == 1]
-            loads = [
-                (inst.vms[j].compute_cap / pm.compute_cap, inst.vms[j].storage_cap / pm.storage_cap)
-                for j in hosted
-            ]
-            compute = sum(inst.vms[j].compute_cap for j in hosted)
-            storage = sum(inst.vms[j].storage_cap for j in hosted)
+            caps = [(inst.vms.compute_caps[j], inst.vms.storage_caps[j]) for j in hosted]
+            loads = [(c / pm.compute_cap, s / pm.storage_cap) for c, s in caps]
+            compute = sum(c for c, _ in caps)
+            storage = sum(s for _, s in caps)
             try:
                 workload = infra.pm_workload((0.0, 0.0), loads)
                 # Rounded apart, the load fractions can sum below 1 while the

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import PhysicalMachine, VirtualMachine
+from .model import Inventory, PhysicalMachine, VirtualMachine
 
 # Rule identifiers used in violation reports.
 RULE_SINGLE_HOST = "vm-single-host"          # every VM sits on exactly one PM
@@ -81,13 +81,14 @@ def check_vm_placement(
             f"placement is {placement.num_vms}x{placement.num_pms}, "
             f"inventory is {len(vms)}x{len(pms)}"
         )
+    vms = Inventory.of(vms)
     violations: list[Violation] = []
 
     for j, row in enumerate(placement.x):
         hosts = sum(row)
         if hosts != 1:
             violations.append(
-                Violation(RULE_SINGLE_HOST, j + 1, f"vm {vms[j].id} placed on {hosts} pms")
+                Violation(RULE_SINGLE_HOST, j + 1, f"vm {j + 1} placed on {hosts} pms")
             )
 
     for k, pm in enumerate(pms):
@@ -98,8 +99,8 @@ def check_vm_placement(
                 Violation(RULE_VM_COUNT, k + 1, f"{count} vms exceed limit {pm.max_vm_count}")
             )
         active = 1 if placement.pm_active[k] else 0
-        compute_demand = sum(vms[j].compute_cap * column[j] for j in range(placement.num_vms))
-        storage_demand = sum(vms[j].storage_cap * column[j] for j in range(placement.num_vms))
+        compute_demand = sum(cap * x for cap, x in zip(vms.compute_caps, column))
+        storage_demand = sum(cap * x for cap, x in zip(vms.storage_caps, column))
         if compute_demand > pm.compute_cap * active:
             violations.append(
                 Violation(

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .mdp import Hyperparameters
-from .scenario import NUMBER, STRING, read_document, require
+from .scenario import NUMBER, STRING, ScenarioFormatError, read_document, require
 
 CSV_COLUMNS = (
     "episode",
@@ -159,11 +159,28 @@ def summarize(run: RunRecord) -> dict:
     }
 
 
+# The summary field each aggregate of ``compare_summaries`` is computed from.
+_AGGREGATE_SOURCES = {
+    "average_reward": "average_reward",
+    "cross_seed_std": "average_reward",
+    "mean_episode_std": "std_dev",
+    "auc": "auc",
+    "convergence_episode": "convergence_episode",
+}
+
+
+def _beyond_float_range(key: str, variant: str, runs: int) -> ScenarioFormatError:
+    detail = f"{key} over the {runs} {variant} runs is beyond the float range"
+    return ScenarioFormatError(_AGGREGATE_SOURCES[key], detail)
+
+
 def compare_summaries(summaries: Sequence[dict]) -> dict:
     """Fold many run summaries into per-variant aggregates plus orderings.
 
     Cross-seed statistics are over per-run average rewards; the per-episode
-    spread of each run is aggregated separately as ``mean_episode_std``.
+    spread of each run is aggregated separately as ``mean_episode_std``. An
+    aggregate beyond the float range, which JSON cannot hold, raises a
+    ``ScenarioFormatError`` naming the summary field it is computed from.
     """
     if not summaries:
         raise ValueError("nothing to compare")
@@ -174,11 +191,14 @@ def compare_summaries(summaries: Sequence[dict]) -> dict:
     table: dict[str, dict] = {}
     for variant, group in sorted(by_variant.items()):
         averages = [s["average_reward"] for s in group]
-        mean_avg, cross_std = _mean_and_std(averages)
+        try:
+            mean_avg, cross_std = _mean_and_std(averages)
+        except OverflowError:  # a squared deviation; sums overflow to inf instead
+            raise _beyond_float_range("cross_seed_std", variant, len(group)) from None
         convergences = [
             s["convergence_episode"] for s in group if s["convergence_episode"] is not None
         ]
-        table[variant] = {
+        cell = table[variant] = {
             "runs": len(group),
             "average_reward": mean_avg,
             "cross_seed_std": cross_std,
@@ -188,6 +208,9 @@ def compare_summaries(summaries: Sequence[dict]) -> dict:
                 sum(convergences) / len(convergences) if convergences else None
             ),
         }
+        for key in _AGGREGATE_SOURCES:
+            if cell[key] is not None and not math.isfinite(cell[key]):
+                raise _beyond_float_range(key, variant, len(group))
     return {
         "variants": table,
         "by_average_reward": sorted(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -168,6 +169,85 @@ class VmClassification:
     labels: dict[int, VmLabel]
 
 
+@dataclass(frozen=True)
+class Inventory(Sequence):
+    """A machine inventory as columns: position j - 1 of each holds machine id j.
+
+    ``compute_caps`` and ``storage_caps`` hold the capacities exactly as given
+    (Python ints or floats, so a written file keeps its bytes), ``hosted`` the
+    component each machine hosts or None. ``cap_c`` and ``cap_s`` are the
+    capacities as read-only float64 arrays and ``free`` the availability
+    mask, derived once. A ``VirtualMachine`` is built only when the inventory
+    is indexed or iterated. The columns are taken as checked: build one from
+    machine objects with ``of``, or from amounts that pass the checks of
+    ``VirtualMachine``.
+    """
+
+    compute_caps: tuple
+    storage_caps: tuple
+    hosted: Optional[tuple] = None  # given as None: no machine hosts a component
+    cap_c: np.ndarray = field(init=False, repr=False, compare=False)
+    cap_s: np.ndarray = field(init=False, repr=False, compare=False)
+    free: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        m = len(self.compute_caps)
+        if self.hosted is None:
+            hosted, free = (None,) * m, np.ones(m, bool)
+        else:
+            hosted = tuple(self.hosted)
+            free = np.fromiter((h is None for h in hosted), bool, m)
+        cap_c = np.array(self.compute_caps, dtype=float)
+        cap_s = np.array(self.storage_caps, dtype=float)
+        for array in (cap_c, cap_s, free):
+            array.flags.writeable = False
+        object.__setattr__(self, "compute_caps", tuple(self.compute_caps))
+        object.__setattr__(self, "storage_caps", tuple(self.storage_caps))
+        object.__setattr__(self, "hosted", hosted)
+        object.__setattr__(self, "cap_c", cap_c)
+        object.__setattr__(self, "cap_s", cap_s)
+        object.__setattr__(self, "free", free)
+
+    @classmethod
+    def of(cls, vms: Iterable[VirtualMachine]) -> Inventory:
+        """``vms`` itself if it is an inventory; else the inventory of its
+        machines, whose ids must be 1..m in order."""
+        if isinstance(vms, cls):
+            return vms
+        compute, storage, hosted = [], [], []
+        for j, vm in enumerate(vms, start=1):
+            if vm.id != j:
+                raise ValueError("vm ids must be 1..m in order")
+            compute.append(vm.compute_cap)
+            storage.append(vm.storage_cap)
+            hosted.append(vm.hosted)
+        return cls(compute, storage, hosted)
+
+    def __len__(self) -> int:
+        return len(self.compute_caps)
+
+    def __getitem__(self, index):
+        """The machine at a position, or a tuple of the machines of a slice."""
+        positions = range(len(self))[index]
+        if isinstance(positions, range):
+            return tuple(map(self.__getitem__, positions))
+        return VirtualMachine(
+            positions + 1,
+            self.compute_caps[positions],
+            self.storage_caps[positions],
+            self.hosted[positions],
+        )
+
+    def __iter__(self):
+        return map(
+            VirtualMachine,
+            range(1, len(self) + 1),
+            self.compute_caps,
+            self.storage_caps,
+            self.hosted,
+        )
+
+
 def classify_vms(vms: Sequence[VirtualMachine], component: VnfComponent) -> VmClassification:
     """Label every machine as occupied, sufficient, or insufficient for a component.
 
@@ -194,11 +274,10 @@ def resource_grid(
     (1, machines) rows, so that elementwise arithmetic on them covers every
     (component, machine) pair; the mask of the allowed pairs, those that
     ``classify_vms`` labels sufficient; and the availability mask it reads."""
+    inventory = Inventory.of(vms)
     req_c = np.array([c.compute_req for c in components], dtype=float)[:, None]
     req_s = np.array([c.storage_req for c in components], dtype=float)[:, None]
-    cap_c = np.array([v.compute_cap for v in vms], dtype=float)[None, :]
-    cap_s = np.array([v.storage_cap for v in vms], dtype=float)[None, :]
-    free = np.fromiter((v.hosted is None for v in vms), bool, len(vms))
+    cap_c, cap_s, free = inventory.cap_c[None, :], inventory.cap_s[None, :], inventory.free
     return req_c, req_s, cap_c, cap_s, _fit(req_c, req_s, cap_c, cap_s) & free, free
 
 

@@ -23,11 +23,18 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import VirtualMachine, VnfComponent, check_ids_in_order, resource_grid
+from .model import (
+    Inventory,
+    VirtualMachine,
+    VnfComponent,
+    _fit,
+    check_ids_in_order,
+    resource_grid,
+)
 
 # Assignment rule identifiers, mirrored in service responses.
 RULE_COMPONENT_PLACED = "component-placed-once"
@@ -61,17 +68,18 @@ class SizeLimitError(ValueError):
 @dataclass(frozen=True)
 class AssignmentProblem:
     """Component ids 1..k and machine ids 1..m in order, as in a ``Scenario``:
-    id i is row i - 1, and id j column j - 1, of every matrix the solvers read."""
+    id i is row i - 1, and id j column j - 1, of every matrix the solvers read.
+    ``vms`` may be given as machine objects; it is kept as their ``Inventory``."""
 
     components: tuple[VnfComponent, ...]
-    vms: tuple[VirtualMachine, ...]
+    vms: Inventory
     objective_mode: ObjectiveMode = ObjectiveMode.ABSOLUTE_SURPLUS
 
     def __post_init__(self) -> None:
         if not self.components or not self.vms:
             raise ValueError("components and vms must be non-empty")
         check_ids_in_order(self.components, "component", "k")
-        check_ids_in_order(self.vms, "vm", "m")
+        object.__setattr__(self, "vms", Inventory.of(self.vms))
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,15 @@ def validate_assignment(problem: AssignmentProblem, pairs: dict[int, int]) -> No
         raise InfeasibleAssignmentError("; ".join(reasons), rule=RULE_COMPONENT_PLACED)
     if len(set(pairs.values())) != len(pairs):
         raise InfeasibleAssignmentError("a vm hosts more than one component", rule=RULE_VM_EXCLUSIVE)
+    vms = problem.vms
     for comp in problem.components:
         vm_id = pairs[comp.id]
-        vm = problem.vms[vm_id - 1] if 1 <= vm_id <= len(problem.vms) else None
-        if vm is None or not (vm.available and vm.fits(comp)):
+        j = vm_id - 1
+        if not (
+            0 <= j < len(vms)
+            and vms.free[j]
+            and _fit(float(comp.compute_req), float(comp.storage_req), vms.cap_c[j], vms.cap_s[j])
+        ):
             raise InfeasibleAssignmentError(
                 f"component {comp.id} does not fit vm {vm_id}", rule=RULE_CAPACITY_FIT
             )
@@ -191,11 +204,11 @@ def solve_exact_enumeration(problem: AssignmentProblem) -> Assignment:
 
 
 def greedy_best_fit(
-    components: tuple[VnfComponent, ...], vms: tuple[VirtualMachine, ...]
+    components: tuple[VnfComponent, ...], vms: Sequence[VirtualMachine]
 ) -> dict[int, int]:
     """Best-fit walk: each component, in the order given, takes the available
     machine that leaves the least normalized idle capacity behind, the first
-    machine in inventory order on ties."""
+    machine in inventory order on ties. Machine ids are 1..m in order."""
     *_, cost = _masked_cost(components, vms, ObjectiveMode.NORMALIZED_SURPLUS)
     pairs: dict[int, int] = {}
     for comp, row in zip(components, cost):
@@ -205,7 +218,7 @@ def greedy_best_fit(
             )
         col = int(np.argmin(row))
         cost[:, col] = np.inf
-        pairs[comp.id] = vms[col].id
+        pairs[comp.id] = col + 1
     return pairs
 
 

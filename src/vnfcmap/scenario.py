@@ -11,19 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .infra import VmPlacement, check_vm_placement
 from .model import (
     NUM_COMPONENTS,
+    Inventory,
     PhysicalMachine,
     SliceSubnet,
     VirtualMachine,
     VnfcKind,
     VnfComponent,
-    check_ids_in_order,
     make_slice,
 )
 from .oracle import AssignmentProblem, has_feasible_assignment
@@ -80,8 +80,11 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A slice subnet and its machine inventory, ids 1..m in order; ``vms``
+    may be given as machine objects and is kept as their ``Inventory``."""
+
     subnet: SliceSubnet
-    vms: tuple[VirtualMachine, ...]
+    vms: Inventory
     seed: Optional[int] = None
     params: Optional[GenerationParams] = None
     pms: tuple[PhysicalMachine, ...] = ()
@@ -90,7 +93,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.vms:
             raise ValueError("scenario needs at least one vm")
-        check_ids_in_order(self.vms, "vm", "m")
+        object.__setattr__(self, "vms", Inventory.of(self.vms))
         if self.placement is not None and not self.pms:
             raise ValueError("placement given without a pm substrate")
 
@@ -145,8 +148,7 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
 
     lo, hi = params.cap_range
     for _ in range(MAX_RESAMPLES):
-        caps = rng.integers(lo, hi + 1, size=(params.num_vms, 2)).tolist()
-        vms = tuple(VirtualMachine(j, c, s) for j, (c, s) in enumerate(caps, 1))
+        vms = Inventory(*rng.integers(lo, hi + 1, size=(params.num_vms, 2)).T.tolist())
         if has_feasible_assignment(AssignmentProblem(subnet.components, vms)):
             return Scenario(subnet=subnet, vms=vms, seed=seed, params=params)
     raise ScenarioGenerationError(
@@ -247,6 +249,7 @@ def require(
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    vms = scenario.vms
     doc: dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "seed": scenario.seed,
@@ -263,13 +266,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             ]
         },
         "vms": [
-            {"id": v.id, "compute_cap": v.compute_cap, "storage_cap": v.storage_cap}
-            for v in scenario.vms
+            {"id": j, "compute_cap": c, "storage_cap": s}
+            for j, (c, s) in enumerate(zip(vms.compute_caps, vms.storage_caps), start=1)
         ],
     }
-    for entry, vm in zip(doc["vms"], scenario.vms):
-        if vm.hosted is not None:  # written only when set, so other files keep their bytes
-            entry["hosted"] = vm.hosted
+    for entry, hosted in zip(doc["vms"], vms.hosted):
+        if hosted is not None:  # written only when set, so other files keep their bytes
+            entry["hosted"] = hosted
     if scenario.params is not None:
         doc["params"] = {
             "num_vms": scenario.params.num_vms,
@@ -384,39 +387,54 @@ def _read_scenario(doc: dict) -> Scenario:
     return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
 
 
-def _read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
-    """The machines of a ``vms`` list. An entry with no ``hosted`` key, whose
-    ``id`` is an integer and whose capacities are floats in (0,
-    ``MAX_AMOUNT``) or integers in (0, ``MAX_INTEGER_AMOUNT``] is taken as it
-    is; any other is read field by field, so a refusal names its first
-    offending field. ``hosted``, the component a machine already hosts, is
-    optional."""
-    vms = []
+def _read_vms(raw_vms: list) -> Sequence[VirtualMachine]:
+    """The machines of a ``vms`` list as an ``Inventory``. An entry with no
+    ``hosted`` key, whose ``id`` is its position (1..m) and whose capacities
+    are floats in (0, ``MAX_AMOUNT``) or integers in (0,
+    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read field by
+    field, so a refusal names its first offending field. ``hosted``, the
+    component a machine already hosts, is optional. When the ids are not
+    1..m in order, the machines come back as a tuple, for the ``Scenario``
+    to refuse once the rest of the document is read."""
+    compute, storage, hosted = [], [], [None] * len(raw_vms)
+    in_order = True
     for idx, raw in enumerate(raw_vms):
         if type(raw) is dict:
-            vm_id, compute, storage = raw.get("id"), raw.get("compute_cap"), raw.get("storage_cap")
+            vm_id, c, s = raw.get("id"), raw.get("compute_cap"), raw.get("storage_cap")
             if (
                 type(vm_id) is int
-                and type(compute) in (int, float)
-                and type(storage) in (int, float)
-                and 0 < compute < MAX_AMOUNT  # NaN and infinity fail too
-                and 0 < storage < MAX_AMOUNT
-                and (type(compute) is float or compute <= MAX_INTEGER_AMOUNT)
-                and (type(storage) is float or storage <= MAX_INTEGER_AMOUNT)
+                and vm_id == idx + 1
+                and type(c) in (int, float)
+                and type(s) in (int, float)
+                and 0 < c < MAX_AMOUNT  # NaN and infinity fail too
+                and 0 < s < MAX_AMOUNT
+                and (type(c) is float or c <= MAX_INTEGER_AMOUNT)
+                and (type(s) is float or s <= MAX_INTEGER_AMOUNT)
                 and "hosted" not in raw
             ):
-                vms.append(VirtualMachine(vm_id, compute, storage))
+                compute.append(c)
+                storage.append(s)
                 continue
-        path = f"vms[{idx}]."
-        vms.append(
-            VirtualMachine(
-                id=require(raw, "id", path, INTEGER),
-                compute_cap=require(raw, "compute_cap", path, AMOUNT),
-                storage_cap=require(raw, "storage_cap", path, AMOUNT),
-                hosted=require(raw, "hosted", path, HOSTED, default=None),
-            )
-        )
-    return tuple(vms)
+        vm = _read_vm(raw, idx)
+        in_order = in_order and vm.id == idx + 1
+        compute.append(vm.compute_cap)
+        storage.append(vm.storage_cap)
+        hosted[idx] = vm.hosted
+    if not in_order:
+        return tuple(_read_vm(raw, idx) for idx, raw in enumerate(raw_vms))
+    # A hosted component id is 1..8, never 0.
+    return Inventory(compute, storage, hosted if any(hosted) else None)
+
+
+def _read_vm(raw: dict, idx: int) -> VirtualMachine:
+    """Entry ``idx`` of a ``vms`` list, read field by field."""
+    path = f"vms[{idx}]."
+    return VirtualMachine(
+        id=require(raw, "id", path, INTEGER),
+        compute_cap=require(raw, "compute_cap", path, AMOUNT),
+        storage_cap=require(raw, "storage_cap", path, AMOUNT),
+        hosted=require(raw, "hosted", path, HOSTED, default=None),
+    )
 
 
 def save(scenario: Scenario, path: str | Path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .agents import greedy_rollout, load_policy
 from .mdp import MappingEnvironment
-from .model import VnfComponent
+from .model import Inventory, VnfComponent
 from .oracle import (
     AssignmentProblem,
     InfeasibleAssignmentError,
@@ -121,13 +121,12 @@ def _error(field: str, detail: str) -> dict:
     return {"error": {"field": field, "detail": detail}}
 
 
-def _wastage_entry(comp: VnfComponent, scenario: Scenario, vm_id: int) -> dict:
-    vm = scenario.vms[vm_id - 1]
+def _wastage_entry(comp: VnfComponent, vms: Inventory, vm_id: int) -> dict:
     return {
         "component": comp.id,
         "vm": vm_id,
-        "compute_idle_fraction": 1.0 - comp.compute_req / vm.compute_cap,
-        "storage_idle_fraction": 1.0 - comp.storage_req / vm.storage_cap,
+        "compute_idle_fraction": 1.0 - comp.compute_req / vms.compute_caps[vm_id - 1],
+        "storage_idle_fraction": 1.0 - comp.storage_req / vms.storage_caps[vm_id - 1],
     }
 
 
@@ -157,7 +156,7 @@ def handle_map(doc: dict, default_model: Optional[str] = None) -> tuple[int, dic
         "policy": request.policy,
         "pairs": {str(cid): vm for cid, vm in sorted(pairs.items())},
         "objective": {"mode": mode.value, "value": objective},
-        "per_pair_wastage": [_wastage_entry(c, scenario, pairs[c.id]) for c in components],
+        "per_pair_wastage": [_wastage_entry(c, scenario.vms, pairs[c.id]) for c in components],
     }
 
 

@@ -407,6 +407,41 @@ def test_compare_names_a_missing_summary_field(small_scenario, tmp_path, capsys)
     assert "average_reward" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "amounts, field",
+    [
+        # Each finite, but their sum is not.
+        ({"average_reward": 1.7e308, "std_dev": 1.7e308, "auc": 1.7e308,
+          "convergence_episode": 1.7e308}, "average_reward"),
+        ({"std_dev": 1.7e308}, "std_dev"),
+        ({"auc": 1.7e308}, "auc"),
+        ({"convergence_episode": 1.7e308}, "convergence_episode"),
+        # The mean is 0, but a squared deviation is beyond the float range.
+        ({"average_reward": (1e308, -1e308)}, "average_reward"),
+    ],
+    ids=["all", "std-dev", "auc", "convergence", "spread"],
+)
+def test_compare_refuses_aggregates_beyond_the_float_range(tmp_path, capsys, amounts, field):
+    runs = []
+    for index in range(2):
+        summary = {
+            "variant": "on-tab", "average_reward": 1.0, "std_dev": 0.5, "auc": 10.0,
+            "convergence_episode": 3,
+        }
+        for key, value in amounts.items():
+            summary[key] = value[index] if isinstance(value, tuple) else value
+        run_dir = tmp_path / f"run-{index}"
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        runs.append(str(run_dir))
+    out_json = tmp_path / "compare.json"
+    assert main(["compare", "--runs", *runs, "--out", str(out_json)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+    assert not out_json.exists()
+
+
 def test_capacity_above_the_bound_is_validation_error(small_scenario, tmp_path, capsys):
     doc = json.loads(small_scenario.read_text())
     path = tmp_path / "huge.json"

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import vnfcmap
 from vnfcmap.model import (
     NUM_COMPONENTS,
+    Inventory,
     VirtualMachine,
     VmLabel,
     VnfcKind,
@@ -121,6 +123,29 @@ def test_labels_partition_inventory():
             [vid for vid, lab in cls.labels.items() if lab is label] for label in VmLabel
         ]
         assert sorted(vid for group in partition for vid in group) == sorted(cls.labels)
+
+
+def test_inventory_is_a_sequence_of_its_machines():
+    vms = (VirtualMachine(1, 3, 4.5), VirtualMachine(2, 5, 6, hosted=4), VirtualMachine(3, 7.0, 8))
+    inventory = Inventory.of(vms)
+    assert Inventory.of(inventory) is inventory
+    assert len(inventory) == 3 and tuple(inventory) == vms
+    assert (inventory[0], inventory[-1]) == (vms[0], vms[2])
+    assert inventory[1:] == vms[1:] and inventory[::-1] == vms[::-1]
+    assert [type(vm.compute_cap) for vm in inventory] == [int, int, float]
+    assert inventory.compute_caps == (3, 5, 7.0) and inventory.hosted == (None, 4, None)
+    assert inventory.cap_s.tolist() == [4.5, 6.0, 8.0]
+    assert inventory.free.tolist() == [True, False, True]
+    # equal amounts of another type compare and hash equal, as machines do
+    same = Inventory([3.0, 5, 7], [4.5, 6, 8], [None, 4, None])
+    assert same == inventory and hash(same) == hash(inventory)
+    assert pickle.loads(pickle.dumps(inventory)) == inventory
+    with pytest.raises(IndexError):
+        inventory[3]
+    with pytest.raises(ValueError, match="read-only"):
+        inventory.cap_c[0] = 1.0
+    with pytest.raises(ValueError, match="^vm ids must be 1..m in order$"):
+        Inventory.of(vms[1:])
 
 
 def test_growing_capacity_never_loses_sufficiency():

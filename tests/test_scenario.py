@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -15,7 +16,7 @@ from _reference import (
     reference_generate,
 )
 from vnfcmap.infra import VmPlacement
-from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
+from vnfcmap.model import Inventory, PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
 from vnfcmap.scenario import (
     MAX_INTEGER_AMOUNT,
@@ -47,6 +48,31 @@ def test_same_seed_gives_byte_identical_files(tmp_path):
 def test_generate_reproduces_canonical_fixture():
     recorded = json.loads((FIXTURES / "canonical_scenario.json").read_text())
     assert scenario_to_dict(generate(42)) == recorded
+
+
+def test_generated_documents_keep_their_bytes():
+    """One digest over the documents of 300 seeds at each of four sizes,
+    recorded when generation built one machine object per machine."""
+    digest = hashlib.sha256()
+    for m in (8, 10, 100, 400):
+        for seed in range(300):
+            doc = scenario_to_dict(generate(seed, GenerationParams(num_vms=m)))
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == "0f306bbe3fefea07b98f409231d18df7e37579725fd190787bffc148c82b647a"
+
+
+def test_scenario_of_machines_equals_its_document_read_back():
+    base = generate(5, GenerationParams(num_vms=12))
+    vms = tuple(
+        VirtualMachine(vm.id, vm.compute_cap, float(vm.storage_cap), 2 if vm.id == 3 else None)
+        for vm in base.vms
+    )
+    built = Scenario(base.subnet, vms, seed=5, params=base.params)
+    read = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(built))))
+    assert isinstance(built.vms, Inventory) and isinstance(read.vms, Inventory)
+    assert read == built and hash(read) == hash(built)
+    assert tuple(read.vms) == vms
+    assert read.vms.storage_caps == tuple(float(vm.storage_cap) for vm in base.vms)
 
 
 def test_different_seeds_differ():

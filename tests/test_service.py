@@ -24,10 +24,11 @@ from _reference import crafted_tie_scenario, identity_scenario, reference_read_v
 from vnfcmap import agents, scenario as scenario_mod, service
 from vnfcmap.agents import AgentVariant, save_policy, train
 from vnfcmap.mdp import Hyperparameters
-from vnfcmap.model import make_slice
+from vnfcmap.model import Inventory, VirtualMachine, make_slice
 from vnfcmap.scenario import (
     MAX_AMOUNT,
     GenerationParams,
+    Scenario,
     ScenarioFormatError,
     generate,
     load,
@@ -982,7 +983,57 @@ def test_one_pass_read_walks_no_field_of_a_valid_inventory():
     vms = json.loads(json.dumps(scenario_to_dict(generate(1))["vms"]))
     with mock.patch.object(scenario_mod, "require", side_effect=AssertionError("field walked")):
         read = scenario_mod._read_vms(vms)
-    assert repr(read) == repr(reference_read_vms(vms))
+    assert isinstance(read, Inventory)
+    assert repr(tuple(read)) == repr(reference_read_vms(vms))
+
+
+def _vms_outcome(read, vms):
+    """What ``read`` makes of a ``vms`` list, checked as a scenario checks it:
+    each machine's fields with the type of each amount, or the refusal's field
+    and detail."""
+    try:
+        machines = read(copy.deepcopy(vms))
+        Scenario(make_slice([1] * 8, [1] * 8), machines)
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+    except ValueError as exc:  # a domain rule, refused as scenario_from_dict refuses it
+        return "<document>", str(exc)
+    return [
+        (vm.id, vm.compute_cap, type(vm.compute_cap), vm.storage_cap, type(vm.storage_cap), vm.hosted)
+        for vm in machines
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(_near_valid_vms())
+def test_one_pass_read_gives_the_machines_of_the_field_walk(vms):
+    outcome = _vms_outcome(scenario_mod._read_vms, vms)
+    assert outcome == _vms_outcome(reference_read_vms, vms)
+    if isinstance(outcome, list):
+        assert isinstance(scenario_mod._read_vms(vms), Inventory)
+
+
+@pytest.fixture(scope="module")
+def trained_at_100(tmp_path_factory):
+    scenario = generate(1)
+    _, learner = train(AgentVariant.OFF_POLICY_TABULAR, scenario, Hyperparameters(episodes=50), 0)
+    model_path = tmp_path_factory.mktemp("model") / "model.json"
+    save_policy(learner, model_path)
+    return scenario, str(model_path)
+
+
+@pytest.mark.parametrize("policy", ["greedy", "trained", "oracle"])
+def test_a_request_builds_no_machine_object_per_machine(trained_at_100, policy):
+    scenario, model_path = trained_at_100
+    doc = json.loads(json.dumps(_request_doc(scenario, {"kind": policy, "model": model_path})))
+    built = []
+    build = VirtualMachine.__post_init__
+    with mock.patch.object(
+        VirtualMachine, "__post_init__", lambda vm: built.append(vm.id) or build(vm)
+    ):
+        status, body = handle_map(doc)
+    assert status == 200 and body["status"] in ("mapped", "infeasible")
+    assert scenario.num_vms == 100 and len(built) <= 8
 
 
 _POLICY_KEYS = ("version", "kind", "variant", "num_components", "num_vms", "values", "weights")
