@@ -456,19 +456,18 @@ def greedy_rollout(
     """Replay the greedy policy without exploration.
 
     Returns the component-to-machine pairs, or None when the greedy choice is
-    ever infeasible.
+    ever infeasible (``env.step``'s rule): a machine already taken, or a pair
+    outside ``env.fit_mask``. No estimate reads the occupied set of a state.
     """
-    state = MappingEpisodeState(
-        next_component_index=1, anchor_vm=start_anchor, occupied=frozenset()
-    )
     pairs: dict[int, int] = {}
-    while not state.terminal:
-        action = Action(q.greedy_action(state))
-        outcome = env.step(state, action)
-        if not outcome.feasible:
+    anchor = start_anchor
+    for i in range(1, env.num_components + 1):
+        j = q.greedy_action(MappingEpisodeState(i, anchor, frozenset()))
+        if not 1 <= j <= env.num_vms:
+            raise ValueError(f"target vm {j} outside 1..{env.num_vms}")
+        if j in pairs.values() or not env.fit_mask[i - 1][j - 1]:
             return None
-        pairs[state.next_component_index] = action.target_vm
-        state = outcome.next_state
+        pairs[i] = anchor = j
     return pairs
 
 

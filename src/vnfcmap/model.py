@@ -10,11 +10,14 @@ from typing import Optional
 import numpy as np
 
 
+CU_COMPONENTS = 3
+
+
 class VnfcKind(Enum):
     """The eight micro-functions of a slice subnet, in processing order.
 
-    The first three run in the centralized unit, the remaining five in the
-    distributed unit.
+    The first ``CU_COMPONENTS`` run in the centralized unit, the remaining
+    five in the distributed unit.
     """
 
     RRC = 1
@@ -28,7 +31,7 @@ class VnfcKind(Enum):
 
     @property
     def in_centralized_unit(self) -> bool:
-        return self.value <= 3
+        return self.value <= CU_COMPONENTS
 
 
 NUM_COMPONENTS = len(VnfcKind)
@@ -69,19 +72,16 @@ class SliceSubnet:
                     f"component at position {position} must have id/kind {position}, "
                     f"got id={comp.id} kind={comp.kind.name}"
                 )
-        cu_c, du_c = self._axis_sums("compute_req")
-        cu_s, du_s = self._axis_sums("storage_req")
+        compute = [c.compute_req for c in self.components]
+        storage = [c.storage_req for c in self.components]
+        cu_c, du_c = sum(compute[:CU_COMPONENTS]), sum(compute[CU_COMPONENTS:])
+        cu_s, du_s = sum(storage[:CU_COMPONENTS]), sum(storage[CU_COMPONENTS:])
         if cu_c < du_c or cu_s < du_s:
             raise ValueError(
                 "cu-dominance violated: centralized-unit aggregate demand "
                 f"(compute {cu_c}, storage {cu_s}) must be at least the "
                 f"distributed-unit aggregate demand (compute {du_c}, storage {du_s})"
             )
-
-    def _axis_sums(self, attr: str) -> tuple[float, float]:
-        cu = sum(getattr(c, attr) for c in self.components if c.kind.in_centralized_unit)
-        du = sum(getattr(c, attr) for c in self.components if not c.kind.in_centralized_unit)
-        return cu, du
 
     @property
     def total_compute(self) -> float:
@@ -92,17 +92,8 @@ def make_slice(compute_reqs: Sequence[float], storage_reqs: Sequence[float]) -> 
     """Build a slice subnet from two 8-long requirement vectors."""
     if len(compute_reqs) != NUM_COMPONENTS or len(storage_reqs) != NUM_COMPONENTS:
         raise ValueError("requirement vectors must have length 8")
-    comps = tuple(
-        VnfComponent(id=i, kind=VnfcKind(i), compute_req=c, storage_req=s)
-        for i, (c, s) in enumerate(zip(compute_reqs, storage_reqs), start=1)
-    )
-    return SliceSubnet(comps)
-
-
-def check_ids_in_order(items: Sequence, noun: str, count: str) -> None:
-    """Refuse ``items`` unless their ids are 1..n in order; ``count`` names n."""
-    if [item.id for item in items] != list(range(1, len(items) + 1)):
-        raise ValueError(f"{noun} ids must be 1..{count} in order")
+    ids = range(1, NUM_COMPONENTS + 1)
+    return SliceSubnet(tuple(map(VnfComponent, ids, VnfcKind, compute_reqs, storage_reqs)))
 
 
 @dataclass(frozen=True)

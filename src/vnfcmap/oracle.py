@@ -32,7 +32,6 @@ from .model import (
     VirtualMachine,
     VnfComponent,
     _fit,
-    check_ids_in_order,
     resource_grid,
 )
 
@@ -78,7 +77,8 @@ class AssignmentProblem:
     def __post_init__(self) -> None:
         if not self.components or not self.vms:
             raise ValueError("components and vms must be non-empty")
-        check_ids_in_order(self.components, "component", "k")
+        if [c.id for c in self.components] != list(range(1, len(self.components) + 1)):
+            raise ValueError("component ids must be 1..k in order")
         object.__setattr__(self, "vms", Inventory.of(self.vms))
 
 
@@ -107,14 +107,19 @@ def pair_cost(component: VnfComponent, vm: VirtualMachine, mode: ObjectiveMode) 
 
 
 def assignment_objective(problem: AssignmentProblem, pairs: dict[int, int]) -> float:
-    """Objective of a given pairing, summed in component-id order.
+    """Objective of a given pairing: ``pair_cost`` of each pair, read off the
+    inventory's columns, summed from 0.0 in component-id order.
 
     Both solvers report their result through this function so equal
     assignments always yield bit-identical objective values.
     """
+    vms, mode = problem.vms, problem.objective_mode
     total = 0.0
     for comp in problem.components:
-        total += pair_cost(comp, problem.vms[pairs[comp.id] - 1], problem.objective_mode)
+        j = pairs[comp.id] - 1
+        total += _surplus(
+            comp.compute_req, comp.storage_req, vms.compute_caps[j], vms.storage_caps[j], mode
+        )
     return total
 
 

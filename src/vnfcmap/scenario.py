@@ -17,6 +17,7 @@ import numpy as np
 
 from .infra import VmPlacement, check_vm_placement
 from .model import (
+    CU_COMPONENTS,
     NUM_COMPONENTS,
     Inventory,
     PhysicalMachine,
@@ -123,7 +124,8 @@ def _draw_requirements(rng: np.random.Generator, lo: int, hi: int) -> list[int]:
         state = rng.bit_generator.state
         rows = rng.integers(lo, hi + 1, size=(count, NUM_COMPONENTS))
         # exact in int64: ``hi`` is at most 2**53
-        accepted = np.flatnonzero(rows[:, :3].sum(axis=1) >= rows[:, 3:].sum(axis=1))
+        cu, du = rows[:, :CU_COMPONENTS].sum(axis=1), rows[:, CU_COMPONENTS:].sum(axis=1)
+        accepted = np.flatnonzero(cu >= du)
         if accepted.size:
             rng.bit_generator.state = state
             first = int(accepted[0])

@@ -4,14 +4,19 @@ The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
 an oracle for the learners. The step-by-step training loop is written against
 the public environment and agent functions only, so it can serve as an oracle
-for the training kernel in ``agents._run_episodes``. The enumeration and greedy
-best-fit scans judge one pair at a time through ``VirtualMachine.fits`` and
-``pair_cost``, so they can serve as oracles for the routes that read the
-masked cost matrix. The canonical matching walk solves every candidate's
-remainder, so it can serve as an oracle for the pruned walk in
-``oracle.solve_exact_matching``. The feasibility check makes one assignment
-solve on the masked surplus matrix, after ``_cost_matrix``'s own refusals;
-``oracle.has_feasible_assignment`` makes one on the allowed mask at cost 0.
+for the training kernel in ``agents._run_episodes``; the greedy replay steps
+``MappingEnvironment.step`` with state and action objects, so it can serve as
+an oracle for ``agents.greedy_rollout``, which reads the fit mask. The
+enumeration and greedy best-fit scans judge one pair at a time through
+``VirtualMachine.fits`` and ``pair_cost``, so they can serve as oracles for the
+routes that read the masked cost matrix. The objective sums ``pair_cost`` of
+machine objects, so it can serve as an oracle for
+``oracle.assignment_objective``, which reads the inventory's columns. The
+canonical matching walk solves every candidate's remainder, so it can serve as
+an oracle for the pruned walk in ``oracle.solve_exact_matching``. The
+feasibility check makes one assignment solve on the masked surplus matrix,
+after ``_cost_matrix``'s own refusals; ``oracle.has_feasible_assignment`` makes
+one on the allowed mask at cost 0.
 Since both routes solve, networkx's Hopcroft-Karp matching in
 ``tests/test_oracle.py`` is the independent reference for the verdict. The ``vms``
 walk reads every field of every entry with ``scenario.require``, so it can
@@ -33,7 +38,7 @@ from vnfcmap.agents import (
     select_action,
     tabular_update,
 )
-from vnfcmap.mdp import MappingEnvironment, RewardMode
+from vnfcmap.mdp import Action, MappingEnvironment, MappingEpisodeState, RewardMode
 from vnfcmap.metrics import EpisodeLog
 from vnfcmap.model import NUM_COMPONENTS, SliceSubnet, VirtualMachine, make_slice
 from vnfcmap.oracle import (
@@ -224,10 +229,28 @@ def reference_train(variant, scenario, hyper, seed, num_components=None):
     return logs, learner
 
 
+def reference_greedy_rollout(q, env, start_anchor=1):
+    """``agents.greedy_rollout`` stepped through ``env.step``: the pairs, or
+    None at the first infeasible greedy choice."""
+    state = MappingEpisodeState(
+        next_component_index=1, anchor_vm=start_anchor, occupied=frozenset()
+    )
+    pairs: dict[int, int] = {}
+    while not state.terminal:
+        action = Action(q.greedy_action(state))
+        outcome = env.step(state, action)
+        if not outcome.feasible:
+            return None
+        pairs[state.next_component_index] = action.target_vm
+        state = outcome.next_state
+    return pairs
+
+
 def reference_enumeration(problem) -> Assignment:
     """``oracle.solve_exact_enumeration`` scanning machine objects: the same
     edge checks, then every permutation of the available machines summed pair
-    by pair in component order, stopping at the first pair that does not fit."""
+    by pair in component order, stopping at the first pair that does not fit;
+    the objective is ``reference_objective``."""
     _cost_matrix(problem)  # the edge checks
     comps = problem.components
     vms = [vm for vm in problem.vms if vm.available]
@@ -246,7 +269,16 @@ def reference_enumeration(problem) -> Assignment:
             best_pairs = {comp.id: vm.id for comp, vm in zip(comps, chosen)}
     if best_pairs is None:
         raise InfeasibleAssignmentError("no injective feasible assignment exists")
-    return Assignment(best_pairs, assignment_objective(problem, best_pairs))
+    return Assignment(best_pairs, reference_objective(problem, best_pairs))
+
+
+def reference_objective(problem, pairs) -> float:
+    """``oracle.assignment_objective`` over machine objects: ``pair_cost`` of
+    each pair, summed from 0.0 in component order."""
+    total = 0.0
+    for comp in problem.components:
+        total += pair_cost(comp, problem.vms[pairs[comp.id] - 1], problem.objective_mode)
+    return total
 
 
 def reference_greedy_best_fit(components, vms) -> dict[int, int]:

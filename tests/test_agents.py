@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _reference import (
     features,
     reference_episode,
+    reference_greedy_rollout,
     reference_train,
     tiny_scenario,
     two_step_q_star,
@@ -19,6 +20,7 @@ from _reference import (
 from vnfcmap import agents, metrics
 from vnfcmap.agents import (
     DIVERGENCE_LIMIT,
+    FEATURE_DIM,
     AgentVariant,
     DivergenceError,
     LinearQ,
@@ -351,19 +353,57 @@ def test_grid_environment_and_features_share_one_allowed_mask(machines):
             )
 
 
-@pytest.mark.parametrize(
-    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
-)
+def _stop(q, env, anchor, hosted):
+    """How the step-by-step greedy replay from ``anchor`` ends: "mapped", or
+    the machine of its first infeasible pick, one "taken", "hosted" or "unfit"."""
+    state = _state(1, anchor)
+    while not state.terminal:
+        j = q.greedy_action(state)
+        outcome = env.step(state, Action(j))
+        if not outcome.feasible:
+            return "taken" if j in state.occupied else "hosted" if j in hosted else "unfit"
+        state = outcome.next_state
+    return "mapped"
+
+
+@pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
 def test_greedy_rollouts_place_nothing_on_a_hosted_machine(variant):
-    # The linear replays end infeasibly on this inventory with or without
-    # hosted machines, so they would check nothing here.
+    # From every anchor, over all eight components and the first five, the
+    # replay matches the step-by-step reference. Besides the trained estimate,
+    # random ones pick hosted and unfit machines. No linear replay places the
+    # whole slice on this inventory.
     hosted = set(range(2, 41, 2))
     scenario = _hosting(generate(1, GenerationParams(num_vms=40)), hosted)
-    _, learner = train(variant, scenario, Hyperparameters(episodes=500), seed=0)
-    env = MappingEnvironment(scenario, np.random.default_rng(0))
-    rollouts = [greedy_rollout(learner.q, env, anchor) for anchor in range(1, 41)]
-    placed = [set(pairs.values()) for pairs in rollouts if pairs is not None]
-    assert placed and not any(machines & hosted for machines in placed)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for k in (8, 5):
+        _, learner = train(variant, scenario, Hyperparameters(episodes=500), 0, k)
+        estimators = [learner.q]
+        for _ in range(5):
+            if variant.tabular:
+                estimators.append(QTable(k, 40, rng.random((k, 40, 40))))
+            else:
+                estimators.append(LinearQ(scenario, k))
+                estimators[-1].weights = rng.normal(size=FEATURE_DIM)
+        env = MappingEnvironment(scenario, np.random.default_rng(0), num_components=k)
+        for q, anchor in itertools.product(estimators, range(1, 41)):
+            pairs = greedy_rollout(q, env, anchor)
+            assert pairs == reference_greedy_rollout(q, env, anchor)
+            assert pairs is None or not set(pairs.values()) & hosted
+            seen.add(_stop(q, env, anchor, hosted))
+    infeasible = {"taken", "hosted", "unfit"}
+    assert seen == (infeasible | {"mapped"} if variant.tabular else infeasible)
+
+
+def test_greedy_rollout_refuses_a_target_outside_the_inventory():
+    # An estimate over 7 machines replayed on 6: f1 takes machine 1, then the
+    # pick for f2 is machine 7, which env.step refuses by name.
+    env = MappingEnvironment(_uniform_scenario(num_vms=6), np.random.default_rng(0))
+    q = QTable(8, 7)
+    q.values[1, 0, 6] = 1.0
+    for replay in (greedy_rollout, reference_greedy_rollout):
+        with pytest.raises(ValueError, match=r"^target vm 7 outside 1\.\.6$"):
+            replay(q, env)
 
 
 def test_linear_update_from_zero_weights():

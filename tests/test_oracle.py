@@ -21,6 +21,7 @@ from _reference import (
     reference_enumeration,
     reference_greedy_best_fit,
     reference_has_feasible_assignment,
+    reference_objective,
 )
 from vnfcmap import oracle
 from vnfcmap.model import VirtualMachine, VnfcKind, VnfComponent, make_slice
@@ -731,12 +732,23 @@ def _outcome(solve, *args):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_enumeration_matches_pairwise_reference():
     rng = np.random.default_rng(41)
+    pick = np.random.default_rng(43)  # the pairings, apart from the instances' draws
     seen = set()
     for _ in range(400):
         comps, vms = _random_instance(rng, special=True)
         vms = tuple(replace(vm, hosted=1) if rng.random() < 0.2 else vm for vm in vms)
         mode = list(ObjectiveMode)[int(rng.integers(2))]
         problem = AssignmentProblem(comps, vms, mode)
+        # Objective bits too: of the optimum below, and of any injective pairing.
+        if len(comps) <= len(vms):
+            chosen = pick.permutation(len(vms))[: len(comps)].tolist()
+            pairs = {i + 1: j + 1 for i, j in enumerate(chosen)}
+            objective = assignment_objective(problem, pairs)
+            assert objective.hex() == reference_objective(problem, pairs).hex()
+            for comp, vm in zip(comps, (vms[j] for j in chosen)):
+                amounts = (comp.compute_req, comp.storage_req, vm.compute_cap, vm.storage_cap)
+                kinds = {type(a).__name__ for a in amounts}
+                seen.add((mode.value, kinds.pop() if len(kinds) == 1 else "mixed"))
         outcome = _outcome(solve_exact_enumeration, problem)
         assert outcome == _outcome(reference_enumeration, problem)
         # The second word tells the three infeasibility texts apart.
@@ -752,7 +764,7 @@ def test_enumeration_matches_pairwise_reference():
                 seen.add("nan cost")
     assert seen == {
         "mapped", "components", "available", "injective", "tie", "occupied", "non-finite",
-        "nan cost",
+        "nan cost", *itertools.product([m.value for m in ObjectiveMode], ["int", "float", "mixed"]),
     }
 
 
