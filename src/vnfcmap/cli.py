@@ -291,26 +291,20 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
                 print(f"  {violation}")
         else:
             print("placement violations: none")
-        for k, pm in enumerate(inst.pms):
-            hosted = [j for j in range(inst.num_vms) if inst.placement.x[j][k] == 1]
-            caps = [(inst.vms.compute_caps[j], inst.vms.storage_caps[j]) for j in hosted]
-            loads = [(c / pm.compute_cap, s / pm.storage_cap) for c, s in caps]
-            compute = sum(c for c, _ in caps)
-            storage = sum(s for _, s in caps)
+        c, s = inst.vms.compute_caps, inst.vms.storage_caps
+        for pm, load in zip(inst.pms, infra.pm_loads(inst.placement, inst.vms)):
+            loads = [(c[j] / pm.compute_cap, s[j] / pm.storage_cap) for j in load.hosted]
             try:
                 workload = infra.pm_workload((0.0, 0.0), loads)
                 # Rounded apart, the load fractions can sum below 1 while the
                 # amounts sum above the capacity.
-                for axis, demand, cap in (
-                    ("compute", compute, pm.compute_cap),
-                    ("storage", storage, pm.storage_cap),
-                ):
-                    if demand > cap:
-                        raise infra.OverloadError(f"{axis} demand {demand} exceeds {cap}")
-                avail = (pm.compute_cap - compute, pm.storage_cap - storage)
+                overdemands = load.overdemands(pm.compute_cap, pm.storage_cap)
+                if overdemands:
+                    raise infra.OverloadError(overdemands[0][1])
+                avail = (pm.compute_cap - load.compute, pm.storage_cap - load.storage)
                 wastage = infra.pm_wastage(avail, (pm.compute_cap, pm.storage_cap))
                 print(
-                    f"pm {pm.id}: {len(hosted)} vms, workload {workload:.4f}, "
+                    f"pm {pm.id}: {len(load.hosted)} vms, workload {workload:.4f}, "
                     f"idle fraction {wastage:.4f}"
                 )
             except infra.OverloadError as exc:

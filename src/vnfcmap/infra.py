@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .model import Inventory, PhysicalMachine, VirtualMachine
 
@@ -44,26 +47,48 @@ class Violation:
 
 @dataclass(frozen=True)
 class VmPlacement:
-    """Binary VM-by-PM placement matrix plus per-PM activity flags."""
+    """Binary VM-by-PM placement matrix plus per-PM activity flags, kept as
+    given; ``matrix`` is ``x`` as a read-only (m, n) int8 array, derived once."""
 
     x: tuple[tuple[int, ...], ...]
     pm_active: tuple[bool, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.pm_active)
         for j, row in enumerate(self.x):
             if len(row) != n:
                 raise ValueError(f"row {j + 1} has {len(row)} columns, expected {n}")
-            if any(v not in (0, 1) for v in row):
+            if row.count(0) + row.count(1) != n:
                 raise ValueError(f"row {j + 1} contains a non-binary entry")
+        object.__setattr__(self, "matrix", np.array(self.x, dtype=np.int8).reshape(len(self.x), n))
+        self.matrix.flags.writeable = False
 
-    @property
-    def num_vms(self) -> int:
-        return len(self.x)
 
-    @property
-    def num_pms(self) -> int:
-        return len(self.pm_active)
+class PmLoad(NamedTuple):
+    """The machines a PM hosts, as positions in machine order, and its
+    demand: their capacities summed from int 0, left to right."""
+
+    hosted: list[int]
+    compute: float
+    storage: float
+
+    def overdemands(self, compute_cap: float, storage_cap: float) -> list:
+        """(rule, detail) of each axis, compute first, whose demand is above its capacity."""
+        axes = (
+            (RULE_COMPUTE_CAPACITY, "compute", self.compute, compute_cap),
+            (RULE_STORAGE_CAPACITY, "storage", self.storage, storage_cap),
+        )
+        return [(rule, f"{axis} demand {d} exceeds {c}") for rule, axis, d, c in axes if d > c]
+
+
+def pm_loads(placement: VmPlacement, vms: Inventory) -> Iterator[PmLoad]:
+    """The load of each PM, in PM order, under a placement whose rows are ``vms``."""
+    c, s = vms.compute_caps, vms.storage_caps
+    hosted = iter(np.nonzero(placement.matrix.T)[1].tolist())  # PM by PM, in machine order
+    for count in placement.matrix.sum(axis=0).tolist():
+        positions = list(islice(hosted, count))
+        yield PmLoad(positions, sum(c[j] for j in positions), sum(s[j] for j in positions))
 
 
 def check_vm_placement(
@@ -76,47 +101,24 @@ def check_vm_placement(
     Returns one violation per broken rule instance; an empty list means the
     placement is feasible.
     """
-    if placement.num_vms != len(vms) or placement.num_pms != len(pms):
-        raise ValueError(
-            f"placement is {placement.num_vms}x{placement.num_pms}, "
-            f"inventory is {len(vms)}x{len(pms)}"
-        )
-    vms = Inventory.of(vms)
-    violations: list[Violation] = []
-
-    for j, row in enumerate(placement.x):
-        hosts = sum(row)
-        if hosts != 1:
-            violations.append(
-                Violation(RULE_SINGLE_HOST, j + 1, f"vm {j + 1} placed on {hosts} pms")
-            )
-
-    for k, pm in enumerate(pms):
-        column = [placement.x[j][k] for j in range(placement.num_vms)]
-        count = sum(column)
+    m, n = placement.matrix.shape
+    if (m, n) != (len(vms), len(pms)):
+        raise ValueError(f"placement is {m}x{n}, inventory is {len(vms)}x{len(pms)}")
+    violations = [
+        Violation(RULE_SINGLE_HOST, j, f"vm {j} placed on {hosts} pms")
+        for j, hosts in enumerate(placement.matrix.sum(axis=1).tolist(), start=1)
+        if hosts != 1
+    ]
+    loads = pm_loads(placement, Inventory.of(vms))
+    for k, (pm, on, load) in enumerate(zip(pms, placement.pm_active, loads), start=1):
+        count = len(load.hosted)
         if count > pm.max_vm_count:
             violations.append(
-                Violation(RULE_VM_COUNT, k + 1, f"{count} vms exceed limit {pm.max_vm_count}")
+                Violation(RULE_VM_COUNT, k, f"{count} vms exceed limit {pm.max_vm_count}")
             )
-        active = 1 if placement.pm_active[k] else 0
-        compute_demand = sum(cap * x for cap, x in zip(vms.compute_caps, column))
-        storage_demand = sum(cap * x for cap, x in zip(vms.storage_caps, column))
-        if compute_demand > pm.compute_cap * active:
-            violations.append(
-                Violation(
-                    RULE_COMPUTE_CAPACITY,
-                    k + 1,
-                    f"compute demand {compute_demand} exceeds {pm.compute_cap * active}",
-                )
-            )
-        if storage_demand > pm.storage_cap * active:
-            violations.append(
-                Violation(
-                    RULE_STORAGE_CAPACITY,
-                    k + 1,
-                    f"storage demand {storage_demand} exceeds {pm.storage_cap * active}",
-                )
-            )
+        active = 1 if on else 0
+        for rule, detail in load.overdemands(pm.compute_cap * active, pm.storage_cap * active):
+            violations.append(Violation(rule, k, detail))
     return violations
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -81,7 +82,7 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A slice subnet and its machine inventory, ids 1..m in order; ``vms``
+    """A slice subnet and its machine inventory, ids 1..m in order (PMs 1..n); ``vms``
     may be given as machine objects and is kept as their ``Inventory``."""
 
     subnet: SliceSubnet
@@ -95,6 +96,8 @@ class Scenario:
         if not self.vms:
             raise ValueError("scenario needs at least one vm")
         object.__setattr__(self, "vms", Inventory.of(self.vms))
+        if any(pm.id != k for k, pm in enumerate(self.pms, start=1)):
+            raise ValueError("pm ids must be 1..n in order")
         if self.placement is not None and not self.pms:
             raise ValueError("placement given without a pm substrate")
 
@@ -319,8 +322,9 @@ def scenario_from_dict(doc: dict, validate_placement: bool = True) -> Scenario:
 _INT_RANGE = FieldKind(
     lambda v: LIST.valid(v) and len(v) == 2 and all(map(INTEGER.valid, v)), "must be two integers"
 )
-_ROWS = FieldKind(
-    lambda v: LIST.valid(v) and all(LIST.valid(row) and all(map(INTEGER.valid, row)) for row in v),
+_ROWS = FieldKind(  # by type: decoded JSON holds no subclass of list, nor of int but bool
+    lambda v: LIST.valid(v) and set(map(type, v)) <= {list}
+    and set(map(type, chain.from_iterable(v))) <= {int},
     "must be a list of lists of integers",
 )
 _FLAGS = FieldKind(
@@ -383,7 +387,7 @@ def _read_scenario(doc: dict) -> Scenario:
     raw_placement = require(doc, "placement", default=None)
     if raw_placement is not None:
         placement = VmPlacement(
-            x=tuple(tuple(row) for row in require(raw_placement, "x", "placement.", _ROWS)),
+            x=tuple(map(tuple, require(raw_placement, "x", "placement.", _ROWS))),
             pm_active=tuple(require(raw_placement, "pm_active", "placement.", _FLAGS)),
         )
     return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)

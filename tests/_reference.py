@@ -22,7 +22,10 @@ Since both routes solve, networkx's Hopcroft-Karp matching in
 walk reads every field of every entry with ``scenario.require``, so it can
 serve as an oracle for the one-pass read in ``scenario._read_vms``. The
 generator draws one demand row per ``rng.integers`` call, so it can serve as
-an oracle for the block draw in ``scenario._draw_requirements``.
+an oracle for the block draw in ``scenario._draw_requirements``. The placement
+reads check ``placement.x`` entry by entry and gather each PM's column from the
+rows, so they can serve as oracles for ``infra.VmPlacement``'s int8 array, the
+one per-PM pass ``infra.pm_loads`` and ``check-infra``'s report on it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ from vnfcmap.agents import (
     tabular_update,
 )
 from vnfcmap.mdp import Action, MappingEnvironment, MappingEpisodeState, RewardMode
+from vnfcmap.infra import (
+    RULE_COMPUTE_CAPACITY,
+    RULE_SINGLE_HOST,
+    RULE_STORAGE_CAPACITY,
+    RULE_VM_COUNT,
+    OverloadError,
+    Violation,
+    pm_wastage,
+    pm_workload,
+)
 from vnfcmap.metrics import EpisodeLog
 from vnfcmap.model import NUM_COMPONENTS, SliceSubnet, VirtualMachine, make_slice
 from vnfcmap.oracle import (
@@ -56,14 +69,19 @@ from vnfcmap.oracle import (
     validate_assignment,
 )
 from vnfcmap.scenario import (
+    _FLAGS,
     AMOUNT,
     HOSTED,
     INTEGER,
+    LIST,
     MAX_RESAMPLES,
+    FieldKind,
     GenerationParams,
     Scenario,
+    ScenarioFormatError,
     ScenarioGenerationError,
     require,
+    scenario_from_dict,
 )
 
 PENALTY = -1.0
@@ -390,3 +408,109 @@ def reference_generate(seed: int, params: GenerationParams = GenerationParams())
     raise ScenarioGenerationError(
         f"no feasible capacity draw within {MAX_RESAMPLES} attempts for params {params}"
     )
+
+
+# The per-entry reads of a substrate placement: a ``placement.x`` checked by
+# ``isinstance`` entry by entry, rows checked entry by entry, and each PM's
+# column gathered from the rows, for the rule check and again for the report.
+_PER_ENTRY_ROWS = FieldKind(
+    lambda v: LIST.valid(v) and all(LIST.valid(row) and all(map(INTEGER.valid, row)) for row in v),
+    "must be a list of lists of integers",
+)
+
+
+def reference_check_rows(x, n: int) -> None:
+    for j, row in enumerate(x):
+        if len(row) != n:
+            raise ValueError(f"row {j + 1} has {len(row)} columns, expected {n}")
+        if any(v not in (0, 1) for v in row):
+            raise ValueError(f"row {j + 1} contains a non-binary entry")
+
+
+def reference_violations(x, pm_active, vms, pms) -> list[Violation]:
+    """The substrate rule check with a PM's demand summed as ``cap * x`` over
+    every machine, so that an unhosted float machine adds 0.0."""
+    if len(x) != len(vms) or len(pm_active) != len(pms):
+        raise ValueError(
+            f"placement is {len(x)}x{len(pm_active)}, inventory is {len(vms)}x{len(pms)}"
+        )
+    violations = []
+    for j, row in enumerate(x):
+        hosts = sum(row)
+        if hosts != 1:
+            detail = f"vm {j + 1} placed on {hosts} pms"
+            violations.append(Violation(RULE_SINGLE_HOST, j + 1, detail))
+    for k, pm in enumerate(pms):
+        column = [x[j][k] for j in range(len(x))]
+        count = sum(column)
+        if count > pm.max_vm_count:
+            detail = f"{count} vms exceed limit {pm.max_vm_count}"
+            violations.append(Violation(RULE_VM_COUNT, k + 1, detail))
+        active = 1 if pm_active[k] else 0
+        for rule, axis, caps, cap in (
+            (RULE_COMPUTE_CAPACITY, "compute", vms.compute_caps, pm.compute_cap * active),
+            (RULE_STORAGE_CAPACITY, "storage", vms.storage_caps, pm.storage_cap * active),
+        ):
+            demand = sum(c * v for c, v in zip(caps, column))
+            if demand > cap:
+                violations.append(Violation(rule, k + 1, f"{axis} demand {demand} exceeds {cap}"))
+    return violations
+
+
+def reference_placement_refusal(doc: dict, validate_placement: bool = True):
+    """(field, detail) of the refusal of a scenario document whose fields
+    other than ``placement`` are valid, or None when it is read."""
+    rest = scenario_from_dict({k: v for k, v in doc.items() if k != "placement"}, False)
+    raw = doc.get("placement")
+    if raw is None:
+        return None
+    try:
+        x = require(raw, "x", "placement.", _PER_ENTRY_ROWS)
+        pm_active = require(raw, "pm_active", "placement.", _FLAGS)
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+    try:
+        reference_check_rows(x, len(pm_active))
+        violations = []
+        if validate_placement:
+            violations = reference_violations(x, pm_active, rest.vms, rest.pms)
+    except ValueError as exc:
+        return "<document>", str(exc)
+    if violations:
+        return "<document>", "placement breaks substrate rules: " + "; ".join(map(str, violations))
+    return None
+
+
+def reference_placement_report(inst: Scenario) -> str:
+    """``check-infra``'s placement lines, each PM's hosted machines gathered
+    from its column; raises the rule check's ``ValueError`` on a shape mismatch."""
+    x, vms = inst.placement.x, inst.vms
+    violations = reference_violations(x, inst.placement.pm_active, vms, inst.pms)
+    if violations:
+        lines = [f"placement violations ({len(violations)}):"]
+        lines += [f"  {violation}" for violation in violations]
+    else:
+        lines = ["placement violations: none"]
+    for k, pm in enumerate(inst.pms):
+        hosted = [j for j in range(inst.num_vms) if x[j][k] == 1]
+        caps = [(vms.compute_caps[j], vms.storage_caps[j]) for j in hosted]
+        loads = [(c / pm.compute_cap, s / pm.storage_cap) for c, s in caps]
+        compute = sum(c for c, _ in caps)
+        storage = sum(s for _, s in caps)
+        try:
+            workload = pm_workload((0.0, 0.0), loads)
+            for axis, demand, cap in (
+                ("compute", compute, pm.compute_cap),
+                ("storage", storage, pm.storage_cap),
+            ):
+                if demand > cap:
+                    raise OverloadError(f"{axis} demand {demand} exceeds {cap}")
+            avail = (pm.compute_cap - compute, pm.storage_cap - storage)
+            wastage = pm_wastage(avail, (pm.compute_cap, pm.storage_cap))
+            lines.append(
+                f"pm {pm.id}: {len(hosted)} vms, workload {workload:.4f}, "
+                f"idle fraction {wastage:.4f}"
+            )
+        except OverloadError as exc:
+            lines.append(f"pm {pm.id}: overloaded ({exc})")
+    return "".join(line + "\n" for line in lines)

@@ -1,14 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from _reference import reference_placement_refusal, reference_placement_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,16 @@ from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
 from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, ObjectiveMode, solve_exact_matching
-from vnfcmap.scenario import GenerationParams, Scenario, generate, load, save, scenario_to_dict
+from vnfcmap.scenario import (
+    GenerationParams,
+    Scenario,
+    ScenarioFormatError,
+    generate,
+    load,
+    save,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -759,3 +771,173 @@ def test_any_scenario_file_exits_0_2_or_3(scenario_dir, doc):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--scenario", str(path)])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE), command
+
+
+# ---------------------------------------------------------------------------
+# The placement read once, against the per-entry reads in tests/_reference.py.
+
+_PLACED_SLICE = make_slice([2, 2, 2, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1, 1, 1])
+_INVENTORIES = {
+    "int": [(4, 3), (6, 6), (6, 6)] + [(5, 5)] * 6,
+    "float": [(4.5, 3.25), (6.5, 6.0), (6.0, 6.5)] + [(5.5, 5.25)] * 6,
+    "mixed": [(6, 6), (6, 6), (2.5, 2.5), (5, 5.5), (4.25, 4)] + [(5, 5), (5.5, 5.5)] * 2,
+}
+# Each machine's PMs, by id, and each PM's (capacity, VM limit, active).
+_PLACEMENTS = {
+    "roomy": ([{j % 3 + 1} for j in range(9)], [(100, 9, True), (100.5, 9, True), (100, 9, True)]),
+    "inactive": (
+        [{j % 3 + 1} for j in range(9)], [(100, 9, True), (100, 9, False), (80.5, 9, False)]
+    ),
+    "empty-pm": ([{1}] * 5 + [{2}] * 4, [(21, 5, True), (22.5, 3, True), (5, 1, True)]),
+    "single-host": ([{1, 2}, set()] + [{3}] * 7, [(10, 2, True), (10, 2, True), (40, 7, True)]),
+    "hosted-only": ([{1}, {1}, {2}] + [{3}] * 6, [(10, 2, True), (10, 1, True), (40, 6, True)]),
+}
+
+
+def _placed_doc(caps, hosts, pms):
+    placement = VmPlacement(
+        x=tuple(tuple(int(k in on) for k in range(1, len(pms) + 1)) for on in hosts),
+        pm_active=tuple(active for _, _, active in pms),
+    )
+    return scenario_to_dict(
+        Scenario(
+            _PLACED_SLICE,
+            tuple(VirtualMachine(j, c, s) for j, (c, s) in enumerate(caps, start=1)),
+            pms=tuple(
+                PhysicalMachine(k, cap, cap, max_vm_count=limit)
+                for k, (cap, limit, _) in enumerate(pms, start=1)
+            ),
+            placement=placement,
+        )
+    )
+
+
+def _faulty(*edits):
+    """The int, roomy document with its ``placement`` edited in place."""
+    doc = _placed_doc(_INVENTORIES["int"], *_PLACEMENTS["roomy"])
+    for edit in edits:
+        edit(doc["placement"])
+    return doc
+
+
+def _entry(row, col, value):
+    return lambda placement: placement["x"][row].__setitem__(col, value)
+
+
+def _row(row, value):
+    return lambda placement: placement["x"].__setitem__(row, value)
+
+
+def _drop_row(placement):
+    placement["x"].pop()
+
+
+_PLACED_DOCS = {
+    **{
+        f"{inventory}-{name}": _placed_doc(caps, *placement)
+        for inventory, caps in _INVENTORIES.items()
+        for name, placement in _PLACEMENTS.items()
+    },
+    "ragged-row": _faulty(_row(4, [1, 0])),
+    "entry-2": _faulty(_entry(2, 1, 2)),
+    "entry-true": _faulty(_entry(0, 0, True)),
+    "entry-1.0": _faulty(_entry(3, 0, 1.0)),
+    "entry-2**70": _faulty(_entry(5, 2, 2**70)),
+    "rows-not-m": _faulty(_drop_row),
+    "pm-active-not-n": _faulty(lambda placement: placement["pm_active"].append(True)),
+    # Two faults: the first in reading order is reported.
+    "entry-2-before-ragged": _faulty(_entry(1, 0, 2), _row(4, [1, 0])),
+    "ragged-before-true": _faulty(_row(0, [1]), _entry(6, 0, True)),
+    "entry-2-before-rows-not-m": _faulty(_entry(2, 1, 2), _drop_row),
+    "x-before-pm-active": _faulty(
+        _entry(3, 0, 1.0), lambda placement: placement["pm_active"].__setitem__(0, "yes")
+    ),
+}
+
+
+def _refusal(doc, validate_placement):
+    try:
+        scenario_from_dict(copy.deepcopy(doc), validate_placement=validate_placement)
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+    return None
+
+
+def _demands_as_floats(text):
+    return re.sub(r"demand (\S+) exceeds", lambda m: f"demand {float(m[1])!r} exceeds", text)
+
+
+def _check_infra_matches_the_reference(doc, path):
+    """The refusals, and check-infra's exit code and output, equal the
+    reference's. Over an inventory of ints and floats, the reference adds 0.0
+    for each unhosted float machine, so there an int demand is compared by value."""
+    caps = [vm.get(key) for vm in doc["vms"] for key in ("compute_cap", "storage_cap")]
+    same = _demands_as_floats if len(set(map(type, caps))) > 1 else str
+    for validate_placement in (True, False):
+        refusal = _refusal(doc, validate_placement)
+        expected = reference_placement_refusal(doc, validate_placement)
+        assert [same(part) for part in refusal or ()] == [same(part) for part in expected or ()]
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-infra", "--scenario", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if refusal is not None:
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {refusal[0]}: {refusal[1]}\n")
+        return
+    inst = scenario_from_dict(doc, validate_placement=False)
+    header = f"scenario: {inst.num_vms} vms, {len(inst.pms)} pms\n"
+    try:
+        expected = header + reference_placement_report(inst)
+    except ValueError as exc:  # rows that are not the machines
+        assert (code, out, err) == (EXIT_VALIDATION, header, f"error: {exc}\n")
+        return
+    lines = out.splitlines(keepends=True)
+    report, rest = "".join(lines[: expected.count("\n")]), lines[expected.count("\n") :]
+    assert rest[0].startswith(("f1 -> ", "slice does not fit"))
+    assert same(report) == same(expected)
+
+
+@pytest.mark.parametrize("doc", _PLACED_DOCS.values(), ids=_PLACED_DOCS.keys())
+def test_placement_reads_match_the_per_entry_reference(tmp_path, doc):
+    _check_infra_matches_the_reference(doc, tmp_path / "placed.json")
+
+
+_CAPACITIES = st.sampled_from([1, 2, 3, 5, 8, 2.5, 0.75, 4.125])
+
+
+@st.composite
+def _placed_docs(draw):
+    m, n = draw(st.integers(8, 9)), draw(st.integers(1, 3))
+    caps = [(draw(_CAPACITIES), draw(_CAPACITIES)) for _ in range(m)]
+    hosts = [draw(st.sets(st.integers(1, n), max_size=2)) for _ in range(m)]
+    pms = [
+        (draw(st.sampled_from([4, 10, 12.5, 40])), draw(st.integers(1, 9)), draw(st.booleans()))
+        for _ in range(n)
+    ]
+    return _placed_doc(caps, hosts, pms)
+
+
+@pytest.fixture(scope="module")
+def placed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("placed")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_placed_docs())
+def test_drawn_placements_match_the_per_entry_reference(placed_dir, doc):
+    _check_infra_matches_the_reference(doc, placed_dir / "placed.json")
+
+
+def test_check_infra_sums_a_pm_demand_over_its_hosted_machines(tmp_path, capsys):
+    # PM 1 hosts machines 1 and 2 at (6, 6); machine 3, at 2.5, sits on PM 2.
+    doc = _PLACED_DOCS["mixed-hosted-only"]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == [
+        "placement violations (2):",
+        "  [pm-compute-capacity] #1: compute demand 12 exceeds 10",
+        "  [pm-storage-capacity] #1: storage demand 12 exceeds 10",
+    ]

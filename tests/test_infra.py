@@ -9,16 +9,18 @@ from vnfcmap.infra import (
     RULE_STORAGE_CAPACITY,
     RULE_VM_COUNT,
     OverloadError,
+    PmLoad,
     VmPlacement,
     WastageWeights,
     check_vm_placement,
+    pm_loads,
     pm_wastage,
     pm_workload,
     slice_workload,
     vm_wastage,
     vm_workload,
 )
-from vnfcmap.model import PhysicalMachine, VirtualMachine
+from vnfcmap.model import Inventory, PhysicalMachine, VirtualMachine
 
 
 def _vm(vid, cap):
@@ -76,6 +78,40 @@ def test_dimension_mismatch_is_structural():
         VmPlacement(x=((1, 0),), pm_active=(True,))
     with pytest.raises(ValueError, match="non-binary"):
         VmPlacement(x=((2,),), pm_active=(True,))
+    # The first bad row is named, whichever of its faults it has.
+    with pytest.raises(ValueError, match="^row 2 contains a non-binary entry$"):
+        VmPlacement(x=((1, 0), (0, [1]), (1,), (2, 0)), pm_active=(True, True))
+    with pytest.raises(ValueError, match="^row 1 has 1 columns, expected 2$"):
+        VmPlacement(x=((1,), (2, 0)), pm_active=(True, True))
+
+
+def test_pm_loads_sum_only_the_hosted_machines():
+    # Machine 3 holds a float but sits on PM 2: summed as cap * x over every
+    # machine, its 2.5 * 0 == 0.0 once printed PM 1's int demand as 12.0.
+    vms = [_vm(1, 6), _vm(2, 6), _vm(3, 2.5)]
+    placement = VmPlacement(x=((1, 0, 0), (1, 0, 0), (0, 1, 0)), pm_active=(True, True, False))
+    assert list(pm_loads(placement, Inventory.of(vms))) == [
+        PmLoad([0, 1], 12, 12),
+        PmLoad([2], 2.5, 2.5),
+        PmLoad([], 0, 0),
+    ]
+    violations = check_vm_placement(placement, vms, [_pm(1, 10, 2), _pm(2, 10), _pm(3, 10)])
+    assert [str(v) for v in violations] == [
+        "[pm-compute-capacity] #1: compute demand 12 exceeds 10",
+        "[pm-storage-capacity] #1: storage demand 12 exceeds 10",
+    ]
+
+
+def test_placement_matrix_is_a_read_only_int8_array():
+    placement = VmPlacement(x=((1, 0), (0, 1), (0, 1)), pm_active=(True, False))
+    assert placement.matrix.dtype == np.int8
+    assert placement.matrix.tolist() == [[1, 0], [0, 1], [0, 1]]
+    with pytest.raises(ValueError):
+        placement.matrix[0, 0] = 0
+    assert VmPlacement(x=(), pm_active=(True, True)).matrix.shape == (0, 2)
+    # Equality and the written rows read the entries as given.
+    assert placement == VmPlacement(x=((1, 0), (0, 1), (0, 1)), pm_active=(True, False))
+    assert VmPlacement(x=((True, 0),), pm_active=(True, True)).x == ((True, 0),)
 
 
 def test_vm_workload_values():

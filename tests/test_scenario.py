@@ -334,6 +334,19 @@ def test_substrate_and_generation_fields_are_checked(path, value):
     assert err.value.field == expected.lstrip(".")
 
 
+@pytest.mark.parametrize("ids", [(7, -3), (2, 1), (1, 1), (0, 1)])
+def test_pm_ids_must_be_1_to_n_in_order(ids):
+    # Violations name a PM by its position and the report by its id: the two agree.
+    doc = _substrate_doc()
+    doc["pms"] = [dict(doc["pms"][0], id=pm_id) for pm_id in ids]
+    doc["placement"] = {"x": [[1, 0], [0, 1]], "pm_active": [True, True]}
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc, validate_placement=False)
+    assert (err.value.field, err.value.detail) == ("<document>", "pm ids must be 1..n in order")
+    doc["pms"] = [dict(doc["pms"][0], id=pm_id) for pm_id in (1, 2)]
+    assert [pm.id for pm in scenario_from_dict(doc).pms] == [1, 2]
+
+
 _AMOUNTS = st.integers(1, 10**6) | st.floats(1e-3, 1e6)
 
 
@@ -347,13 +360,13 @@ def substrate_scenarios(draw):
     )
     pms = tuple(
         PhysicalMachine(
-            id=draw(st.integers(-5, 50)),
+            id=k + 1,
             compute_cap=draw(_AMOUNTS),
             storage_cap=draw(_AMOUNTS),
             max_vm_count=draw(st.integers(1, 9)),
             active=draw(st.booleans()),
         )
-        for _ in range(draw(st.integers(1, 3)))
+        for k in range(draw(st.integers(1, 3)))
     )
     row = st.tuples(*[st.integers(0, 1)] * len(pms))
     placement = draw(
