@@ -31,7 +31,7 @@ from .oracle import (
     pair_cost,
     solve_exact_matching,
 )
-from .scenario import GenerationParams, Scenario, ScenarioGenerationError, placement_violations
+from .scenario import GenerationParams, Scenario, ScenarioGenerationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -284,7 +284,7 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
     print(f"scenario: {inst.num_vms} vms, {len(inst.pms)} pms")
 
     if inst.placement is not None:
-        violations = placement_violations(inst)
+        violations, loads = infra.check_vm_placement(inst.placement, inst.vms, inst.pms)
         if violations:
             print(f"placement violations ({len(violations)}):")
             for violation in violations:
@@ -292,10 +292,10 @@ def _cmd_check_infra(args: argparse.Namespace) -> int:
         else:
             print("placement violations: none")
         c, s = inst.vms.compute_caps, inst.vms.storage_caps
-        for pm, load in zip(inst.pms, infra.pm_loads(inst.placement, inst.vms)):
-            loads = [(c[j] / pm.compute_cap, s[j] / pm.storage_cap) for j in load.hosted]
+        for pm, load in zip(inst.pms, loads):
+            fractions = [(c[j] / pm.compute_cap, s[j] / pm.storage_cap) for j in load.hosted]
             try:
-                workload = infra.pm_workload((0.0, 0.0), loads)
+                workload = infra.pm_workload((0.0, 0.0), fractions)
                 # Rounded apart, the load fractions can sum below 1 while the
                 # amounts sum above the capacity.
                 overdemands = load.overdemands(pm.compute_cap, pm.storage_cap)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -45,24 +45,35 @@ class Violation:
         return f"[{self.rule}] #{self.index}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VmPlacement:
-    """Binary VM-by-PM placement matrix plus per-PM activity flags, kept as
-    given; ``matrix`` is ``x`` as a read-only (m, n) int8 array, derived once."""
+    """Binary VM-by-PM placement, held as ``matrix``, a read-only (m, n) int8
+    array read from the rows ``x`` once, plus per-PM activity flags."""
 
-    x: tuple[tuple[int, ...], ...]
+    x: InitVar[Sequence[Sequence[int]]]
     pm_active: tuple[bool, ...]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, x: Sequence[Sequence[int]]) -> None:
         n = len(self.pm_active)
-        for j, row in enumerate(self.x):
+        matrix = np.empty((len(x), n), dtype=np.int8)
+        for j, row in enumerate(x):
             if len(row) != n:
                 raise ValueError(f"row {j + 1} has {len(row)} columns, expected {n}")
             if row.count(0) + row.count(1) != n:
                 raise ValueError(f"row {j + 1} contains a non-binary entry")
-        object.__setattr__(self, "matrix", np.array(self.x, dtype=np.int8).reshape(len(self.x), n))
-        self.matrix.flags.writeable = False
+            matrix[j] = row
+        matrix.flags.writeable = False
+        object.__setattr__(self, "pm_active", tuple(self.pm_active))
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VmPlacement):
+            return NotImplemented
+        return self.pm_active == other.pm_active and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.pm_active, self.matrix.shape, self.matrix.tobytes()))
 
 
 class PmLoad(NamedTuple):
@@ -95,11 +106,11 @@ def check_vm_placement(
     placement: VmPlacement,
     vms: Sequence[VirtualMachine],
     pms: Sequence[PhysicalMachine],
-) -> list[Violation]:
+) -> tuple[list[Violation], list[PmLoad]]:
     """Validate a placement against the substrate rules.
 
-    Returns one violation per broken rule instance; an empty list means the
-    placement is feasible.
+    Returns one violation per broken rule instance, an empty list when the
+    placement is feasible, and the load of each PM the rules were read from.
     """
     m, n = placement.matrix.shape
     if (m, n) != (len(vms), len(pms)):
@@ -109,7 +120,7 @@ def check_vm_placement(
         for j, hosts in enumerate(placement.matrix.sum(axis=1).tolist(), start=1)
         if hosts != 1
     ]
-    loads = pm_loads(placement, Inventory.of(vms))
+    loads = list(pm_loads(placement, Inventory.of(vms)))
     for k, (pm, on, load) in enumerate(zip(pms, placement.pm_active, loads), start=1):
         count = len(load.hosted)
         if count > pm.max_vm_count:
@@ -119,7 +130,7 @@ def check_vm_placement(
         active = 1 if on else 0
         for rule, detail in load.overdemands(pm.compute_cap * active, pm.storage_cap * active):
             violations.append(Violation(rule, k, detail))
-    return violations
+    return violations, loads
 
 
 def vm_workload(compute_load: float, storage_load: float) -> float:

@@ -110,7 +110,7 @@ def placement_violations(scenario: Scenario) -> list:
     """Substrate rule violations of the scenario's placement, if it has one."""
     if scenario.placement is None:
         return []
-    return check_vm_placement(scenario.placement, scenario.vms, scenario.pms)
+    return check_vm_placement(scenario.placement, scenario.vms, scenario.pms)[0]
 
 
 def _draw_requirements(rng: np.random.Generator, lo: int, hi: int) -> list[int]:
@@ -297,7 +297,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ]
     if scenario.placement is not None:
         doc["placement"] = {
-            "x": [list(row) for row in scenario.placement.x],
+            "x": scenario.placement.matrix.tolist(),
             "pm_active": list(scenario.placement.pm_active),
         }
     return doc
@@ -387,8 +387,8 @@ def _read_scenario(doc: dict) -> Scenario:
     raw_placement = require(doc, "placement", default=None)
     if raw_placement is not None:
         placement = VmPlacement(
-            x=tuple(map(tuple, require(raw_placement, "x", "placement.", _ROWS))),
-            pm_active=tuple(require(raw_placement, "pm_active", "placement.", _FLAGS)),
+            x=require(raw_placement, "x", "placement.", _ROWS),
+            pm_active=require(raw_placement, "pm_active", "placement.", _FLAGS),
         )
     return Scenario(subnet=subnet, vms=vms, seed=seed, params=params, pms=pms, placement=placement)
 

@@ -484,7 +484,7 @@ def reference_placement_refusal(doc: dict, validate_placement: bool = True):
 def reference_placement_report(inst: Scenario) -> str:
     """``check-infra``'s placement lines, each PM's hosted machines gathered
     from its column; raises the rule check's ``ValueError`` on a shape mismatch."""
-    x, vms = inst.placement.x, inst.vms
+    x, vms = inst.placement.matrix.tolist(), inst.vms
     violations = reference_violations(x, inst.placement.pm_active, vms, inst.pms)
     if violations:
         lines = [f"placement violations ({len(violations)}):"]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnfcmap
-from vnfcmap import agents, cli, scenario as scenario_mod, service
+from vnfcmap import agents, cli, infra, scenario as scenario_mod, service
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
 from vnfcmap.metrics import CSV_COLUMNS
@@ -662,6 +662,18 @@ def test_check_infra_reports_the_substrate(tmp_path, capsys, pm_of_vm, report):
     path = _two_pm_scenario(tmp_path, pm_of_vm)
     assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
     expected = "scenario: 9 vms, 2 pms\n" + report + _SLICE_REPORT
+    assert capsys.readouterr().out == expected
+
+
+def test_check_infra_reads_each_pm_load_once(tmp_path, capsys, monkeypatch):
+    # The rule check and the per-PM report read the loads of one pass.
+    calls, pm_loads = [], infra.pm_loads
+    monkeypatch.setattr(infra, "pm_loads", lambda *args: calls.append(args) or pm_loads(*args))
+    path = _two_pm_scenario(tmp_path, (1,) * 7 + (2, 2))
+    assert main(["check-infra", "--scenario", str(path)]) == EXIT_OK
+    assert len(calls) == 1
+    inst = scenario_mod.load(path, validate_placement=False)
+    expected = "scenario: 9 vms, 2 pms\n" + reference_placement_report(inst) + _SLICE_REPORT
     assert capsys.readouterr().out == expected
 
 

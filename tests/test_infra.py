@@ -33,12 +33,12 @@ def _pm(pid, cap, count=1):
 
 def test_single_vm_fits_active_pm():
     placement = VmPlacement(x=((1,),), pm_active=(True,))
-    assert check_vm_placement(placement, [_vm(1, 2)], [_pm(1, 4)]) == []
+    assert check_vm_placement(placement, [_vm(1, 2)], [_pm(1, 4)])[0] == []
 
 
 def test_capacity_overrun_reports_both_axes():
     placement = VmPlacement(x=((1,), (1,)), pm_active=(True,))
-    violations = check_vm_placement(placement, [_vm(1, 3), _vm(2, 3)], [_pm(1, 4, count=2)])
+    violations, _ = check_vm_placement(placement, [_vm(1, 3), _vm(2, 3)], [_pm(1, 4, count=2)])
     rules = {v.rule for v in violations}
     assert rules == {RULE_COMPUTE_CAPACITY, RULE_STORAGE_CAPACITY}
     assert all(v.index == 1 for v in violations)
@@ -46,19 +46,19 @@ def test_capacity_overrun_reports_both_axes():
 
 def test_vm_on_two_pms_breaks_single_host_rule():
     placement = VmPlacement(x=((1, 1),), pm_active=(True, True))
-    violations = check_vm_placement(placement, [_vm(1, 1)], [_pm(1, 4), _pm(2, 4)])
+    violations, _ = check_vm_placement(placement, [_vm(1, 1)], [_pm(1, 4), _pm(2, 4)])
     assert [v.rule for v in violations] == [RULE_SINGLE_HOST]
 
 
 def test_vm_count_limit():
     placement = VmPlacement(x=((1,), (1,)), pm_active=(True,))
-    violations = check_vm_placement(placement, [_vm(1, 1), _vm(2, 1)], [_pm(1, 10, count=1)])
+    violations, _ = check_vm_placement(placement, [_vm(1, 1), _vm(2, 1)], [_pm(1, 10, count=1)])
     assert [v.rule for v in violations] == [RULE_VM_COUNT]
 
 
 def test_inactive_pm_has_no_capacity():
     placement = VmPlacement(x=((1,),), pm_active=(False,))
-    rules = {v.rule for v in check_vm_placement(placement, [_vm(1, 1)], [_pm(1, 4)])}
+    rules = {v.rule for v in check_vm_placement(placement, [_vm(1, 1)], [_pm(1, 4)])[0]}
     assert RULE_COMPUTE_CAPACITY in rules and RULE_STORAGE_CAPACITY in rules
 
 
@@ -66,7 +66,7 @@ def test_empty_rows_are_flagged():
     placement = VmPlacement(x=((0,), (0,)), pm_active=(True,))
     vms = [_vm(1, 1), _vm(2, 1)]
     pms = [_pm(1, 4, count=2)]
-    total = check_vm_placement(placement, vms, pms)
+    total, _ = check_vm_placement(placement, vms, pms)
     assert [v.rule for v in total] == [RULE_SINGLE_HOST, RULE_SINGLE_HOST]
 
 
@@ -90,12 +90,11 @@ def test_pm_loads_sum_only_the_hosted_machines():
     # machine, its 2.5 * 0 == 0.0 once printed PM 1's int demand as 12.0.
     vms = [_vm(1, 6), _vm(2, 6), _vm(3, 2.5)]
     placement = VmPlacement(x=((1, 0, 0), (1, 0, 0), (0, 1, 0)), pm_active=(True, True, False))
-    assert list(pm_loads(placement, Inventory.of(vms))) == [
-        PmLoad([0, 1], 12, 12),
-        PmLoad([2], 2.5, 2.5),
-        PmLoad([], 0, 0),
-    ]
-    violations = check_vm_placement(placement, vms, [_pm(1, 10, 2), _pm(2, 10), _pm(3, 10)])
+    expected = [PmLoad([0, 1], 12, 12), PmLoad([2], 2.5, 2.5), PmLoad([], 0, 0)]
+    assert list(pm_loads(placement, Inventory.of(vms))) == expected
+    # The rule check hands back the loads it read its violations from.
+    violations, loads = check_vm_placement(placement, vms, [_pm(1, 10, 2), _pm(2, 10), _pm(3, 10)])
+    assert loads == expected
     assert [str(v) for v in violations] == [
         "[pm-compute-capacity] #1: compute demand 12 exceeds 10",
         "[pm-storage-capacity] #1: storage demand 12 exceeds 10",
@@ -109,9 +108,19 @@ def test_placement_matrix_is_a_read_only_int8_array():
     with pytest.raises(ValueError):
         placement.matrix[0, 0] = 0
     assert VmPlacement(x=(), pm_active=(True, True)).matrix.shape == (0, 2)
-    # Equality and the written rows read the entries as given.
+    # Equality and hash read pm_active and the matrix, shape included.
     assert placement == VmPlacement(x=((1, 0), (0, 1), (0, 1)), pm_active=(True, False))
-    assert VmPlacement(x=((True, 0),), pm_active=(True, True)).x == ((True, 0),)
+    ints = VmPlacement(x=((1, 0),), pm_active=(True, True))
+    bools = VmPlacement(x=((True, False),), pm_active=(True, True))
+    assert ints == bools and hash(ints) == hash(bools)
+    assert ints != VmPlacement(x=((1, 0),), pm_active=(True, False))
+    assert ints != VmPlacement(x=((0, 1),), pm_active=(True, True))
+    two, three = VmPlacement(x=((),) * 2, pm_active=()), VmPlacement(x=((),) * 3, pm_active=())
+    assert two.matrix.tobytes() == three.matrix.tobytes()
+    assert two != three and hash(two) != hash(three)
+    listed = VmPlacement(x=((1, 0),), pm_active=[True, True])
+    assert listed.pm_active == (True, True)
+    assert listed == ints and hash(listed) == hash(ints)
 
 
 def test_vm_workload_values():

@@ -61,7 +61,7 @@ def test_generated_documents_keep_their_bytes():
     assert digest.hexdigest() == "0f306bbe3fefea07b98f409231d18df7e37579725fd190787bffc148c82b647a"
 
 
-def test_scenario_of_machines_equals_its_document_read_back():
+def test_scenario_of_machines_equals_its_document_read_back(tmp_path):
     base = generate(5, GenerationParams(num_vms=12))
     vms = tuple(
         VirtualMachine(vm.id, vm.compute_cap, float(vm.storage_cap), 2 if vm.id == 3 else None)
@@ -73,6 +73,22 @@ def test_scenario_of_machines_equals_its_document_read_back():
     assert read == built and hash(read) == hash(built)
     assert tuple(read.vms) == vms
     assert read.vms.storage_caps == tuple(float(vm.storage_cap) for vm in base.vms)
+    # A placement is written from its int8 matrix: entries given as ints,
+    # bools or floats are saved as 0 and 1 and read back equal.
+    pms = tuple(PhysicalMachine(k, 100, 100, max_vm_count=6) for k in (1, 2))
+    for one, zero in ((1, 0), (True, False), (1.0, 0.0)):
+        rows = tuple((zero, one) if j % 2 else (one, zero) for j in range(12))
+        placed = Scenario(
+            base.subnet, vms, seed=5, params=base.params, pms=pms,
+            placement=VmPlacement(rows, (True, True)),
+        )
+        path = tmp_path / "placed.json"
+        save(placed, path)
+        written = json.loads(path.read_text())["placement"]["x"]
+        assert {json.dumps(v) for row in written for v in row} == {"0", "1"}
+        read = load(path)
+        assert read == placed and hash(read) == hash(placed)
+        assert read.placement.matrix.tolist() == [[1, 0], [0, 1]] * 6
 
 
 def test_different_seeds_differ():
