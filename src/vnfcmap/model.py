@@ -171,7 +171,7 @@ class Inventory(Sequence):
     mask, derived once. A ``VirtualMachine`` is built only when the inventory
     is indexed or iterated. The columns are taken as checked: build one from
     machine objects with ``of``, or from amounts that pass the checks of
-    ``VirtualMachine``.
+    ``VirtualMachine``. ``scenario.save`` refuses amounts its reader refuses.
     """
 
     compute_caps: tuple

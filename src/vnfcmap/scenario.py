@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -57,6 +57,35 @@ class ScenarioGenerationError(RuntimeError):
     """Random generation failed to reach a feasible instance within the retry budget."""
 
 
+class FieldKind(NamedTuple):
+    valid: Callable[[Any], bool]
+    detail: str
+
+
+def _is_finite_number(value: Any) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        return False
+
+
+LIST = FieldKind(lambda v: isinstance(v, list), "must be a list")
+INTEGER = FieldKind(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer")
+NUMBER = FieldKind(_is_finite_number, "must be a finite number")
+# Below 1/16 of the largest float: the absolute objective sums 16 surpluses
+# (two axes of eight components), each at most the largest capacity.
+MAX_AMOUNT = 1e307
+AMOUNT = FieldKind(
+    lambda v: _is_finite_number(v)
+    and v <= MAX_AMOUNT
+    and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
+    f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
+)
+STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
+BOOLEAN = FieldKind(lambda v: isinstance(v, bool), "must be a boolean")
+_ABSENT = MISSING  # as a dataclass field marks "no default"
+
+
 @dataclass(frozen=True)
 class GenerationParams:
     """Instance shape and draw ranges.
@@ -72,6 +101,8 @@ class GenerationParams:
     cap_range: tuple[int, int] = (3, 10)
 
     def __post_init__(self) -> None:
+        if not all(map(INTEGER.valid, (self.num_vms, *self.req_range, *self.cap_range))):
+            raise ValueError(f"num_vms and the range bounds must be integers, got {self}")
         if self.num_vms < NUM_COMPONENTS:
             raise ValueError(f"need at least {NUM_COMPONENTS} vms, got {self.num_vms}")
         for name, (lo, hi) in (("req_range", self.req_range), ("cap_range", self.cap_range)):
@@ -162,7 +193,8 @@ def generate(seed: int, params: GenerationParams = GenerationParams()) -> Scenar
 
 
 # ---------------------------------------------------------------------------
-# Reading outside documents: each is parsed by ``decode_document`` and read with ``require``.
+# Reading outside documents: each is parsed by ``decode_document`` and read with
+# ``require``; a scenario's list entries are read field by field by ``_read_entry``.
 
 
 def decode_document(raw: bytes | str, field: str = "<document>") -> dict:
@@ -201,35 +233,6 @@ def read_regular_file(path: str | Path) -> bytes:
 def read_document(path: str | Path) -> dict:
     """``decode_document`` of a regular file."""
     return decode_document(read_regular_file(path))
-
-
-class FieldKind(NamedTuple):
-    valid: Callable[[Any], bool]
-    detail: str
-
-
-def _is_finite_number(value: Any) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        return False
-
-
-LIST = FieldKind(lambda v: isinstance(v, list), "must be a list")
-INTEGER = FieldKind(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer")
-NUMBER = FieldKind(_is_finite_number, "must be a finite number")
-# Below 1/16 of the largest float: the absolute objective sums 16 surpluses
-# (two axes of eight components), each at most the largest capacity.
-MAX_AMOUNT = 1e307
-AMOUNT = FieldKind(
-    lambda v: _is_finite_number(v)
-    and v <= MAX_AMOUNT
-    and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
-    f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
-)
-STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
-BOOLEAN = FieldKind(lambda v: isinstance(v, bool), "must be a boolean")
-_ABSENT = object()
 
 
 def require(
@@ -285,16 +288,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "cap_range": list(scenario.params.cap_range),
         }
     if scenario.pms:
-        doc["pms"] = [
-            {
-                "id": p.id,
-                "compute_cap": p.compute_cap,
-                "storage_cap": p.storage_cap,
-                "max_vm_count": p.max_vm_count,
-                "active": p.active,
-            }
-            for p in scenario.pms
-        ]
+        fields = _ENTRY_FIELDS[PhysicalMachine]
+        doc["pms"] = [{name: getattr(p, name) for name in fields} for p in scenario.pms]
     if scenario.placement is not None:
         doc["placement"] = {
             "x": scenario.placement.matrix.tolist(),
@@ -334,6 +329,14 @@ HOSTED = FieldKind(
     lambda v: INTEGER.valid(v) and 1 <= v <= NUM_COMPONENTS,
     f"must be a component id, an integer in 1..{NUM_COMPONENTS}",
 )
+# The fields of a list entry, each with the kind its value is read as, in
+# reading order; a component's ``kind`` is read before them.
+_MACHINE_FIELDS = {"id": INTEGER, "compute_cap": AMOUNT, "storage_cap": AMOUNT}
+_ENTRY_FIELDS = {
+    VnfComponent: {"id": INTEGER, "compute_req": AMOUNT, "storage_req": AMOUNT},
+    VirtualMachine: {**_MACHINE_FIELDS, "hosted": HOSTED},
+    PhysicalMachine: {**_MACHINE_FIELDS, "max_vm_count": INTEGER, "active": BOOLEAN},
+}
 
 
 def _read_scenario(doc: dict) -> Scenario:
@@ -360,26 +363,13 @@ def _read_scenario(doc: dict) -> Scenario:
             kind = VnfcKind[kind_name]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ScenarioFormatError(f"{path}kind", f"has unknown value {kind_name!r}") from None
-        components.append(
-            VnfComponent(
-                id=require(raw, "id", path, INTEGER),
-                kind=kind,
-                compute_req=require(raw, "compute_req", path, AMOUNT),
-                storage_req=require(raw, "storage_req", path, AMOUNT),
-            )
-        )
+        components.append(_read_entry(VnfComponent, raw, path, kind=kind))
     subnet = SliceSubnet(tuple(components))
 
     vms = _read_vms(require(doc, "vms", kind=LIST))
 
     pms = tuple(
-        PhysicalMachine(
-            id=require(raw, "id", f"pms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"pms[{idx}].", AMOUNT),
-            storage_cap=require(raw, "storage_cap", f"pms[{idx}].", AMOUNT),
-            max_vm_count=require(raw, "max_vm_count", f"pms[{idx}].", INTEGER),
-            active=require(raw, "active", f"pms[{idx}].", BOOLEAN, default=True),
-        )
+        _read_entry(PhysicalMachine, raw, f"pms[{idx}].")
         for idx, raw in enumerate(require(doc, "pms", kind=LIST, default=[]))
     )
 
@@ -397,11 +387,11 @@ def _read_vms(raw_vms: list) -> Sequence[VirtualMachine]:
     """The machines of a ``vms`` list as an ``Inventory``. An entry with no
     ``hosted`` key, whose ``id`` is its position (1..m) and whose capacities
     are floats in (0, ``MAX_AMOUNT``) or integers in (0,
-    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read field by
-    field, so a refusal names its first offending field. ``hosted``, the
-    component a machine already hosts, is optional. When the ids are not
-    1..m in order, the machines come back as a tuple, for the ``Scenario``
-    to refuse once the rest of the document is read."""
+    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read by
+    ``_read_entry``, so a refusal names its first offending field.
+    ``hosted``, the component a machine already hosts, is optional. When the
+    ids are not 1..m in order, the machines come back as a tuple, for the
+    ``Scenario`` to refuse once the rest of the document is read."""
     compute, storage, hosted = [], [], [None] * len(raw_vms)
     in_order = True
     for idx, raw in enumerate(raw_vms):
@@ -421,30 +411,34 @@ def _read_vms(raw_vms: list) -> Sequence[VirtualMachine]:
                 compute.append(c)
                 storage.append(s)
                 continue
-        vm = _read_vm(raw, idx)
+        vm = _read_entry(VirtualMachine, raw, f"vms[{idx}].")
         in_order = in_order and vm.id == idx + 1
         compute.append(vm.compute_cap)
         storage.append(vm.storage_cap)
         hosted[idx] = vm.hosted
     if not in_order:
-        return tuple(_read_vm(raw, idx) for idx, raw in enumerate(raw_vms))
+        return tuple(
+            _read_entry(VirtualMachine, raw, f"vms[{idx}].") for idx, raw in enumerate(raw_vms)
+        )
     # A hosted component id is 1..8, never 0.
     return Inventory(compute, storage, hosted if any(hosted) else None)
 
 
-def _read_vm(raw: dict, idx: int) -> VirtualMachine:
-    """Entry ``idx`` of a ``vms`` list, read field by field."""
-    path = f"vms[{idx}]."
-    return VirtualMachine(
-        id=require(raw, "id", path, INTEGER),
-        compute_cap=require(raw, "compute_cap", path, AMOUNT),
-        storage_cap=require(raw, "storage_cap", path, AMOUNT),
-        hosted=require(raw, "hosted", path, HOSTED, default=None),
-    )
+def _read_entry(cls: type, raw: dict, path: str, **given: Any) -> Any:
+    """A ``cls`` of the list entry ``raw`` at ``path`` and the fields ``given``,
+    its other fields read in ``_ENTRY_FIELDS`` order; an absent one takes the
+    dataclass default, or is refused as required when there is none."""
+    for name, kind in _ENTRY_FIELDS[cls].items():
+        given[name] = require(raw, name, path, kind, cls.__dataclass_fields__[name].default)
+    return cls(**given)
 
 
 def save(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    """Write ``scenario`` as a file; one its reader would refuse raises the
+    reader's ``ScenarioFormatError`` and writes nothing."""
+    doc = scenario_to_dict(scenario)
+    scenario_from_dict(doc, validate_placement=False)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load(path: str | Path, validate_placement: bool = True) -> Scenario:

@@ -18,11 +18,13 @@ feasibility check makes one assignment solve on the masked surplus matrix,
 after ``_cost_matrix``'s own refusals; ``oracle.has_feasible_assignment`` makes
 one on the allowed mask at cost 0.
 Since both routes solve, networkx's Hopcroft-Karp matching in
-``tests/test_oracle.py`` is the independent reference for the verdict. The ``vms``
-walk reads every field of every entry with ``scenario.require``, so it can
-serve as an oracle for the one-pass read in ``scenario._read_vms``. The
-generator draws one demand row per ``rng.integers`` call, so it can serve as
-an oracle for the block draw in ``scenario._draw_requirements``. The placement
+``tests/test_oracle.py`` is the independent reference for the verdict. The
+component, ``vms`` and PM readers name every field of an entry in a
+``scenario.require`` call of their own, so they can serve as oracles for the
+one-pass read in ``scenario._read_vms`` and for ``scenario._read_entry``'s
+walk of its field table. The generator draws one demand row per
+``rng.integers`` call, so it can serve as an oracle for the block draw in
+``scenario._draw_requirements``. The placement
 reads check ``placement.x`` entry by entry and gather each PM's column from the
 rows, so they can serve as oracles for ``infra.VmPlacement``'s int8 array, the
 one per-PM pass ``infra.pm_loads`` and ``check-infra``'s report on it.
@@ -53,7 +55,15 @@ from vnfcmap.infra import (
     pm_workload,
 )
 from vnfcmap.metrics import EpisodeLog
-from vnfcmap.model import NUM_COMPONENTS, SliceSubnet, VirtualMachine, make_slice
+from vnfcmap.model import (
+    NUM_COMPONENTS,
+    PhysicalMachine,
+    SliceSubnet,
+    VirtualMachine,
+    VnfcKind,
+    VnfComponent,
+    make_slice,
+)
 from vnfcmap.oracle import (
     RULE_CAPACITY_FIT,
     Assignment,
@@ -71,6 +81,7 @@ from vnfcmap.oracle import (
 from vnfcmap.scenario import (
     _FLAGS,
     AMOUNT,
+    BOOLEAN,
     HOSTED,
     INTEGER,
     LIST,
@@ -368,16 +379,46 @@ def reference_has_feasible_assignment(problem) -> bool:
     return not math.isinf(_optimal_matching(cost[:, free])[0])
 
 
-def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
-    return tuple(
-        VirtualMachine(
-            id=require(raw, "id", f"vms[{idx}].", INTEGER),
-            compute_cap=require(raw, "compute_cap", f"vms[{idx}].", AMOUNT),
-            storage_cap=require(raw, "storage_cap", f"vms[{idx}].", AMOUNT),
-            hosted=require(raw, "hosted", f"vms[{idx}].", HOSTED, default=None),
-        )
-        for idx, raw in enumerate(raw_vms)
+def reference_read_component(raw: dict, path: str, kind: VnfcKind) -> VnfComponent:
+    return VnfComponent(
+        id=require(raw, "id", path, INTEGER),
+        kind=kind,
+        compute_req=require(raw, "compute_req", path, AMOUNT),
+        storage_req=require(raw, "storage_req", path, AMOUNT),
     )
+
+
+def reference_read_vm(raw: dict, path: str) -> VirtualMachine:
+    return VirtualMachine(
+        id=require(raw, "id", path, INTEGER),
+        compute_cap=require(raw, "compute_cap", path, AMOUNT),
+        storage_cap=require(raw, "storage_cap", path, AMOUNT),
+        hosted=require(raw, "hosted", path, HOSTED, default=None),
+    )
+
+
+def reference_read_pm(raw: dict, path: str) -> PhysicalMachine:
+    return PhysicalMachine(
+        id=require(raw, "id", path, INTEGER),
+        compute_cap=require(raw, "compute_cap", path, AMOUNT),
+        storage_cap=require(raw, "storage_cap", path, AMOUNT),
+        max_vm_count=require(raw, "max_vm_count", path, INTEGER),
+        active=require(raw, "active", path, BOOLEAN, default=True),
+    )
+
+
+def reference_read_entry(cls: type, raw: dict, path: str, **given):
+    """``scenario._read_entry`` with each entry class's fields read by hand."""
+    readers = {
+        VnfComponent: reference_read_component,
+        VirtualMachine: reference_read_vm,
+        PhysicalMachine: reference_read_pm,
+    }
+    return readers[cls](raw, path, **given)
+
+
+def reference_read_vms(raw_vms: list) -> tuple[VirtualMachine, ...]:
+    return tuple(reference_read_vm(raw, f"vms[{idx}].") for idx, raw in enumerate(raw_vms))
 
 
 def reference_draw_requirements(rng: np.random.Generator, lo: int, hi: int) -> list[int]:

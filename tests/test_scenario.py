@@ -1,19 +1,23 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
 import pickle
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (
     identity_scenario,
     reference_draw_requirements,
     reference_generate,
+    reference_read_entry,
+    reference_read_vms,
 )
 from vnfcmap.infra import VmPlacement
 from vnfcmap.model import Inventory, PhysicalMachine, VirtualMachine, make_slice
@@ -234,6 +238,9 @@ def test_substrate_roundtrip_and_validation(tmp_path):
     path = tmp_path / "sub.json"
     save(scenario, path)
     assert load(path) == scenario
+    assert json.dumps(scenario_to_dict(scenario)["pms"]) == (
+        '[{"id": 1, "compute_cap": 20, "storage_cap": 20, "max_vm_count": 2, "active": true}]'
+    )
 
     # break the placement: point both machines at a substrate that cannot hold them
     doc = scenario_to_dict(scenario)
@@ -275,6 +282,24 @@ def test_params_validation():
         GenerationParams(req_range=(1, MAX_INTEGER_AMOUNT + 1))
     with pytest.raises(ValueError, match="cap_range"):
         GenerationParams(cap_range=(3, 2**63 - 1))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"num_vms": 8.5},
+        {"num_vms": 9.0},
+        {"req_range": (1.5, 5)},
+        {"req_range": (1, True)},
+        {"cap_range": (3, 10.0)},
+        {"cap_range": ("3", 10)},
+    ],
+)
+def test_params_take_integers_as_their_reader_does(fields):
+    # num_vms=8.5 used to die in numpy's draw, and (1.5, 5) to generate a
+    # scenario whose params no reader accepts.
+    with pytest.raises(ValueError, match="must be integers"):
+        GenerationParams(**fields)
 
 
 def test_canonical_fixture_loads():
@@ -430,6 +455,188 @@ def test_bad_hosted_is_named(value):
     with pytest.raises(ScenarioFormatError) as err:
         scenario_from_dict(doc)
     assert err.value.field == "vms[4].hosted"
+
+
+_EIGHT = generate(1, GenerationParams(num_vms=8))
+_PM = PhysicalMachine(id=1, compute_cap=100, storage_cap=100, max_vm_count=8)
+
+
+def _with_machine_8(**fields):
+    return Scenario(_EIGHT.subnet, _EIGHT.vms[:7] + (dataclasses.replace(_EIGHT.vms[7], **fields),))
+
+
+def _with_pm(placement=None, **fields):
+    return Scenario(
+        _EIGHT.subnet, _EIGHT.vms, pms=(dataclasses.replace(_PM, **fields),), placement=placement
+    )
+
+
+def _with_first_demand(value):
+    components = _EIGHT.subnet.components
+    compute = [value] + [c.compute_req for c in components[1:]]
+    return Scenario(make_slice(compute, [c.storage_req for c in components]), _EIGHT.vms)
+
+
+def _with_params(**fields):
+    params = GenerationParams(num_vms=8)
+    for name, value in fields.items():  # set past the constructor, which refuses them
+        object.__setattr__(params, name, value)
+    return Scenario(_EIGHT.subnet, _EIGHT.vms, params=params)
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        (_with_machine_8(compute_cap=math.inf), "vms[7].compute_cap"),
+        (_with_machine_8(compute_cap=True), "vms[7].compute_cap"),
+        (_with_machine_8(compute_cap=2**60), "vms[7].compute_cap"),
+        (_with_machine_8(compute_cap=math.nan), "vms[7].compute_cap"),
+        (_with_machine_8(hosted=True), "vms[7].hosted"),
+        (_with_machine_8(hosted=3.0), "vms[7].hosted"),
+        (
+            Scenario(_EIGHT.subnet, Inventory((math.inf,) * 8, _EIGHT.vms.storage_caps)),
+            "vms[0].compute_cap",
+        ),
+        (_with_pm(max_vm_count=8.0), "pms[0].max_vm_count"),
+        (_with_pm(compute_cap=math.inf), "pms[0].compute_cap"),
+        (_with_pm(active=1), "pms[0].active"),
+        (_with_pm(id=True), "pms[0].id"),
+        (_with_pm(VmPlacement(((1,),) * 8, (1,))), "placement.pm_active"),
+        (_with_first_demand(math.inf), "slice.components[0].compute_req"),
+        (_with_first_demand(2**60), "slice.components[0].compute_req"),
+        (dataclasses.replace(_EIGHT, seed=True), "seed"),
+        (dataclasses.replace(_EIGHT, seed=1.5), "seed"),
+        (_with_params(num_vms=8.5), "params.num_vms"),
+        (_with_params(req_range=(1.5, 5)), "params.req_range"),
+    ],
+    ids=[
+        "infinite-capacity",
+        "boolean-capacity",
+        "capacity-above-2-53",
+        "nan-capacity",
+        "boolean-hosted",
+        "float-hosted",
+        "inventory-of-infinite-capacities",
+        "float-max-vm-count",
+        "infinite-pm-capacity",
+        "integer-active",
+        "boolean-pm-id",
+        "integer-pm-active",
+        "infinite-demand",
+        "demand-above-2-53",
+        "boolean-seed",
+        "float-seed",
+        "float-num-vms",
+        "float-in-req-range",
+    ],
+)
+def test_save_refuses_what_load_refuses(tmp_path, scenario, field):
+    # The file as save wrote it before it read its document back.
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ScenarioFormatError) as refused:
+        load(written, validate_placement=False)
+    target = tmp_path / "saved.json"
+    with pytest.raises(ScenarioFormatError) as err:
+        save(scenario, target)
+    assert (err.value.field, err.value.detail) == (refused.value.field, refused.value.detail)
+    assert err.value.field == field
+    assert not target.exists()
+
+
+def _entry_outcome(doc):
+    """``scenario_from_dict``'s answer to ``doc``: the repr of the entries it
+    read, which tells an integer from a float, or the refusal's field and detail."""
+    try:
+        read = scenario_from_dict(copy.deepcopy(doc), validate_placement=False)
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+    return repr((read.subnet, tuple(read.vms), read.pms))
+
+
+def _reads_like_the_hand_written_readers(doc):
+    with mock.patch.object(scenario_mod, "_read_entry", reference_read_entry), mock.patch.object(
+        scenario_mod, "_read_vms", reference_read_vms
+    ):
+        expected = _entry_outcome(doc)
+    outcome = _entry_outcome(doc)
+    assert outcome == expected
+    return outcome
+
+
+_ENTRY_DOC = scenario_to_dict(
+    Scenario(_EIGHT.subnet, _EIGHT.vms, pms=(_PM, dataclasses.replace(_PM, id=2, active=False)))
+)
+_ENTRY_KEYS = sorted(
+    {key for entries in ("vms", "pms") for key in _ENTRY_DOC[entries][0]}
+    | set(_ENTRY_DOC["slice"]["components"][0])
+    | {"hosted"}
+)
+_ODD_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 1, 2, 8, 9, 1.0, 2.5, math.nan, math.inf, 2**53 + 1, 2**60,
+     "1", "RRC", [1], {}]
+)
+
+
+@st.composite
+def _entry_documents(draw):
+    """A valid document with PMs whose list entries take up to four faults:
+    an entry that is not an object, a key removed, or a key set to an odd value."""
+    doc = copy.deepcopy(_ENTRY_DOC)
+    lists = (doc["slice"]["components"], doc["vms"], doc["pms"])
+    for _ in range(draw(st.integers(0, 4))):
+        entries = draw(st.sampled_from(lists))
+        j = draw(st.integers(0, len(entries) - 1))
+        fault = draw(st.sampled_from(["entry", "key", "value"]))
+        if fault == "entry":
+            entries[j] = draw(st.sampled_from([None, [], "vm", 3, True]))
+        elif isinstance(entries[j], dict) and fault == "key" and entries[j]:
+            del entries[j][draw(st.sampled_from(sorted(entries[j])))]
+        elif isinstance(entries[j], dict):
+            entries[j][draw(st.sampled_from(_ENTRY_KEYS))] = draw(_ODD_VALUES)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_entry_documents())
+def test_entries_read_as_the_hand_written_readers_read_them(doc):
+    _reads_like_the_hand_written_readers(doc)
+
+
+def _changed(entries, idx, entry):
+    doc = copy.deepcopy(_ENTRY_DOC)
+    (doc["slice"]["components"] if entries == "components" else doc[entries])[idx] = entry
+    return doc
+
+
+_VM = _ENTRY_DOC["vms"][0]
+_PM_ENTRY = _ENTRY_DOC["pms"][0]
+_COMPONENT = _ENTRY_DOC["slice"]["components"][0]
+
+
+@pytest.mark.parametrize(
+    "entries, idx, entry, field",
+    [
+        ("vms", 0, {"id": 1.0, "storage_cap": 3}, "vms[0].id"),
+        ("vms", 7, {"id": 8, "compute_cap": "3", "storage_cap": None}, "vms[7].compute_cap"),
+        ("pms", 0, {"id": 1, "compute_cap": "20", "storage_cap": 20}, "pms[0].compute_cap"),
+        ("pms", 1, {**_PM_ENTRY, "id": 2, "max_vm_count": 2.0, "active": 1}, "pms[1].max_vm_count"),
+        ("components", 0, {"kind": "RRC", "id": True, "storage_req": 1}, "slice.components[0].id"),
+        ("vms", 3, {**_VM, "id": 4}, None),
+        ("vms", 3, {**_VM, "id": 4, "hosted": None}, None),
+        ("vms", 3, {**_VM, "id": 4, "hosted": 2}, None),
+        ("pms", 0, {k: v for k, v in _PM_ENTRY.items() if k != "active"}, None),
+        ("vms", 2, [3, 3], "vms[2].id"),
+        ("pms", 1, "pm", "pms[1].id"),
+        ("components", 4, None, "slice.components[4].kind"),
+    ],
+)
+def test_listed_entries_read_as_the_hand_written_readers_read_them(entries, idx, entry, field):
+    outcome = _reads_like_the_hand_written_readers(_changed(entries, idx, entry))
+    if field is None:
+        assert isinstance(outcome, str)  # the entries' repr: read, not refused
+    else:
+        assert outcome[0] == field
 
 
 def test_null_hosted_reads_as_available():
