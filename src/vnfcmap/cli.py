@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate-scenario", help="generate and save a random instance")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_int_in(0), required=True)
     gen.add_argument(
         "--vms", type=_int_in(NUM_COMPONENTS, MAX_GENERATED_VMS), default=GenerationParams.num_vms
     )
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train one agent on a scenario")
     _add_train_flags(train)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_int_in(0), default=0)
     train.add_argument("--out-dir", required=True)
 
     sweep = sub.add_parser("sweep", help="train one agent across many seeds")

@@ -62,23 +62,23 @@ class FieldKind(NamedTuple):
     detail: str
 
 
-def _is_finite_number(value: Any) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        return False
+def _is_number(value: Any) -> bool:
+    """An int or a float, subclasses included, but not a bool: what ``json.dumps``
+    writes as a number (``np.float64`` is a float; ``np.int64`` is neither)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 LIST = FieldKind(lambda v: isinstance(v, list), "must be a list")
 INTEGER = FieldKind(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer")
-NUMBER = FieldKind(_is_finite_number, "must be a finite number")
+# float() overflows on an int of this magnitude or more; every finite float is below it.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+NUMBER = FieldKind(lambda v: _is_number(v) and abs(v) < _FLOAT_OVERFLOW, "must be a finite number")
 # Below 1/16 of the largest float: the absolute objective sums 16 surpluses
 # (two axes of eight components), each at most the largest capacity.
 MAX_AMOUNT = 1e307
-AMOUNT = FieldKind(
-    lambda v: _is_finite_number(v)
-    and v <= MAX_AMOUNT
-    and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
+AMOUNT = FieldKind(  # a number of magnitude <= 2**53, or a finite float <= MAX_AMOUNT
+    lambda v: _is_number(v)
+    and (abs(v) <= MAX_INTEGER_AMOUNT or isinstance(v, float) and -math.inf < v <= MAX_AMOUNT),
     f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
 )
 STRING = FieldKind(lambda v: isinstance(v, str), "must be a string")
@@ -386,8 +386,7 @@ def _read_scenario(doc: dict) -> Scenario:
 def _read_vms(raw_vms: list) -> Sequence[VirtualMachine]:
     """The machines of a ``vms`` list as an ``Inventory``. An entry with no
     ``hosted`` key, whose ``id`` is its position (1..m) and whose capacities
-    are floats in (0, ``MAX_AMOUNT``) or integers in (0,
-    ``MAX_INTEGER_AMOUNT``] is taken as it is; any other is read by
+    are ``AMOUNT``s above 0 is taken as it is; any other is read by
     ``_read_entry``, so a refusal names its first offending field.
     ``hosted``, the component a machine already hosts, is optional. When the
     ids are not 1..m in order, the machines come back as a tuple, for the
@@ -400,12 +399,10 @@ def _read_vms(raw_vms: list) -> Sequence[VirtualMachine]:
             if (
                 type(vm_id) is int
                 and vm_id == idx + 1
-                and type(c) in (int, float)
-                and type(s) in (int, float)
-                and 0 < c < MAX_AMOUNT  # NaN and infinity fail too
-                and 0 < s < MAX_AMOUNT
-                and (type(c) is float or c <= MAX_INTEGER_AMOUNT)
-                and (type(s) is float or s <= MAX_INTEGER_AMOUNT)
+                and AMOUNT.valid(c)
+                and AMOUNT.valid(s)
+                and c > 0
+                and s > 0
                 and "hosted" not in raw
             ):
                 compute.append(c)

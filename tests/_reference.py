@@ -22,7 +22,10 @@ Since both routes solve, networkx's Hopcroft-Karp matching in
 component, ``vms`` and PM readers name every field of an entry in a
 ``scenario.require`` call of their own, so they can serve as oracles for the
 one-pass read in ``scenario._read_vms`` and for ``scenario._read_entry``'s
-walk of its field table. The generator draws one demand row per
+walk of its field table; their amounts are checked by ``REFERENCE_AMOUNT``,
+the amount rule written with ``math.isfinite`` on an object of any type, which
+is also the reference for ``scenario.NUMBER`` and ``scenario.AMOUNT``
+themselves. The generator draws one demand row per
 ``rng.integers`` call, so it can serve as an oracle for the block draw in
 ``scenario._draw_requirements``. The placement
 reads check ``placement.x`` entry by entry and gather each PM's column from the
@@ -80,11 +83,12 @@ from vnfcmap.oracle import (
 )
 from vnfcmap.scenario import (
     _FLAGS,
-    AMOUNT,
     BOOLEAN,
     HOSTED,
     INTEGER,
     LIST,
+    MAX_AMOUNT,
+    MAX_INTEGER_AMOUNT,
     MAX_RESAMPLES,
     FieldKind,
     GenerationParams,
@@ -379,20 +383,40 @@ def reference_has_feasible_assignment(problem) -> bool:
     return not math.isinf(_optimal_matching(cost[:, free])[0])
 
 
+# The number rules as ``math.isfinite`` states them, on an object of any type:
+# on every value ``json.loads`` returns they answer as ``scenario.NUMBER`` and
+# ``scenario.AMOUNT`` do; they part only on numbers JSON cannot write, such as
+# ``np.int64``, which they accept.
+def _reference_is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        return False
+
+
+REFERENCE_NUMBER = FieldKind(_reference_is_finite_number, "must be a finite number")
+REFERENCE_AMOUNT = FieldKind(
+    lambda v: _reference_is_finite_number(v)
+    and v <= MAX_AMOUNT
+    and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
+    f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
+)
+
+
 def reference_read_component(raw: dict, path: str, kind: VnfcKind) -> VnfComponent:
     return VnfComponent(
         id=require(raw, "id", path, INTEGER),
         kind=kind,
-        compute_req=require(raw, "compute_req", path, AMOUNT),
-        storage_req=require(raw, "storage_req", path, AMOUNT),
+        compute_req=require(raw, "compute_req", path, REFERENCE_AMOUNT),
+        storage_req=require(raw, "storage_req", path, REFERENCE_AMOUNT),
     )
 
 
 def reference_read_vm(raw: dict, path: str) -> VirtualMachine:
     return VirtualMachine(
         id=require(raw, "id", path, INTEGER),
-        compute_cap=require(raw, "compute_cap", path, AMOUNT),
-        storage_cap=require(raw, "storage_cap", path, AMOUNT),
+        compute_cap=require(raw, "compute_cap", path, REFERENCE_AMOUNT),
+        storage_cap=require(raw, "storage_cap", path, REFERENCE_AMOUNT),
         hosted=require(raw, "hosted", path, HOSTED, default=None),
     )
 
@@ -400,8 +424,8 @@ def reference_read_vm(raw: dict, path: str) -> VirtualMachine:
 def reference_read_pm(raw: dict, path: str) -> PhysicalMachine:
     return PhysicalMachine(
         id=require(raw, "id", path, INTEGER),
-        compute_cap=require(raw, "compute_cap", path, AMOUNT),
-        storage_cap=require(raw, "storage_cap", path, AMOUNT),
+        compute_cap=require(raw, "compute_cap", path, REFERENCE_AMOUNT),
+        storage_cap=require(raw, "storage_cap", path, REFERENCE_AMOUNT),
         max_vm_count=require(raw, "max_vm_count", path, INTEGER),
         active=require(raw, "active", path, BOOLEAN, default=True),
     )

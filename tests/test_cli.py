@@ -502,6 +502,22 @@ def test_out_of_range_counts_and_ports_are_usage_errors(argv, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "generate-scenario"])
+def test_a_negative_seed_is_a_usage_error_that_makes_nothing(
+    small_scenario, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--scenario", str(small_scenario), "--out-dir", str(out)],
+        "generate-scenario": ["generate-scenario", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1"])
+    assert err.value.code == 2
+    assert "argument --seed: must be in 0.." in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_too_few_episodes_is_a_usage_error_before_training(
     small_scenario, tmp_path, capsys, command

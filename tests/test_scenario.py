@@ -4,6 +4,10 @@ import hashlib
 import json
 import math
 import pickle
+import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (
+    REFERENCE_AMOUNT,
+    REFERENCE_NUMBER,
     identity_scenario,
     reference_draw_requirements,
     reference_generate,
@@ -23,7 +29,10 @@ from vnfcmap.infra import VmPlacement
 from vnfcmap.model import Inventory, PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, solve_exact_matching
 from vnfcmap.scenario import (
+    AMOUNT,
+    MAX_AMOUNT,
     MAX_INTEGER_AMOUNT,
+    NUMBER,
     GenerationParams,
     Scenario,
     ScenarioFormatError,
@@ -542,6 +551,99 @@ def test_save_refuses_what_load_refuses(tmp_path, scenario, field):
     assert (err.value.field, err.value.detail) == (refused.value.field, refused.value.detail)
     assert err.value.field == field
     assert not target.exists()
+
+
+_NOT_JSON_NUMBERS = [
+    np.int64(5), np.int64(2**60), np.float32(1.5), np.bool_(True), Fraction(5, 2), Decimal("2.5")
+]
+_NOT_JSON_IDS = ["int64", "int64-above-2-53", "float32", "numpy-bool", "fraction", "decimal"]
+
+
+def _with_small_first_demand(value):
+    """``_EIGHT``'s machines under a slice whose first demand is ``value``,
+    dominant for any ``value`` of at least 0."""
+    return Scenario(make_slice([value, 5, 5, 1, 1, 1, 1, 1], [5] * 3 + [1] * 5), _EIGHT.vms)
+
+
+_AMOUNT_BUILDS = {
+    "capacity": (lambda v: _with_machine_8(compute_cap=v), "vms[7].compute_cap"),
+    "demand": (_with_small_first_demand, "slice.components[0].compute_req"),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_JSON_NUMBERS, ids=_NOT_JSON_IDS)
+@pytest.mark.parametrize("build, field", _AMOUNT_BUILDS.values(), ids=_AMOUNT_BUILDS)
+def test_save_refuses_amounts_json_cannot_write(tmp_path, build, field, value):
+    target = tmp_path / "saved.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioFormatError) as err:
+            save(build(value), target)
+    assert (err.value.field, err.value.detail) == (field, AMOUNT.detail)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("amount", _AMOUNT_BUILDS)
+def test_a_float_subclass_amount_saves_as_its_float(tmp_path, amount):
+    build = _AMOUNT_BUILDS[amount][0]
+    scenario = build(np.float64(2.5))
+    save(scenario, tmp_path / "numpy.json")
+    save(build(2.5), tmp_path / "float.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    assert load(tmp_path / "numpy.json") == scenario
+
+
+# The values json.loads returns: scalars, and lists as one more input.
+_JSON_SCALARS = (
+    st.integers()
+    | st.integers(-(2**1100), 2**1100)
+    | st.floats()
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+    | st.lists(st.integers() | st.floats(), max_size=2)
+)
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int magnitude float() refuses
+_NUMBER_BOUNDS = {
+    "2**53": 2**53,
+    "-2**53": -(2**53),
+    "2**53+1": 2**53 + 1,
+    "-(2**53+1)": -(2**53 + 1),
+    "int-max-amount+1": int(MAX_AMOUNT) + 1,
+    "2**1024": 2**1024,
+    "int-float-overflow": _FLOAT_OVERFLOW,
+    "int-float-overflow-1": _FLOAT_OVERFLOW - 1,
+    "-int-float-overflow": -_FLOAT_OVERFLOW,
+    "-(int-float-overflow-1)": -(_FLOAT_OVERFLOW - 1),
+    "int-float-max+1": int(sys.float_info.max) + 1,
+    "1e307": MAX_AMOUNT,
+    "next-above-1e307": math.nextafter(MAX_AMOUNT, math.inf),
+    "-1.7e308": -1.7e308,
+    "float-max": sys.float_info.max,
+    "0": 0,
+    "-0.0": -0.0,
+    "5e-324": 5e-324,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "true": True,
+}
+
+
+def _rules_agree_with_the_reference(value):
+    assert bool(NUMBER.valid(value)) == REFERENCE_NUMBER.valid(value), value
+    assert bool(AMOUNT.valid(value)) == REFERENCE_AMOUNT.valid(value), value
+
+
+@pytest.mark.parametrize("value", _NUMBER_BOUNDS.values(), ids=_NUMBER_BOUNDS)
+def test_number_rules_agree_with_the_reference_at_their_bounds(value):
+    _rules_agree_with_the_reference(json.loads(json.dumps(value)))
+
+
+@settings(derandomize=True, database=None, max_examples=1000)
+@given(_JSON_SCALARS)
+def test_number_rules_agree_with_the_reference_on_json_scalars(value):
+    _rules_agree_with_the_reference(value)
 
 
 def _entry_outcome(doc):
