@@ -91,7 +91,8 @@ class QTable(ValueEstimator):
     """Dense action values keyed by (next component index, anchor machine)."""
 
     def __init__(self, num_components: int, num_vms: int, values: Optional[np.ndarray] = None):
-        """A zero table with zero visit counts, or, given ``values``, a table
+        """A zero table with a zero visit-count table, written only by a
+        ``harmonic`` step size (which reads it), or, given ``values``, a table
         over those values that keeps no visit counts and is only read."""
         self.num_components = num_components
         self.num_vms = num_vms
@@ -250,7 +251,7 @@ def _effective_alpha(hyper: Hyperparameters, visits: int) -> float:
 def _diverged(weights: np.ndarray) -> bool:
     """``(np.abs(weights) > DIVERGENCE_LIMIT).any()``, NaN included (a NaN
     weight alone does not count), at a fraction of its cost on seven weights."""
-    return any(abs(x) > DIVERGENCE_LIMIT for x in weights.tolist())
+    return any(map(DIVERGENCE_LIMIT.__lt__, map(abs, weights.tolist())))
 
 
 def tabular_update(
@@ -264,15 +265,19 @@ def tabular_update(
     """One backup toward reward plus the discounted best next value.
 
     Terminal successors contribute nothing. Returns the temporal-difference
-    error before the step was applied.
+    error before the step was applied. Visits are counted only under the
+    harmonic schedule, the one step size that reads them.
     """
     bootstrap = 0.0 if next_state.terminal else q.max_value(next_state)
     target = reward + hyper.gamma * bootstrap
     entry = (*state_key(state), action.target_vm - 1)
     current = q.values.item(entry)
-    count = q.visits.item(entry)
-    q.values[entry] = current - _effective_alpha(hyper, count) * (current - target)
-    q.visits[entry] = count + 1
+    step_size = hyper.alpha
+    if hyper.alpha_schedule is AlphaSchedule.HARMONIC:
+        count = q.visits.item(entry)
+        step_size = _effective_alpha(hyper, count)
+        q.visits[entry] = count + 1
+    q.values[entry] = current - step_size * (current - target)
     return target - current
 
 
@@ -345,12 +350,17 @@ def _run_episodes(
 
     Tabular: a running argmax, ``greedy[i, a]``, is taken from the values
     once per call and kept as the exact argmax of ``values[i, a]`` after
-    every step, so the greedy pick and the bootstrap max are lookups. Linear:
-    the greedy pick is ``LinearQ``'s ``blocks[i] @ w`` argmax and the update
-    is ``linear_update``'s step. Both apply the same numpy ufuncs to the same
-    operands in the same order, writing into buffers made once per call;
-    computing the same dot products in another order would move the weights
-    in the last bit.
+    every step, so the greedy pick and the bootstrap max are lookups; visits
+    are counted only under the harmonic schedule, which reads them. Linear:
+    the greedy pick is the argmax of ``LinearQ``'s ``blocks[i] @ w`` and the
+    update is ``linear_update``'s step. The kernel makes the same BLAS call
+    on the same operands: ``blocks[i].dot(w, out=scores)`` for
+    ``blocks[i] @ w`` and ``w.dot(phi)`` for ``w @ phi`` (float64 and
+    C-contiguous, so both entry points reach one ``gemv`` and one ``dot``),
+    and it reads the bootstrap max at the argmax, which is ``scores.max()``
+    bit for bit unless it is NaN (``max`` may return another NaN, whose sign
+    can differ, so a NaN is read through ``max``). Computing the same dot
+    products in another order would move the weights in the last bit.
     """
     q = learner.q
     fit_mask, reward_table = env.fit_mask, env.reward_table
@@ -379,7 +389,7 @@ def _run_episodes(
             elif tabular:
                 j = greedy.item(i, a)
             else:
-                j = int(np.matmul(blocks[i], w, out=scores).argmax())
+                j = blocks[i].dot(w, out=scores).argmax().item()
             feasible = j not in occupied and fit_mask[i][j]
             reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
             done = not feasible or i == last_index
@@ -388,11 +398,13 @@ def _run_episodes(
                 bootstrap = 0.0 if done else values.item(i + 1, j, greedy.item(i + 1, j))
                 target = reward + gamma * bootstrap
                 current = values.item(i, a, j)
-                visited = visits.item(i, a, j)
-                step_size = _effective_alpha(hyper, visited) if harmonic else alpha
+                step_size = alpha
+                if harmonic:
+                    visited = visits.item(i, a, j)
+                    step_size = _effective_alpha(hyper, visited)
+                    visits[i, a, j] = visited + 1
                 updated = current - step_size * (current - target)
                 values[i, a, j] = updated
-                visits[i, a, j] = visited + 1
                 g = greedy.item(i, a)
                 if j == g:
                     if updated < current:
@@ -403,8 +415,14 @@ def _run_episodes(
                         greedy[i, a] = j
             else:
                 phi = blocks[i][j]
-                bootstrap = 0.0 if done else float(np.matmul(blocks[i + 1], w, out=scores).max())
-                td_error = reward + gamma * bootstrap - float(w @ phi)
+                if done:
+                    bootstrap = 0.0
+                else:
+                    blocks[i + 1].dot(w, out=scores)
+                    bootstrap = scores.item(scores.argmax())
+                    if bootstrap != bootstrap:  # max may return another NaN
+                        bootstrap = float(scores.max())
+                td_error = reward + gamma * bootstrap - w.dot(phi)
                 step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
                 # phi * c is c * phi with the operands swapped, exact in IEEE.
                 w += np.multiply(phi, step_size * td_error, out=delta)

@@ -42,9 +42,11 @@ VARIANT_ALIASES = {v.value: v for v in AgentVariant}
 # CI generates and solves 15,000 machines, and a POST /map body of at most
 # 1 MiB holds about 20,700; a generated scenario file is about 80 bytes a machine.
 MAX_GENERATED_VMS = 100_000
-# A tabular learner keeps two k x m x m tables (values and visits). The gate
-# and the benchmarks train on 8 x 100; this allows m up to 1,000 at k = 8,
-# 64 MB a table, where one 20-episode run peaks near 450 MB.
+# A tabular learner allocates two k x m x m tables (values and visits); the
+# visits table is written only under the harmonic schedule, whose two tables
+# this bound still sizes. The gate and the benchmarks train on 8 x 100; this
+# allows m up to 1,000 at k = 8, 64 MB a table, where one 20-episode run
+# peaked near 450 MB when every schedule wrote both.
 MAX_TABLE_ENTRIES = 8_000_000
 
 

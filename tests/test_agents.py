@@ -53,6 +53,11 @@ from vnfcmap.oracle import AssignmentProblem, solve_exact_enumeration
 from vnfcmap.scenario import GenerationParams, Scenario, generate
 
 
+_TABULAR_VARIANTS = pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
+)
+
+
 def _state(index=1, anchor=1, occupied=()):
     return MappingEpisodeState(index, anchor, frozenset(occupied))
 
@@ -170,6 +175,26 @@ def test_update_bootstraps_on_max_not_on_next_action():
     tabular_update(q, _state(1, 1), Action(3), 1.0, _state(2, 3, {3}), hyper)
     # target must be 1 + 0.5 * 5 regardless of what gets played next
     assert q.values[0, 0, 2] == 3.5
+
+
+def test_fixed_step_size_counts_no_visits():
+    # Only the harmonic step size reads a visit count, so under the fixed
+    # schedule neither the TD update nor a training run writes one.
+    q = QTable(8, 4)
+    tabular_update(q, _state(), Action(2), 1.0, _state(2, 2, {2}), Hyperparameters())
+    assert q.values[0, 0, 1] != 0.0
+    assert not q.visits.any()
+    for variant in (AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR):
+        _, learner = train(variant, _uniform_scenario(), Hyperparameters(episodes=40), seed=3)
+        assert learner.q.values.any()
+        assert not learner.q.visits.any()
+
+
+@_TABULAR_VARIANTS
+def test_harmonic_step_size_counts_every_step(variant):
+    hyper = Hyperparameters(episodes=40, alpha_schedule=AlphaSchedule.HARMONIC)
+    record, learner = train(variant, _uniform_scenario(), hyper, seed=3)
+    assert learner.q.visits.sum() == sum(log.length for log in record.episodes)
 
 
 def test_harmonic_alpha_decays_with_visits():
@@ -642,9 +667,87 @@ def test_divergence_check_agrees_with_numpy(weights, diverged):
     assert agents._diverged(w) is diverged
 
 
-_TABULAR_VARIANTS = pytest.mark.parametrize(
-    "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
-)
+def _mixed_magnitudes(rng, shape):
+    """Normal draws scaled by powers of ten from 1e-8 to 1e8, with some exact zeros."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
+def _feature_like(rng, m):
+    """An (m, 7) block shaped like ``LinearQ``'s: a bias of 1, then entries in
+    [0, 2] with some exact (positive) zeros and ones."""
+    values = rng.uniform(0.0, 2.0, (m, FEATURE_DIM))
+    values[rng.random((m, FEATURE_DIM)) < 0.2] = 0.0
+    values[rng.random((m, FEATURE_DIM)) < 0.1] = 1.0
+    values[:, 0] = 1.0
+    return values
+
+
+def _linear_kernel_weights(rng):
+    """Weight vectors for the kernel's matvec: mixed magnitudes, each alone
+    and with a NaN, an infinity of either sign or a negative zero in place."""
+    for special in (None, math.nan, math.inf, -math.inf, -0.0):
+        for _ in range(4):
+            w = _mixed_magnitudes(rng, FEATURE_DIM)
+            if special is not None:
+                w[rng.integers(FEATURE_DIM)] = special
+            yield w
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 100, 1000])
+def test_linear_kernel_calls_equal_the_reference_operators(m):
+    # The kernel computes ``blocks[i] @ w`` and ``w @ phi`` through
+    # ``ndarray.dot`` and reads the bootstrap max at the argmax; the
+    # step-by-step reference keeps ``@`` and ``max``.
+    rng = np.random.default_rng(m)
+    scores = np.empty(m)
+    for blocks in (_mixed_magnitudes(rng, (m, FEATURE_DIM)), _feature_like(rng, m)):
+        blocks.flags.writeable = False
+        # An infinity times a zero entry is NaN; that is a case, not a fault.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for w in _linear_kernel_weights(rng):
+                expected = blocks @ w
+                assert blocks.dot(w, out=scores) is scores
+                assert scores.tobytes() == expected.tobytes(), "ndarray.dot(out=) differs from @"
+                for phi in blocks:
+                    assert _bits(w.dot(phi)) == _bits(w @ phi), "ndarray.dot differs from @"
+                at_argmax, maximum = scores.item(scores.argmax()), float(expected.max())
+                if math.isnan(maximum):
+                    # numpy's max may return another NaN than the first, whose
+                    # sign can differ; the kernel reads max itself then.
+                    assert math.isnan(at_argmax)
+                else:
+                    assert _bits(at_argmax) == _bits(maximum), "max differs at the argmax"
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0])
+def test_kernel_matches_reference_from_special_weights(special):
+    # Training starts from zero weights and stops at a weight beyond 1e9, so
+    # no score it reads is NaN; a caller's weights can make them, and the
+    # bootstrap must still be the reference's max bit for bit.
+    rng = np.random.default_rng(17)
+    hyper = Hyperparameters(epsilon=1.0)
+    for trial in range(20):
+        weights = rng.standard_normal(FEATURE_DIM)
+        weights[rng.integers(FEATURE_DIM)] = special
+        runs = []
+        for play in (run_episode, reference_episode):
+            env = MappingEnvironment(_KERNEL_SCENARIO, np.random.default_rng(trial), hyper.reward_mode)
+            learner = make_learner(AgentVariant.OFF_POLICY_LINEAR, _KERNEL_SCENARIO)
+            learner.q.weights[:] = weights
+            actions = np.random.default_rng(trial + 1)
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    logs = [play(env, learner, hyper, actions, e) for e in range(1, 4)]
+                runs.append((logs, _estimate_bytes(learner)))
+            except DivergenceError as error:
+                runs.append((error.weights.tobytes(), error.updates))
+        assert runs[0] == runs[1]
 
 
 def _one_call_and_reference(variant, scenario, hyper, seed, episodes, num_components=None, row=None):
