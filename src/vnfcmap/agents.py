@@ -249,9 +249,10 @@ def _effective_alpha(hyper: Hyperparameters, visits: int) -> float:
 
 
 def _diverged(weights: np.ndarray) -> bool:
-    """``(np.abs(weights) > DIVERGENCE_LIMIT).any()``, NaN included (a NaN
-    weight alone does not count), at a fraction of its cost on seven weights."""
-    return any(map(DIVERGENCE_LIMIT.__lt__, map(abs, weights.tolist())))
+    """``not (np.abs(weights) <= DIVERGENCE_LIMIT).all()``: a weight beyond the
+    limit, an infinity or a NaN counts, at a fraction of its cost on seven
+    weights."""
+    return not all(map(DIVERGENCE_LIMIT.__ge__, map(abs, weights.tolist())))
 
 
 def tabular_update(

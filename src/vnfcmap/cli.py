@@ -6,7 +6,10 @@ cannot be written, 3 when an instance is infeasible or a run diverged.
 Only ``generate-scenario``, ``oracle``, ``check-infra`` and ``serve`` solve an
 assignment and load any of scipy: only its solver's extension module, not
 ``scipy.optimize``, whose import would be most of their start-up. Only
-``serve`` imports the service module, and with it ``http.server``.
+``serve`` imports the service module, and with it ``http.server`` and the
+thread pool of ``concurrent.futures``. Only a ``sweep`` that starts two or more
+workers imports its process pool, and with it ``multiprocessing``; no other
+command imports ``concurrent.futures`` or ``logging``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
+
+# Before numpy loads: OpenBLAS would start a thread per CPU, and every
+# product here is at most m x 7; sweep parallelises by processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import agents, infra, metrics, scenario as scenario_mod
 from .agents import AgentVariant, DivergenceError
@@ -204,6 +210,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if workers == 1:
         summaries = list(map(run, seeds, out_dirs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run, seeds, out_dirs))
     # both maps keep seed order, so the fold is deterministic

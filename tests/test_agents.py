@@ -644,7 +644,7 @@ def test_train_equals_a_loop_of_run_episode(variant):
 @pytest.mark.parametrize(
     "weights,diverged",
     [
-        ([math.nan], False),
+        ([math.nan], True),
         ([math.nan, 2e9], True),
         ([2e9, math.nan], True),
         ([math.inf], True),
@@ -663,7 +663,8 @@ def test_train_equals_a_loop_of_run_episode(variant):
 def test_divergence_check_agrees_with_numpy(weights, diverged):
     w = np.zeros(7)
     w[: len(weights)] = weights
-    assert bool((np.abs(w) > DIVERGENCE_LIMIT).any()) is diverged
+    # Every weight within the limit, or diverged: a NaN counts.
+    assert (not (np.abs(w) <= DIVERGENCE_LIMIT).all()) is diverged
     assert agents._diverged(w) is diverged
 
 
@@ -748,6 +749,18 @@ def test_kernel_matches_reference_from_special_weights(special):
             except DivergenceError as error:
                 runs.append((error.weights.tobytes(), error.updates))
         assert runs[0] == runs[1]
+
+
+def test_an_infinite_weight_diverges_instead_of_turning_every_weight_nan():
+    # The first update adds ``inf * 0``, a NaN, to all seven weights; the run
+    # must stop there rather than go on with NaN weights.
+    hyper = Hyperparameters(epsilon=1.0)
+    for seed in range(40):
+        env = MappingEnvironment(_KERNEL_SCENARIO, np.random.default_rng(seed), hyper.reward_mode)
+        learner = make_learner(AgentVariant.OFF_POLICY_LINEAR, _KERNEL_SCENARIO)
+        learner.q.weights[:] = [0.5, 1, 0, math.inf, 0, 0, 0.5]
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError):
+            run_episode(env, learner, hyper, np.random.default_rng(seed + 1), 1)
 
 
 def _one_call_and_reference(variant, scenario, hyper, seed, episodes, num_components=None, row=None):

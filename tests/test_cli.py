@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -193,13 +194,22 @@ def test_serve_refuses_a_bad_default_model_before_serving(
 
 # Runs the commands given as JSON in argv[1] in a fresh interpreter, which has
 # loaded nothing the test process has, and prints each command's exit code,
-# the scipy modules (and http.server) loaded after it, and its stdout.
+# the scipy, process pool and logging modules (and http.server) loaded after
+# it, and its stdout.
 _COMMANDS_THEN_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from vnfcmap import cli
 
+if len(sys.argv) > 2:  # the CPUs sweep may use, whatever this host has
+    os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+
 def loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "http.server")
+    return sorted(
+        m for m in sys.modules
+        if m.partition(".")[0] in ("scipy", "multiprocessing", "logging")
+        or m.startswith("concurrent.futures")
+        or m == "http.server"
+    )
 
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -213,10 +223,11 @@ print(json.dumps(runs))
 """
 
 
-def _fresh_runs(cwd, *argvs):
+def _fresh_runs(cwd, *argvs, cpus=None):
     src = str(Path(vnfcmap.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", _COMMANDS_THEN_MODULES, json.dumps(argvs)],
+        [sys.executable, "-c", _COMMANDS_THEN_MODULES, json.dumps(argvs)]
+        + ([] if cpus is None else [str(cpus)]),
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
@@ -253,6 +264,72 @@ def test_only_solving_commands_load_scipy(tmp_path):
     expected = solve_exact_matching(AssignmentProblem(inst.subnet.components, inst.vms))
     assert oracle["objective_value"] == expected.objective_value
     assert oracle["pairs"] == {str(c): v for c, v in expected.pairs.items()}
+
+
+def test_only_a_multi_worker_sweep_loads_the_process_pool(tmp_path):
+    # The pool's modules (concurrent.futures, multiprocessing, logging) are
+    # loaded by the multi-worker sweep alone, so it runs last.
+    save(generate(1), tmp_path / "scenario.json")
+    sweep = ["sweep", "--scenario", "scenario.json", "--episodes", "20", "--seeds", "2"]
+    runs = _fresh_runs(
+        tmp_path,
+        ["--help"],
+        ["generate-scenario", "--seed", "1", "--out", "generated.json"],
+        ["train", "--scenario", "scenario.json", "--episodes", "20", "--out-dir", "run"],
+        ["compare", "--runs", "run"],
+        ["oracle", "--scenario", "scenario.json"],
+        ["check-infra", "--scenario", "scenario.json"],
+        sweep + ["--workers", "1", "--out-dir", "solo"],
+        sweep + ["--workers", "2", "--out-dir", "multi"],
+        cpus=2,
+    )
+    pool = {"concurrent.futures.process", "multiprocessing", "logging"}
+    for run in runs[:-1]:
+        assert run["code"] == EXIT_OK
+        assert pool.isdisjoint(run["loaded"]), run["loaded"]
+    assert runs[-1]["code"] == EXIT_OK
+    assert pool <= set(runs[-1]["loaded"])
+
+
+# Prints a digest of the kernel's three BLAS products on a 100,000-machine
+# block: ``blocks.dot(w, out=)``, ``blocks @ w`` and ``w.dot(phi)`` per row.
+_BLAS_PRODUCTS = """
+import hashlib
+import numpy as np
+rng = np.random.default_rng(5)
+m = 100_000
+blocks = rng.standard_normal((m, 7)) * 10.0 ** rng.integers(-8, 9, (m, 7))
+w = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7)
+scores = np.empty(m)
+blocks.dot(w, out=scores)
+dots = np.array([w.dot(phi) for phi in blocks])
+print(hashlib.sha256(scores.tobytes() + (blocks @ w).tobytes() + dots.tobytes()).hexdigest())
+"""
+
+
+def _python_with_blas_threads(code, threads):
+    """Runs ``code`` in a fresh interpreter with ``OPENBLAS_NUM_THREADS`` set
+    to ``threads``, or unset for None, and returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = str(Path(vnfcmap.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_blas_products_do_not_depend_on_the_thread_count():
+    # The CLI starts one BLAS thread; the products it trains with must be the
+    # bytes a caller with more threads gets.
+    digests = {t: _python_with_blas_threads(_BLAS_PRODUCTS, t) for t in ("1", "2", None)}
+    assert len(set(digests.values())) == 1, digests
+
+
+def test_cli_keeps_a_callers_blas_thread_count():
+    code = "import os\nfrom vnfcmap import cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python_with_blas_threads(code, "2") == "2\n"
+    assert _python_with_blas_threads(code, None) == "1\n"
 
 
 def test_oracle_json_matches_library(small_scenario, capsys):
@@ -317,7 +394,7 @@ def test_sweep_starts_no_more_workers_than_usable_cpus(small_scenario, tmp_path,
             raise AssertionError("one usable CPU must not start a worker process")
 
     _usable_cpus(monkeypatch, 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     base = ["sweep", "--scenario", str(small_scenario), "--episodes", "20", "--seeds", "3"]
     capped, solo = tmp_path / "capped", tmp_path / "solo"
     assert main(base + ["--workers", "3", "--out-dir", str(capped)]) == EXIT_OK
