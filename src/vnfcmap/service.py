@@ -15,6 +15,8 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from time import monotonic
 from typing import Optional
@@ -121,6 +123,20 @@ def _error(field: str, detail: str) -> dict:
     return {"error": {"field": field, "detail": detail}}
 
 
+def _answer(status: int, body: dict, extra_headers: str = "") -> bytes:
+    """The bytes of a whole answer: the HTTP/1.0 status line, the headers and
+    the JSON body. Every reply of the service is one, sent in one write."""
+    payload = json.dumps(body).encode()
+    head = (
+        f"HTTP/1.0 {status:d} {HTTPStatus(status).phrase}\r\n"
+        "Server: vnfcmap\r\n"
+        f"Date: {formatdate(usegmt=True)}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n{extra_headers}\r\n"
+    )
+    return head.encode() + payload
+
+
 def _wastage_entry(comp: VnfComponent, vms: Inventory, vm_id: int) -> dict:
     return {
         "component": comp.id,
@@ -179,27 +195,45 @@ class _DeadlineReader(io.RawIOBase):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    server_version = "vnfcmap"
     # Seconds a connection has to send its whole request, so a client that
     # sends nothing, or one byte now and then, holds a handler thread for at
     # most this long. Sending the answer is given the same time again.
     timeout = 10.0
+    _answered = False  # set by _send_json, before the answer is sent
 
     def setup(self) -> None:
         super().setup()
         self.rfile.close()  # the socket's own reader, which times each read alone
-        self.rfile = io.BufferedReader(
-            _DeadlineReader(self.connection, monotonic() + self.timeout)
-        )
+        self._deadline = monotonic() + self.timeout
+        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self._deadline))
+
+    def handle(self) -> None:
+        """Answer the connection's one request. http.server closes a connection
+        unanswered when its request line or headers miss the deadline, which
+        gets a 408 here, and when its request line is blank, which gets a 400."""
+        self.handle_one_request()
+        if self._answered:
+            return
+        if monotonic() >= self._deadline:
+            self.send_error(
+                HTTPStatus.REQUEST_TIMEOUT,
+                f"the request line and headers took over {self.timeout} s",
+            )
+        elif self.raw_requestline:  # else the client sent nothing and hung up
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """http.server's own refusals (a bad request line, an unknown method,
+        an oversized line or header block), answered in JSON."""
+        self._send_json(code, _error("<request>", message or HTTPStatus(code).description))
 
     def _send_json(self, status: int, body: dict) -> None:
+        # The handler's slot is freed first, so that a client which has read
+        # its whole answer never finds this handler still busy.
+        self._answered = True
+        self.server._free(self.connection)
         self.connection.settimeout(self.timeout)
-        payload = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self.connection.sendall(_answer(status, body))
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/health":
@@ -247,7 +281,8 @@ class MappingServer(HTTPServer):
     503 itself when every handler is busy; it never waits for one. Connections
     are HTTP/1.0, one request each, and a request must arrive in full within
     ``_Handler.timeout``, so a handler is held for at most that long plus the
-    time to decide and send the answer."""
+    time to decide; it counts as idle from just before its answer is sent.
+    Every answer is one ``_answer``, sent in one write."""
 
     def __init__(self, address, default_model: Optional[str] = None):
         self.default_model = default_model
@@ -262,15 +297,6 @@ class MappingServer(HTTPServer):
         self._closing = False
         # Last: a failed bind calls ``server_close``, which reads the state above.
         super().__init__(address, _Handler)
-        busy = _error("<connection>", f"all {self._handlers} handlers are busy")
-        payload = json.dumps(busy).encode()
-        self._busy_reply = (
-            "HTTP/1.0 503 Service Unavailable\r\n"
-            f"Server: {_Handler.server_version}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Retry-After: {RETRY_AFTER_S}\r\n\r\n"
-        ).encode() + payload
 
     def process_request(self, request, client_address) -> None:
         with self._serving_lock:
@@ -282,9 +308,10 @@ class MappingServer(HTTPServer):
         # connection, which can discard the answer unread; so a refused
         # connection stays open, with its unread input discarded, until the
         # client hangs up or REFUSED_LINGER_S have passed.
+        busy = _error("<connection>", f"all {self._handlers} handlers are busy")
         request.setblocking(False)
         with contextlib.suppress(OSError):  # the client is gone
-            request.send(self._busy_reply)
+            request.sendall(_answer(503, busy, f"Retry-After: {RETRY_AFTER_S}\r\n"))
             request.shutdown(socket.SHUT_WR)
         self._refused.append((request, monotonic() + REFUSED_LINGER_S))
 
@@ -307,11 +334,14 @@ class MappingServer(HTTPServer):
             if not self._closing:  # else the close itself broke the connection
                 self.handle_error(request, client_address)
         finally:
-            # Free again before the close, so a client that has seen the
-            # connection close finds this handler free.
-            with self._serving_lock:
-                self._serving.discard(request)
+            self._free(request)  # if nothing was sent
             self.shutdown_request(request)
+
+    def _free(self, request) -> None:
+        """Count ``request``'s handler as idle, so the accept loop may hand
+        it the next connection."""
+        with self._serving_lock:
+            self._serving.discard(request)
 
     def server_close(self) -> None:
         """Close the listening socket and every refused connection, end the

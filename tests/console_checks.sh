@@ -221,6 +221,19 @@ except urllib.error.HTTPError as reply:
     assert (reply.code, field) == (400, "slice.components[0].compute_req"), (reply.code, field)
     print("2**53 + 1 refused:", field)
 PY
+# A method the service does not serve gets a 501 JSON answer naming
+# the request, as every refusal of http.server's own does.
+python - <<'PY'
+import json, urllib.error, urllib.request
+request = urllib.request.Request("http://127.0.0.1:8765/map", data=b"{}", method="PUT")
+try:
+    urllib.request.urlopen(request, timeout=30).close()
+    raise SystemExit("PUT /map was not refused")
+except urllib.error.HTTPError as reply:
+    answer = (reply.code, reply.headers["Content-Type"], json.load(reply)["error"]["field"])
+    assert answer == (501, "application/json", "<request>"), answer
+    print("PUT /map refused:", answer)
+PY
 # A second server on the port the first one holds exits 2 with an
 # error line, not a traceback; the timeout stops one that did bind.
 code=0

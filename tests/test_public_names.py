@@ -20,8 +20,8 @@ BENCHMARK = ROOT / "perfbench"
 # and socketserver hooks that service._Handler and service.MappingServer
 # override, and the io methods of service._DeadlineReader.
 SERVER_CALLBACKS = {
-    "do_GET", "do_POST", "log_message", "setup", "process_request", "server_close",
-    "service_actions", "readable", "readinto",
+    "do_GET", "do_POST", "handle", "send_error", "log_message", "setup", "process_request",
+    "server_close", "service_actions", "readable", "readinto",
 }
 
 

@@ -809,6 +809,10 @@ def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, can
             sock.sendall(b"{}")
             assert sock.recv(1) == b""
         assert (status, headers["Retry-After"]) == (503, str(service.RETRY_AFTER_S))
+        assert (headers["Server"], headers["Content-Type"]) == ("vnfcmap", "application/json")
+        assert sorted(headers) == [
+            "Content-Length", "Content-Type", "Date", "Retry-After", "Server"
+        ]
         assert body["error"]["field"] == "<connection>"
         assert waited < service._Handler.timeout  # answered before either handler is free
         assert [_status_after_close(sock) for sock in slow] == [408, 408]
@@ -868,7 +872,7 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
             _wait_until(lambda: len(srv._serving) == 2)
             assert _raw_post(port, 2, "{}")[0] == 503
             with idle:
-                assert _read_until_close(idle) == b""  # closed unanswered
+                idle_answer = _read_until_close(idle)
             answer = _read_until_close(trickle)
             ended = perf_counter() - started
         finally:
@@ -876,10 +880,138 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
             dripper.join()
             trickle.close()
         assert answer.split()[1] == b"408"
+        assert idle_answer.split()[1] == b"408"
+        assert json.loads(idle_answer.partition(b"\r\n\r\n")[2])["error"]["field"] == "<request>"
         # Without the deadline the trickle would run for 100 x 0.05 = 5 s.
         assert ended < 2.0
         status, body = _post(port, "/map", _request_doc(canonical, "greedy"))
         assert (status, body["status"]) == (200, "mapped")
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"", b"GET /health HTTP/1.0\r\n", b"POST /map HTTP/1.0\r\nContent-Le"],
+    ids=["nothing", "request-line", "half-a-header"],
+)
+def test_http_request_line_or_headers_past_the_deadline_get_408(server, monkeypatch, sent):
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+        sock.sendall(sent)
+        status, headers, body = _read_answer(sock)
+    assert (status, headers["Content-Type"]) == (408, "application/json")
+    assert body["error"] == {
+        "field": "<request>", "detail": "the request line and headers took over 0.2 s"
+    }
+
+
+def test_http_a_client_that_read_its_answer_finds_the_handler_free(monkeypatch):
+    # The one handler thread is still closing each connection when the next
+    # request arrives; its slot was freed before the answer was sent, so the
+    # request waits for the thread rather than getting a 503.
+    monkeypatch.setattr(service, "HANDLERS", 1)
+    finish = service._Handler.finish
+
+    def slow_finish(handler):
+        threading.Event().wait(0.3)
+        finish(handler)
+
+    monkeypatch.setattr(service._Handler, "finish", slow_finish)
+    statuses = []
+    with _serving(make_server(0)) as port:
+        for _ in range(4):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+                statuses.append(_read_answer(sock)[0])
+    assert statuses == [200, 200, 200, 200]
+
+
+def test_an_answer_is_one_http_1_0_json_message(monkeypatch):
+    monkeypatch.setattr(service, "formatdate", lambda usegmt: "Tue, 20 Oct 2026 10:00:00 GMT")
+    assert service._answer(503, {"a": 1}, "Retry-After: 1\r\n") == (
+        b"HTTP/1.0 503 Service Unavailable\r\n"
+        b"Server: vnfcmap\r\n"
+        b"Date: Tue, 20 Oct 2026 10:00:00 GMT\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: 8\r\n"
+        b"Retry-After: 1\r\n"
+        b"\r\n"
+        b'{"a": 1}'
+    )
+
+
+# http.server's own refusals, each with the detail it gives.
+_STDLIB_REFUSALS = {
+    "bad-syntax": (b"GARBAGE\r\n", 400, "Bad request syntax ('GARBAGE')"),
+    "unknown-method": (b"PUT /map HTTP/1.0\r\n", 501, "Unsupported method ('PUT')"),
+    "http-2": (b"GET /map HTTP/2.0\r\n", 505, "Invalid HTTP version (2.0)"),
+    "70-kb-url": (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n", 414, "URI is too long"),
+    "120-headers": (
+        b"GET /health HTTP/1.0\r\n" + b"".join(b"X-%d: 1\r\n" % n for n in range(120)),
+        431,
+        "Too many headers",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def shared_server():
+    with _serving(make_server(0)) as port:
+        yield port
+
+
+def _exchange(port, head):
+    """Send a request head (its lines, without the blank line that ends it)
+    and read everything the server sends back."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head + b"\r\n")
+        return _read_until_close(sock)
+
+
+@pytest.mark.parametrize("case", list(_STDLIB_REFUSALS))
+def test_http_servers_own_refusals_are_json_on_field_request(shared_server, case):
+    head, status, detail = _STDLIB_REFUSALS[case]
+    with socket.create_connection(("127.0.0.1", shared_server), timeout=5) as sock:
+        sock.sendall(head + b"\r\n")  # the blank line that ends the head
+        assert _read_answer(sock) == (
+            status,
+            {
+                "Server": "vnfcmap",
+                "Date": mock.ANY,
+                "Content-Type": "application/json",
+                "Content-Length": mock.ANY,
+            },
+            {"error": {"field": "<request>", "detail": detail}},
+        )
+
+
+_METHODS = st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "get"])
+_TARGETS = st.sampled_from(["/health", "/map", "/", "//map", "*", "/health?x=1"])
+_VERSIONS = st.sampled_from(["HTTP/1.0", "HTTP/1.1", "HTTP/2.0", "HTTP/0.9", "HTTP/1", "http/1.0"])
+_WORDS = st.text(st.characters(min_codepoint=33, max_codepoint=255), min_size=1, max_size=12)
+# Blank to str.split(), and so to http.server, which then closes the connection.
+_BLANKS = st.sampled_from(["", "\t", "\x0b", "\x85", "\xa0"])
+_REQUEST_LINES = (
+    st.lists(_METHODS | _TARGETS | _VERSIONS | _WORDS | _BLANKS, max_size=5).map(" ".join)
+    | st.builds(lambda *words: " ".join(words), _METHODS | _WORDS, _TARGETS | _WORDS, _VERSIONS)
+).map(lambda line: line.encode("latin-1") + b"\r\n")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_REQUEST_LINES)
+@example(_STDLIB_REFUSALS["bad-syntax"][0])
+@example(_STDLIB_REFUSALS["unknown-method"][0])
+@example(_STDLIB_REFUSALS["http-2"][0])
+@example(_STDLIB_REFUSALS["70-kb-url"][0])
+@example(_STDLIB_REFUSALS["120-headers"][0])
+def test_any_request_line_gets_one_json_answer(shared_server, head):
+    answer = _exchange(shared_server, head)
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    assert status_line[:9] == "HTTP/1.0 " and status_line[9:12].isdigit(), answer[:80]
+    assert "Content-Type: application/json" in header_lines
+    reply = json.loads(body)
+    if not 200 <= int(status_line[9:12]) < 300:
+        assert isinstance(reply["error"]["field"], str)
 
 
 def test_server_close_ends_connections_still_being_read(monkeypatch):
