@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
+from operator import length_hint
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .scenario import (
 FEATURE_DIM = 7
 DIVERGENCE_LIMIT = 1e9
 POLICY_FILE_VERSION = 1
+# The most raw generator words the training kernel asks for in one call.
+_BLOCK_WORDS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -319,6 +322,80 @@ def make_learner(
     return Learner(variant=variant, q=q)
 
 
+class _Draws:
+    """``random()`` and ``integers(1, n + 1) - 1`` of one ``PCG64``-driven
+    numpy generator, read from blocks of its raw 64-bit words.
+
+    The values are numpy's by numpy's own rules for ``PCG64``. ``random()``
+    is one word ``w`` as ``(w >> 11) * 2**-53``. A bounded integer reads
+    32-bit halves: a new word gives its low half and keeps its high half
+    for the next such read (the state's ``has_uint32`` and ``uinteger``).
+    numpy maps the halves onto 0..n-1 by Lemire's multiply-and-reject rule
+    ("Fast Random Integer Generation in an Interval", ACM TOMACS 2019) and
+    draws nothing for n == 1; for n == 2**32 it takes one half as it is,
+    which the rule gives too on Python's unbounded ints. The two kinds of
+    draw share one position in the stream, as numpy's calls do.
+
+    Each block is drawn by one ``random_raw`` call and turned into Python
+    floats once, so a uniform draw is the next item of a list. ``rewind``
+    leaves the generator where one numpy call per draw would have left it.
+    Only ``PCG64``, the bit generator ``np.random.default_rng`` makes, is
+    read; any other is refused before a draw.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                "the training kernel reads PCG64 words, the bit generator of "
+                f"np.random.default_rng; got {type(bit_generator).__name__}"
+            )
+        self.bit_generator = bit_generator
+        self._saved = bit_generator.state
+        self._has_half, self._half = self._saved["has_uint32"], self._saved["uinteger"]
+        self._block, self._blocks = block, 0
+        self._words, self._doubles = None, iter(())
+        self.random = chain.from_iterable(self._fill()).__next__
+
+    def _fill(self):
+        while True:
+            self._words = self.bit_generator.random_raw(self._block)
+            self._doubles = iter(((self._words >> 11) * 2.0**-53).tolist())
+            self._blocks += 1
+            yield self._doubles
+
+    def _word(self) -> int:
+        self.random()  # moves the shared position on by one word
+        return self._words.item(self._block - 1 - length_hint(self._doubles))
+
+    def _next_half(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word = self._word()
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFF_FFFF
+
+    def index(self, n: int) -> int:
+        """``integers(1, n + 1) - 1`` for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0
+        product = self._next_half() * n
+        if product & 0xFFFF_FFFF < n:
+            threshold = (1 << 32) % n
+            while product & 0xFFFF_FFFF < threshold:
+                product = self._next_half() * n
+        return product >> 32
+
+    def rewind(self) -> None:
+        bit_generator = self.bit_generator
+        bit_generator.state = self._saved
+        bit_generator.advance(self._blocks * self._block - length_hint(self._doubles))
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bit_generator.state = state
+
+
 def run_episode(
     env: MappingEnvironment,
     learner: Learner,
@@ -362,13 +439,51 @@ def _run_episodes(
     bit for bit unless it is NaN (``max`` may return another NaN, whose sign
     can differ, so a NaN is read through ``max``). Computing the same dot
     products in another order would move the weights in the last bit.
+
+    Draws: each step's uniform comes from ``rng`` and each episode's anchor
+    from the environment's generator, one stream when the two share a bit
+    generator. ``_Draws`` reads them from blocks of raw ``PCG64`` words with
+    numpy's rules, so they are the values ``rng.random()`` and
+    ``MappingEnvironment.draw_anchor`` would give, and on every exit, a
+    ``DivergenceError``'s too, each generator is left where those calls
+    would leave it. Only ``PCG64``, the bit generator of
+    ``np.random.default_rng``, is read: another raises ``TypeError`` before
+    any draw or table write. NEP 19 does not promise ``Generator`` streams
+    across numpy versions; the tests' step-by-step reference, which still
+    calls numpy once per draw, is the guard.
     """
+    # A call draws at most one word per step and one per anchor, unless an
+    # anchor's draw is rejected, so short calls draw short blocks.
+    block = min(_BLOCK_WORDS, count * (env.num_components + 1))
+    actions = _Draws(rng, block)
+    if env._rng.bit_generator is actions.bit_generator:
+        anchors = actions
+    else:
+        anchors = _Draws(env._rng, block)
+    try:
+        return _play(env, learner, hyper, first, count, actions.random, anchors.index)
+    finally:
+        actions.rewind()
+        if anchors is not actions:
+            anchors.rewind()
+
+
+def _play(
+    env: MappingEnvironment,
+    learner: Learner,
+    hyper: Hyperparameters,
+    first: int,
+    count: int,
+    random: Callable[[], float],
+    anchor_index: Callable[[int], int],
+) -> list[EpisodeLog]:
+    """``_run_episodes``' loop over its two draws: ``random()`` and
+    ``anchor_index(m)``, uniform over 0..m-1."""
     q = learner.q
     fit_mask, reward_table = env.fit_mask, env.reward_table
     last_index, num_vms = env.num_components - 1, env.num_vms
     epsilon, gamma, alpha = hyper.epsilon, hyper.gamma, hyper.alpha
     harmonic = hyper.alpha_schedule is AlphaSchedule.HARMONIC
-    random, draw_anchor = rng.random, env.draw_anchor
     tabular = isinstance(q, QTable)
     if tabular:
         values, visits, greedy = q.values, q.visits, q.values.argmax(-1)
@@ -377,7 +492,7 @@ def _run_episodes(
         scores, delta = np.empty(num_vms), np.empty(FEATURE_DIM)
     logs = []
     for episode_index in range(first, first + count):
-        i, a = 0, draw_anchor() - 1
+        i, a = 0, anchor_index(num_vms)
         occupied: set[int] = set()
         total = 0.0
         length = 0

@@ -92,7 +92,10 @@ class MappingEnvironment:
 
     The environment owns no mutable episode state: ``step`` is a pure function
     of (state, action), and ``reset`` draws the starting anchor machine from
-    the generator through ``draw_anchor``. ``agents.train`` uses that same
+    the generator through ``draw_anchor``. The training kernel,
+    ``agents._run_episodes``, reads the same anchors from this generator's
+    raw ``PCG64`` words by numpy's rules instead, and leaves the generator
+    where ``draw_anchor`` calls would. ``agents.train`` uses that same
     generator for its action draws, so both share one random stream.
     """
 

@@ -3,10 +3,12 @@
 The backward-induction solver here is deliberately written against the raw
 scenario data (not the environment's precomputed tables) so it can serve as
 an oracle for the learners. The step-by-step training loop is written against
-the public environment and agent functions only, so it can serve as an oracle
-for the training kernel in ``agents._run_episodes``; the greedy replay steps
-``MappingEnvironment.step`` with state and action objects, so it can serve as
-an oracle for ``agents.greedy_rollout``, which reads the fit mask. The
+the public environment and agent functions only, and makes one numpy call per
+random draw, so it can serve as an oracle for the training kernel in
+``agents._run_episodes``, which reads its draws from raw generator words; the
+greedy replay steps ``MappingEnvironment.step`` with state and action objects,
+so it can serve as an oracle for ``agents.greedy_rollout``, which reads the fit
+mask. The
 enumeration and greedy best-fit scans judge one pair at a time through
 ``VirtualMachine.fits`` and ``pair_cost``, so they can serve as oracles for the
 routes that read the masked cost matrix. The objective sums ``pair_cost`` of

@@ -24,6 +24,14 @@ vnfcmap=("$@")
 "${vnfcmap[@]}" --help
 "${vnfcmap[@]}" generate-scenario --seed 1 --out scenario.json
 "${vnfcmap[@]}" train --scenario scenario.json --episodes 20 --out-dir run
+# A full run writes the bytes recorded for this scenario and seed: the
+# training kernel reads numpy's random streams from raw PCG64 words, and
+# this numpy's streams must still be those.
+"${vnfcmap[@]}" train --scenario scenario.json --variant off-tab --seed 0 --out-dir recorded
+sha256sum -c - <<'SUMS'
+799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39  recorded/episodes.csv
+9f5966edb28956fed15248e480d7297919e016eb1ed2e770b30525e0b087b57c  recorded/model.json
+SUMS
 # A negative seed is a usage error naming --seed, before any directory is made.
 code=0
 "${vnfcmap[@]}" train --scenario scenario.json --seed -1 --out-dir negative-seed 2> seed.err || code=$?

@@ -823,6 +823,138 @@ def test_running_argmax_follows_hand_built_updates(variant, row, epsilon):
     assert kernel == reference
 
 
+# ---------------------------------------------------------------------------
+# the kernel's random draws
+
+
+def _numpy_draws(rng, ops, _block):
+    """One numpy call per draw: ``random()`` for None, ``integers(1, m + 1) - 1``
+    for an int m."""
+    return [rng.random() if m is None else int(rng.integers(1, m + 1)) - 1 for m in ops]
+
+
+def _raw_word_draws(rng, ops, block):
+    draws = agents._Draws(rng, block)
+    try:
+        return [draws.random() if m is None else draws.index(m) for m in ops]
+    finally:
+        draws.rewind()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+# 2**31 + 1 rejects about half of the 32-bit halves; 2**32 takes them as they are.
+@pytest.mark.parametrize("m", [1, 2, 100, 20_000, 2**31 + 1, 2**32])
+def test_raw_word_reader_equals_numpy(m, buffered):
+    # 3000 interleaved draws read over 2000 words (1000 halves for m > 1): a
+    # block of 7 words is crossed hundreds of times, the kernel's block twice.
+    ops = [None if u < 0.6 else m for u in np.random.default_rng(m % 997).random(3000)]
+    for block in (7, agents._BLOCK_WORDS):
+        runs = []
+        for draw in (_numpy_draws, _raw_word_draws):
+            rng = np.random.default_rng(29)
+            if buffered:
+                rng.integers(0, 2)  # keeps its word's high half for the next bounded draw
+                assert rng.bit_generator.state["has_uint32"] == 1
+            runs.append((draw(rng, ops, block), rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+
+def _generators(kind):
+    """(environment generator, action generator): one generator, two sharing
+    one bit generator, or two apart."""
+    if kind == "one":
+        rng = np.random.default_rng(3)
+        return rng, rng
+    if kind == "shared-bit-generator":
+        bit_generator = np.random.PCG64(3)
+        return np.random.Generator(bit_generator), np.random.Generator(bit_generator)
+    return np.random.default_rng(3), np.random.default_rng(4)
+
+
+def _states(*generators):
+    return [rng.bit_generator.state for rng in generators]
+
+
+@pytest.mark.parametrize("kind", ["one", "shared-bit-generator", "apart"])
+@pytest.mark.parametrize("num_vms", [1, 2])
+@pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
+def test_kernel_matches_reference_on_one_or_two_machines(variant, num_vms, kind):
+    # numpy's integers(1, 2) draws nothing, so one machine's anchor must read
+    # no word; two machines take one 32-bit half per anchor.
+    hyper = Hyperparameters(epsilon=0.5, episodes=60)
+    scenario = _uniform_scenario(num_vms=num_vms)
+    runs = []
+    for one_call in (True, False):
+        env_rng, actions = _generators(kind)
+        env = MappingEnvironment(scenario, env_rng, hyper.reward_mode)
+        learner = make_learner(variant, scenario)
+        if one_call:
+            logs = agents._run_episodes(env, learner, hyper, actions, 1, hyper.episodes)
+        else:
+            logs = [
+                reference_episode(env, learner, hyper, actions, e)
+                for e in range(1, hyper.episodes + 1)
+            ]
+        runs.append((logs, _estimate_bytes(learner), _states(env_rng, actions)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["one", "shared-bit-generator", "apart"])
+@pytest.mark.parametrize("variant", list(AgentVariant), ids=lambda v: v.value)
+def test_run_episode_leaves_the_generators_where_the_reference_does(variant, kind):
+    hyper = Hyperparameters(epsilon=0.3, episodes=1)
+    runs = []
+    for play in (run_episode, reference_episode):
+        env_rng, actions = _generators(kind)
+        env = MappingEnvironment(_KERNEL_SCENARIO, env_rng, hyper.reward_mode)
+        learner = make_learner(variant, _KERNEL_SCENARIO)
+        runs.append(
+            [(play(env, learner, hyper, actions, e), _states(env_rng, actions)) for e in range(1, 41)]
+        )
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["one", "apart"])
+@pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_LINEAR, AgentVariant.OFF_POLICY_LINEAR], ids=lambda v: v.value
+)
+def test_generators_after_a_divergence_are_the_references(variant, kind):
+    # The error leaves the kernel mid-episode; its generators must still end
+    # where the draws it made leave numpy's.
+    hyper = Hyperparameters(alpha=1.0, epsilon=0.0, episodes=100)
+    runs = []
+    for one_call in (True, False):
+        env_rng, actions = _generators(kind)
+        env = MappingEnvironment(_KERNEL_SCENARIO, env_rng, hyper.reward_mode)
+        learner = make_learner(variant, _KERNEL_SCENARIO)
+        with pytest.raises(DivergenceError) as error:
+            if one_call:
+                agents._run_episodes(env, learner, hyper, actions, 1, hyper.episodes)
+            else:
+                for e in range(1, hyper.episodes + 1):
+                    reference_episode(env, learner, hyper, actions, e)
+        runs.append((error.value.updates, error.value.weights.tobytes(), _states(env_rng, actions)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("refused", ["actions", "anchors"])
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox], ids=lambda b: b.__name__)
+def test_kernel_refuses_a_generator_other_than_pcg64(bit_generator, refused):
+    # The kernel reads numpy's draws from PCG64's raw words, which another bit
+    # generator would turn into other values; it refuses before any draw or write.
+    hyper = Hyperparameters(epsilon=0.5)
+    for variant in AgentVariant:
+        other, pcg = np.random.Generator(bit_generator(5)), np.random.default_rng(5)
+        env_rng, actions = (pcg, other) if refused == "actions" else (other, pcg)
+        env = MappingEnvironment(_KERNEL_SCENARIO, env_rng, hyper.reward_mode)
+        learner = make_learner(variant, _KERNEL_SCENARIO)
+        with pytest.raises(TypeError, match=f"reads PCG64 words.*got {bit_generator.__name__}$"):
+            run_episode(env, learner, hyper, actions)
+        assert _estimate_bytes(learner) == _estimate_bytes(make_learner(variant, _KERNEL_SCENARIO))
+        assert pcg.bit_generator.state == np.random.default_rng(5).bit_generator.state
+        assert other.random(4).tolist() == np.random.Generator(bit_generator(5)).random(4).tolist()
+
+
 def test_paired_variants_coincide_with_shared_seed():
     scenario = generate(81)
     hyper = Hyperparameters(episodes=120)

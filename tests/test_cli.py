@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -135,6 +136,35 @@ def test_identical_invocations_are_byte_identical(small_scenario, tmp_path):
         assert main(flags + ["--out-dir", str(out_dir)]) == EXIT_OK
     assert (dirs[0] / "episodes.csv").read_bytes() == (dirs[1] / "episodes.csv").read_bytes()
     assert (dirs[0] / "summary.json").read_bytes() == (dirs[1] / "summary.json").read_bytes()
+
+
+# sha256 of the files ``train`` writes on ``generate(1)`` at seed 0 and the
+# default flags. The tabular variants use only Python float arithmetic, no
+# BLAS, so the bytes are the same on every machine with the same numpy
+# random streams; they change only where a run's behaviour does.
+_TRAIN_GOLDEN = {
+    "on-tab": {
+        "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
+        "summary.json": "1c97ff62b17d8a42d95d55808c829e69bbefa51d642d64a64db9844ecc852a71",
+        "model.json": "b7446f0d8fadc0b4f571f67b420619c019ddee3e74dbad4da22c277319eb557d",
+    },
+    "off-tab": {
+        "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
+        "summary.json": "e6c3c11be5c72f26a2e1aaf04b8659b9a240f646fefd077b22556aaf8410c58e",
+        "model.json": "9f5966edb28956fed15248e480d7297919e016eb1ed2e770b30525e0b087b57c",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_TRAIN_GOLDEN))
+def test_train_writes_the_recorded_bytes(variant, tmp_path):
+    path = tmp_path / "scenario.json"
+    save(generate(1), path)
+    out = tmp_path / "run"
+    argv = ["train", "--scenario", str(path), "--variant", variant, "--seed", "0", "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _TRAIN_GOLDEN[variant]}
+    assert digests == _TRAIN_GOLDEN[variant]
 
 
 def test_epsilon_out_of_range_is_validation_error(small_scenario, tmp_path, capsys):
