@@ -443,8 +443,8 @@ def _run_episodes(
     Draws: each step's uniform comes from ``rng`` and each episode's anchor
     from the environment's generator, one stream when the two share a bit
     generator. ``_Draws`` reads them from blocks of raw ``PCG64`` words with
-    numpy's rules, so they are the values ``rng.random()`` and
-    ``MappingEnvironment.draw_anchor`` would give, and on every exit, a
+    numpy's rules, so they are the values ``rng.random()`` and the anchor
+    draw of ``MappingEnvironment.reset`` would give, and on every exit, a
     ``DivergenceError``'s too, each generator is left where those calls
     would leave it. Only ``PCG64``, the bit generator of
     ``np.random.default_rng``, is read: another raises ``TypeError`` before

@@ -6,10 +6,11 @@ cannot be written, 3 when an instance is infeasible or a run diverged.
 Only ``generate-scenario``, ``oracle``, ``check-infra`` and ``serve`` solve an
 assignment and load any of scipy: only its solver's extension module, not
 ``scipy.optimize``, whose import would be most of their start-up. Only
-``serve`` imports the service module, and with it ``http.server`` and the
-thread pool of ``concurrent.futures``. Only a ``sweep`` that starts two or more
-workers imports its process pool, and with it ``multiprocessing``; no other
-command imports ``concurrent.futures`` or ``logging``.
+``serve`` imports the service module, and with it ``socketserver``,
+``http.client`` and the thread pool of ``concurrent.futures``. Only a ``sweep``
+that starts two or more workers imports its process pool, and with it
+``multiprocessing``; no other command imports ``concurrent.futures`` or
+``logging``.
 """
 
 from __future__ import annotations

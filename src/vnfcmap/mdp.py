@@ -92,11 +92,11 @@ class MappingEnvironment:
 
     The environment owns no mutable episode state: ``step`` is a pure function
     of (state, action), and ``reset`` draws the starting anchor machine from
-    the generator through ``draw_anchor``. The training kernel,
+    the generator, ``rng.integers(1, m + 1)``. The training kernel,
     ``agents._run_episodes``, reads the same anchors from this generator's
     raw ``PCG64`` words by numpy's rules instead, and leaves the generator
-    where ``draw_anchor`` calls would. ``agents.train`` uses that same
-    generator for its action draws, so both share one random stream.
+    where those draws would. ``agents.train`` uses that same generator for
+    its action draws, so both share one random stream.
     """
 
     def __init__(
@@ -125,14 +125,11 @@ class MappingEnvironment:
             ratio_c, ratio_s, reward_mode
         ).tolist()
 
-    def draw_anchor(self) -> int:
-        """The machine id an episode starts anchored on, uniform over 1..m."""
-        return int(self._rng.integers(1, self.num_vms + 1))
-
     def reset(self) -> MappingEpisodeState:
-        return MappingEpisodeState(
-            next_component_index=1, anchor_vm=self.draw_anchor(), occupied=frozenset()
-        )
+        """An episode's first state, anchored on a machine id drawn uniformly
+        from 1..m."""
+        anchor = int(self._rng.integers(1, self.num_vms + 1))
+        return MappingEpisodeState(next_component_index=1, anchor_vm=anchor, occupied=frozenset())
 
     def step(self, state: MappingEpisodeState, action: Action) -> StepOutcome:
         if state.terminal:

@@ -9,15 +9,17 @@ represented by a built-in descriptor that ``GET /health`` reports.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import io
 import json
+import re
 import socket
+import socketserver
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from time import monotonic
 from typing import Optional
 
@@ -65,6 +67,9 @@ MAX_BODY_BYTES = 1 << 20
 HANDLERS = 16
 # Seconds a client refused with 503 is asked to wait before it retries.
 RETRY_AFTER_S = 1
+# Seconds a connection has to send its whole request, however slowly it sends
+# it, and then again to take its answer.
+REQUEST_TIMEOUT_S = 10.0
 # Seconds a refused connection is kept open at most for its client to finish
 # sending and to read the 503.
 REFUSED_LINGER_S = 1.0
@@ -194,95 +199,82 @@ class _DeadlineReader(io.RawIOBase):
         return self._sock.recv_into(buffer)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # Seconds a connection has to send its whole request, so a client that
-    # sends nothing, or one byte now and then, holds a handler thread for at
-    # most this long. Sending the answer is given the same time again.
-    timeout = 10.0
-    _answered = False  # set by _send_json, before the answer is sent
-
-    def setup(self) -> None:
-        super().setup()
-        self.rfile.close()  # the socket's own reader, which times each read alone
-        self._deadline = monotonic() + self.timeout
-        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self._deadline))
-
-    def handle(self) -> None:
-        """Answer the connection's one request. http.server closes a connection
-        unanswered when its request line or headers miss the deadline, which
-        gets a 408 here, and when its request line is blank, which gets a 400."""
-        self.handle_one_request()
-        if self._answered:
-            return
-        if monotonic() >= self._deadline:
-            self.send_error(
-                HTTPStatus.REQUEST_TIMEOUT,
-                f"the request line and headers took over {self.timeout} s",
-            )
-        elif self.raw_requestline:  # else the client sent nothing and hung up
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
-
-    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
-        """http.server's own refusals (a bad request line, an unknown method,
-        an oversized line or header block), answered in JSON."""
-        self._send_json(code, _error("<request>", message or HTTPStatus(code).description))
-
-    def _send_json(self, status: int, body: dict) -> None:
-        # The handler's slot is freed first, so that a client which has read
-        # its whole answer never finds this handler still busy.
-        self._answered = True
-        self.server._free(self.connection)
-        self.connection.settimeout(self.timeout)
-        self.connection.sendall(_answer(status, body))
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path == "/health":
-            self._send_json(200, {"status": "ok", "descriptor": DEFAULT_DESCRIPTOR})
-        else:
-            self._send_json(404, _error("<path>", f"unknown {self.path}"))
-
-    def do_POST(self) -> None:  # noqa: N802
-        if self.path != "/map":
-            self._send_json(404, _error("<path>", f"unknown {self.path}"))
-            return
-        length = self.headers.get("Content-Length")
-        if length is None or not (length.isascii() and length.isdigit()):
-            detail = "is required" if length is None else (
-                f"must be a non-negative integer, got {length!r}"
-            )
-            self._send_json(400, _error("<headers>.Content-Length", detail))
-            return
-        # Digit counts are compared first, because int() refuses a string of
-        # more than 4300 digits.
-        digits = length.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-            detail = f"declares more than the {MAX_BODY_BYTES} bytes accepted"
-            self._send_json(413, _error("<headers>.Content-Length", detail))
-            return
-        try:
-            raw = self.rfile.read(int(digits))
-        except TimeoutError:
-            detail = f"declared {length} bytes, but the request took over {self.timeout} s"
-            self._send_json(408, _error("<body>", detail))
-            return
-        try:
-            status, body = handle_map(decode_document(raw, "<body>"), self.server.default_model)
-        except ScenarioFormatError as exc:  # from decode_document; handle_map answers its own
-            status, body = 400, _error(exc.field, exc.detail)
-        self._send_json(status, body)
-
-    def log_message(self, format: str, *args) -> None:  # quiet by default
-        pass
+# The version a request line of three or more words ends with.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-class MappingServer(HTTPServer):
+def _reply(sock: socket.socket, default_model: Optional[str]) -> Optional[tuple[int, dict]]:
+    """The status and body that answer the one request on ``sock``, or None when
+    the client sent nothing and hung up. The request line and headers are read
+    as http.server's ``parse_request`` reads them, the headers by the same call."""
+    rfile = io.BufferedReader(_DeadlineReader(sock, monotonic() + REQUEST_TIMEOUT_S))
+    try:
+        raw_line = rfile.readline(65537)
+        if not raw_line:
+            return None
+        if len(raw_line) > 65536:  # http.server's limit, its line end included
+            return 414, _error("<request>", HTTPStatus.REQUEST_URI_TOO_LONG.description)
+        line = raw_line.decode("latin-1").rstrip("\r\n")
+        words = line.split()
+        if len(words) >= 3:
+            version = _VERSION.fullmatch(words[-1])
+            if version is None:
+                return 400, _error("<request>", f"Bad request version ({words[-1]!r})")
+            if int(version[1]) >= 2:
+                return 505, _error("<request>", f"Invalid HTTP version ({words[-1][5:]})")
+        if not 2 <= len(words) <= 3:
+            return 400, _error("<request>", f"Bad request syntax ({line!r})")
+        method, path = words[:2]
+        if len(words) == 2 and method != "GET":
+            return 400, _error("<request>", f"Bad HTTP/0.9 request type ({method!r})")
+        path = "/" + path.lstrip("/") if path.startswith("//") else path
+        headers = http.client.parse_headers(rfile)
+    except TimeoutError:
+        detail = f"the request line and headers took over {REQUEST_TIMEOUT_S} s"
+        return 408, _error("<request>", detail)
+    except http.client.LineTooLong:
+        return 431, _error("<request>", "Line too long")
+    except http.client.HTTPException:
+        return 431, _error("<request>", "Too many headers")
+    if method not in ("GET", "POST"):
+        return 501, _error("<request>", f"Unsupported method ({method!r})")
+    if path != ("/health" if method == "GET" else "/map"):
+        return 404, _error("<path>", f"unknown {path}")
+    if method == "GET":
+        return 200, {"status": "ok", "descriptor": DEFAULT_DESCRIPTOR}
+    length = headers.get("Content-Length")
+    if length is None or not (length.isascii() and length.isdigit()):
+        detail = "is required" if length is None else (
+            f"must be a non-negative integer, got {length!r}"
+        )
+        return 400, _error("<headers>.Content-Length", detail)
+    # Digit counts are compared first, because int() refuses a string of
+    # more than 4300 digits.
+    digits = length.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        detail = f"declares more than the {MAX_BODY_BYTES} bytes accepted"
+        return 413, _error("<headers>.Content-Length", detail)
+    try:
+        raw = rfile.read(int(digits))
+    except TimeoutError:
+        detail = f"declared {length} bytes, but the request took over {REQUEST_TIMEOUT_S} s"
+        return 408, _error("<body>", detail)
+    try:
+        return handle_map(decode_document(raw, "<body>"), default_model)
+    except ScenarioFormatError as exc:  # from decode_document; handle_map answers its own
+        return 400, _error(exc.field, exc.detail)
+
+
+class MappingServer(socketserver.TCPServer):
     """Serves connections on a pool of ``HANDLERS`` threads. The accept
     loop hands a connection to the pool when a handler is idle, or answers it
     503 itself when every handler is busy; it never waits for one. Connections
     are HTTP/1.0, one request each, and a request must arrive in full within
-    ``_Handler.timeout``, so a handler is held for at most that long plus the
+    ``REQUEST_TIMEOUT_S``, so a handler is held for at most that long plus the
     time to decide; it counts as idle from just before its answer is sent.
     Every answer is one ``_answer``, sent in one write."""
+
+    allow_reuse_address = True
 
     def __init__(self, address, default_model: Optional[str] = None):
         self.default_model = default_model
@@ -296,7 +288,7 @@ class MappingServer(HTTPServer):
         self._serving_lock = threading.Lock()
         self._closing = False
         # Last: a failed bind calls ``server_close``, which reads the state above.
-        super().__init__(address, _Handler)
+        super().__init__(address, None)  # no handler class: ``_serve`` answers
 
     def process_request(self, request, client_address) -> None:
         with self._serving_lock:
@@ -329,13 +321,20 @@ class MappingServer(HTTPServer):
 
     def _serve(self, request, client_address) -> None:
         try:
-            self.finish_request(request, client_address)
+            reply = _reply(request, self.default_model)
+            # The handler's slot is freed first, so that a client which has
+            # read its whole answer never finds this handler still busy.
+            self._free(request)
+            if reply is not None:
+                request.settimeout(REQUEST_TIMEOUT_S)
+                with contextlib.suppress(TimeoutError):  # the client did not take it in time
+                    request.sendall(_answer(*reply))
         except Exception:
             if not self._closing:  # else the close itself broke the connection
                 self.handle_error(request, client_address)
         finally:
-            self._free(request)  # if nothing was sent
             self.shutdown_request(request)
+            self._free(request)  # if the read raised
 
     def _free(self, request) -> None:
         """Count ``request``'s handler as idle, so the accept loop may hand

@@ -230,7 +230,7 @@ except urllib.error.HTTPError as reply:
     print("2**53 + 1 refused:", field)
 PY
 # A method the service does not serve gets a 501 JSON answer naming
-# the request, as every refusal of http.server's own does.
+# the request, as every refusal of the request line or headers does.
 python - <<'PY'
 import json, urllib.error, urllib.request
 request = urllib.request.Request("http://127.0.0.1:8765/map", data=b"{}", method="PUT")
@@ -241,6 +241,23 @@ except urllib.error.HTTPError as reply:
     answer = (reply.code, reply.headers["Content-Type"], json.load(reply)["error"]["field"])
     assert answer == (501, "application/json", "<request>"), answer
     print("PUT /map refused:", answer)
+PY
+# A request with bare \n line ends and a lowercase content-length header,
+# sent over a raw socket, is read as any other: a greedy POST /map maps.
+python - <<'PY'
+import json, socket
+scenario = json.load(open("scenario.json"))
+body = json.dumps({"slice": scenario["slice"], "vms": scenario["vms"], "policy": "greedy"})
+head = f"POST /map HTTP/1.0\ncontent-length: {len(body.encode())}\n\n"
+answer = b""
+with socket.create_connection(("127.0.0.1", 8765), timeout=30) as sock:
+    sock.sendall(head.encode() + body.encode())
+    while chunk := sock.recv(65536):
+        answer += chunk
+head, _, payload = answer.partition(b"\r\n\r\n")
+status = (head.split()[1], json.loads(payload)["status"])
+assert status == (b"200", "mapped"), status
+print("bare-newline POST /map:", status)
 PY
 # A second server on the port the first one holds exits 2 with an
 # error line, not a traceback; the timeout stops one that did bind.

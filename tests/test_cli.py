@@ -224,8 +224,8 @@ def test_serve_refuses_a_bad_default_model_before_serving(
 
 # Runs the commands given as JSON in argv[1] in a fresh interpreter, which has
 # loaded nothing the test process has, and prints each command's exit code,
-# the scipy, process pool and logging modules (and http.server) loaded after
-# it, and its stdout.
+# the scipy, process pool, logging and service modules loaded after it, and
+# its stdout.
 _COMMANDS_THEN_MODULES = """
 import contextlib, io, json, os, sys
 from vnfcmap import cli
@@ -238,7 +238,7 @@ def loaded():
         m for m in sys.modules
         if m.partition(".")[0] in ("scipy", "multiprocessing", "logging")
         or m.startswith("concurrent.futures")
-        or m == "http.server"
+        or m == "vnfcmap.service"
     )
 
 runs = []

@@ -16,12 +16,11 @@ PACKAGE = ROOT / "src" / "vnfcmap"
 GATE = ROOT / "tests" / "test_acceptance.py"
 BENCHMARK = ROOT / "perfbench"
 
-# Called by the standard library, which looks them up by name: the http.server
-# and socketserver hooks that service._Handler and service.MappingServer
-# override, and the io methods of service._DeadlineReader.
+# Called by the standard library, which looks them up by name: the socketserver
+# hooks that service.MappingServer overrides, and the io methods of
+# service._DeadlineReader.
 SERVER_CALLBACKS = {
-    "do_GET", "do_POST", "handle", "send_error", "log_message", "setup", "process_request",
-    "server_close", "service_actions", "readable", "readinto",
+    "process_request", "server_close", "service_actions", "readable", "readinto",
 }
 
 

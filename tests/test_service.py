@@ -659,7 +659,7 @@ def test_http_oversized_body_is_413_unread(server, declared):
 def test_http_short_body_times_out(server, monkeypatch):
     # The body is 2 bytes against a declared 100; the client keeps the
     # connection open, so only the handler's socket timeout ends the read.
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.2)
     status, body = _raw_post(server.server_address[1], 100, "{}")
     assert status == 408
     assert body["error"]["field"] == "<body>"
@@ -790,7 +790,7 @@ def _status_after_close(sock):
 
 
 def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, canonical):
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.2)
     monkeypatch.setattr(service, "HANDLERS", 2)
     threads_before = threading.active_count()
     srv = make_server(0)
@@ -814,7 +814,7 @@ def test_http_busy_handlers_answer_503_and_stop_with_the_server(monkeypatch, can
             "Content-Length", "Content-Type", "Date", "Retry-After", "Server"
         ]
         assert body["error"]["field"] == "<connection>"
-        assert waited < service._Handler.timeout  # answered before either handler is free
+        assert waited < service.REQUEST_TIMEOUT_S  # answered before either handler is free
         assert [_status_after_close(sock) for sock in slow] == [408, 408]
         status, body = _post(port, "/map", _request_doc(canonical, "greedy"))
         assert (status, body["status"]) == (200, "mapped")
@@ -850,8 +850,8 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
 ):
     # One connection sends nothing; the other sends a byte of its body every
     # 0.05 s, each within any per-read timeout. The whole request must arrive
-    # within _Handler.timeout, so both free their handler by then.
-    monkeypatch.setattr(service._Handler, "timeout", 0.3)
+    # within REQUEST_TIMEOUT_S, so both free their handler by then.
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.3)
     monkeypatch.setattr(service, "HANDLERS", 2)
     srv = make_server(0)
     with _serving(srv) as port:
@@ -894,7 +894,7 @@ def test_http_idle_and_trickling_connections_end_at_the_request_deadline(
     ids=["nothing", "request-line", "half-a-header"],
 )
 def test_http_request_line_or_headers_past_the_deadline_get_408(server, monkeypatch, sent):
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.2)
     with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
         sock.sendall(sent)
         status, headers, body = _read_answer(sock)
@@ -909,13 +909,13 @@ def test_http_a_client_that_read_its_answer_finds_the_handler_free(monkeypatch):
     # request arrives; its slot was freed before the answer was sent, so the
     # request waits for the thread rather than getting a 503.
     monkeypatch.setattr(service, "HANDLERS", 1)
-    finish = service._Handler.finish
+    shutdown_request = service.MappingServer.shutdown_request
 
-    def slow_finish(handler):
+    def slow_shutdown_request(srv, request):
         threading.Event().wait(0.3)
-        finish(handler)
+        shutdown_request(srv, request)
 
-    monkeypatch.setattr(service._Handler, "finish", slow_finish)
+    monkeypatch.setattr(service.MappingServer, "shutdown_request", slow_shutdown_request)
     statuses = []
     with _serving(make_server(0)) as port:
         for _ in range(4):
@@ -939,7 +939,8 @@ def test_an_answer_is_one_http_1_0_json_message(monkeypatch):
     )
 
 
-# http.server's own refusals, each with the detail it gives.
+# Refusals of the request line or headers, each with the standard library's
+# detail, as http.server gives it.
 _STDLIB_REFUSALS = {
     "bad-syntax": (b"GARBAGE\r\n", 400, "Bad request syntax ('GARBAGE')"),
     "unknown-method": (b"PUT /map HTTP/1.0\r\n", 501, "Unsupported method ('PUT')"),
@@ -984,11 +985,95 @@ def test_http_servers_own_refusals_are_json_on_field_request(shared_server, case
         )
 
 
-_METHODS = st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "get"])
+_MAP_BODY = json.dumps(_request_doc(generate(1), "greedy")).encode()
+_HEALTHY = {"status": "ok", "descriptor": service.DEFAULT_DESCRIPTOR}
+
+
+def _headers(count):
+    return b"".join(b"X-%d: 1\r\n" % n for n in range(count))
+
+
+def _header_line(length):
+    """One header line of ``length`` bytes, its CRLF included."""
+    return b"X: " + b"a" * (length - 5) + b"\r\n"
+
+
+def _request(detail, field="<request>"):
+    return {"error": {"field": field, "detail": detail}}
+
+
+# Whole requests, each with the exact status and body of its answer; "mapped"
+# stands for handle_map's answer to _MAP_BODY. They pin the request-line rule
+# and the header rules that the standard library applies.
+_REQUEST_HEADS = {
+    "bare-newlines": (
+        b"POST /map HTTP/1.0\nContent-Length: %d\n\n%s" % (len(_MAP_BODY), _MAP_BODY),
+        200,
+        "mapped",
+    ),
+    "lowercase-content-length": (
+        b"POST /map HTTP/1.0\r\ncontent-length: %d\r\n\r\n%s" % (len(_MAP_BODY), _MAP_BODY),
+        200,
+        "mapped",
+    ),
+    "first-content-length-wins": (
+        b"POST /map HTTP/1.0\r\nContent-Length: %d\r\nContent-Length: abc\r\n\r\n%s"
+        % (len(_MAP_BODY), _MAP_BODY),
+        200,
+        "mapped",
+    ),
+    "space-before-colon": (
+        b"POST /map HTTP/1.0\r\nContent-Length :2\r\n\r\n{}",
+        400,
+        _request("is required", "<headers>.Content-Length"),
+    ),
+    "double-slash": (b"GET //health HTTP/1.0\r\n\r\n", 200, _HEALTHY),
+    "two-word-get": (b"GET /health\r\n\r\n", 200, _HEALTHY),
+    "two-word-post": (b"POST /map\r\n\r\n", 400, _request("Bad HTTP/0.9 request type ('POST')")),
+    "blank-line": (b"\r\n\r\n", 400, _request("Bad request syntax ('')")),
+    "superscript-minor": (
+        b"GET /health HTTP/1.\xb2\r\n\r\n", 400, _request("Bad request version ('HTTP/1.\xb2')")
+    ),
+    "no-minor": (b"GET /health HTTP/3\r\n\r\n", 400, _request("Bad request version ('HTTP/3')")),
+    "eleven-digit-major": (
+        b"GET /health HTTP/12345678901.0\r\n\r\n",
+        400,
+        _request("Bad request version ('HTTP/12345678901.0')"),
+    ),
+    "99-headers": (b"GET /health HTTP/1.0\r\n" + _headers(99) + b"\r\n", 200, _HEALTHY),
+    "100-headers": (
+        b"GET /health HTTP/1.0\r\n" + _headers(100) + b"\r\n", 431, _request("Too many headers")
+    ),
+    "65537-byte-header-line": (
+        b"GET /health HTTP/1.0\r\n" + _header_line(65_537) + b"\r\n",
+        431,
+        _request("Line too long"),
+    ),
+    "65536-byte-header-line": (
+        b"GET /health HTTP/1.0\r\n" + _header_line(65_536) + b"\r\n", 200, _HEALTHY
+    ),
+    "put-with-120-headers": (
+        b"PUT /map HTTP/1.0\r\n" + _headers(120) + b"\r\n", 431, _request("Too many headers")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REQUEST_HEADS))
+def test_request_heads_get_the_standard_librarys_answers(shared_server, case):
+    request, status, body = _REQUEST_HEADS[case]
+    if body == "mapped":
+        body = handle_map(json.loads(_MAP_BODY))[1]
+    with socket.create_connection(("127.0.0.1", shared_server), timeout=5) as sock:
+        sock.sendall(request)
+        head, _, payload = _read_until_close(sock).partition(b"\r\n\r\n")
+    assert (int(head.split()[1]), payload) == (status, json.dumps(body).encode())
+
+
+_METHODS =st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "get"])
 _TARGETS = st.sampled_from(["/health", "/map", "/", "//map", "*", "/health?x=1"])
 _VERSIONS = st.sampled_from(["HTTP/1.0", "HTTP/1.1", "HTTP/2.0", "HTTP/0.9", "HTTP/1", "http/1.0"])
 _WORDS = st.text(st.characters(min_codepoint=33, max_codepoint=255), min_size=1, max_size=12)
-# Blank to str.split(), and so to http.server, which then closes the connection.
+# Blank to str.split(), so a request line of only these gets a 400.
 _BLANKS = st.sampled_from(["", "\t", "\x0b", "\x85", "\xa0"])
 _REQUEST_LINES = (
     st.lists(_METHODS | _TARGETS | _VERSIONS | _WORDS | _BLANKS, max_size=5).map(" ".join)
@@ -1036,7 +1121,7 @@ def test_server_close_ends_connections_still_being_read(monkeypatch):
     finally:
         for sock in open_connections:
             sock.close()
-    # Each handler would otherwise wait out the 10 s _Handler.timeout.
+    # Each handler would otherwise wait out the 10 s REQUEST_TIMEOUT_S.
     assert closing < 1.0
     assert threading.active_count() == threads_before
 
