@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,8 +44,6 @@ from .scenario import GenerationParams, Scenario, ScenarioGenerationError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
-
-VARIANT_ALIASES = {v.value: v for v in AgentVariant}
 
 # CI generates and solves 15,000 machines, and a POST /map body of at most
 # 1 MiB holds about 20,700; a generated scenario file is about 80 bytes a machine.
@@ -122,7 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True)
-    parser.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="off-tab")
+    parser.add_argument(
+        "--variant",
+        choices=sorted(v.value for v in AgentVariant),
+        default=AgentVariant.OFF_POLICY_TABULAR.value,
+    )
     # The convergence statistic in every run summary needs two windows of episodes.
     parser.add_argument(
         "--episodes", type=_int_in(2 * metrics.CONVERGENCE_WINDOW), default=Hyperparameters.episodes
@@ -142,27 +145,39 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _hyper_from_args(args: argparse.Namespace) -> Hyperparameters:
-    return Hyperparameters(
-        alpha=args.alpha,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        episodes=args.episodes,
-        reward_mode=RewardMode(args.reward_mode),
-        alpha_schedule=AlphaSchedule(args.alpha_schedule),
+def _training_inputs(args: argparse.Namespace) -> tuple[Scenario, AgentVariant, Hyperparameters]:
+    """The scenario, variant and hyperparameters of a ``train`` or ``sweep``.
+
+    Each hyperparameter is the flag of its field's name, converted by the type
+    of the field's default, and is checked before the scenario is read. A
+    tabular variant whose tables would exceed ``MAX_TABLE_ENTRIES`` is refused
+    before anything is made or allocated."""
+    hyper = Hyperparameters(
+        **{f.name: type(f.default)(getattr(args, f.name)) for f in fields(Hyperparameters)}
     )
+    variant = AgentVariant(args.variant)
+    inst = scenario_mod.load(args.scenario)
+    entries = len(inst.subnet.components) * inst.num_vms**2
+    if variant.tabular and entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"--variant {variant.value}: a scenario of {inst.num_vms} vms needs tables of "
+            f"{entries} entries, more than {MAX_TABLE_ENTRIES}; the linear variants keep none"
+        )
+    return inst, variant, hyper
 
 
-def _train_run(inst: Scenario, variant: str, hyper: Hyperparameters, seed: int, out: Path) -> dict:
+def _train_run(
+    inst: Scenario, variant: AgentVariant, hyper: Hyperparameters, seed: int, out: Path
+) -> dict:
     """Train one seed, write ``episodes.csv``, ``summary.json`` and ``model.json``
     to ``out``, and return the run's summary. ``out`` is made first, so a path
     that cannot be a directory is refused before any training."""
     out.mkdir(parents=True, exist_ok=True)
-    record, learner = agents.train(VARIANT_ALIASES[variant], inst, hyper, seed=seed)
+    record, learner = agents.train(variant, inst, hyper, seed=seed)
     metrics.write_episode_csv(record, out / "episodes.csv")
-    metrics.write_summary_json(record, out / "summary.json")
+    summary = metrics.write_summary_json(record, out / "summary.json")
     agents.save_policy(learner, out / "model.json")
-    return metrics.summarize(record)
+    return summary
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -175,22 +190,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _training_scenario(args: argparse.Namespace) -> Scenario:
-    """The scenario to train on, refused before anything is made or allocated
-    when a tabular variant's tables would exceed ``MAX_TABLE_ENTRIES``."""
-    inst = scenario_mod.load(args.scenario)
-    entries = len(inst.subnet.components) * inst.num_vms**2
-    if VARIANT_ALIASES[args.variant].tabular and entries > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"--variant {args.variant}: a scenario of {inst.num_vms} vms needs tables of "
-            f"{entries} entries, more than {MAX_TABLE_ENTRIES}; the linear variants keep none"
-        )
-    return inst
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    inst = _training_scenario(args)
-    summary = _train_run(inst, args.variant, _hyper_from_args(args), args.seed, Path(args.out_dir))
+    summary = _train_run(*_training_inputs(args), args.seed, Path(args.out_dir))
     print(
         f"{args.variant} seed {args.seed}: average reward {summary['average_reward']:.4f}, "
         f"std {summary['std_dev']:.4f}, auc {summary['auc']:.2f}"
@@ -199,12 +200,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    hyper = _hyper_from_args(args)
-    inst = _training_scenario(args)
+    inst, variant, hyper = _training_inputs(args)
     out_root = Path(args.out_dir)
     seeds = range(args.seeds)
     out_dirs = [out_root / f"seed-{seed}" for seed in seeds]
-    run = partial(_train_run, inst, args.variant, hyper)
+    run = partial(_train_run, inst, variant, hyper)
     # The CPUs this process may run on, which can be fewer than the host has.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(args.seeds, args.workers or cpus, cpus)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -134,18 +135,10 @@ class RunRecord:
         return out
 
 
-def hyper_to_dict(hyper: Hyperparameters) -> dict:
-    return {
-        "alpha": hyper.alpha,
-        "gamma": hyper.gamma,
-        "epsilon": hyper.epsilon,
-        "episodes": hyper.episodes,
-        "reward_mode": hyper.reward_mode.value,
-        "alpha_schedule": hyper.alpha_schedule.value,
-    }
-
-
 def summarize(run: RunRecord) -> dict:
+    """The run's statistics, with its hyperparameters by field name, each
+    enum as its value."""
+    hyper = {f.name: getattr(run.hyper, f.name) for f in fields(run.hyper)}
     return {
         "variant": run.variant,
         "seed": run.seed,
@@ -155,7 +148,7 @@ def summarize(run: RunRecord) -> dict:
         "auc": run.auc,
         "convergence_episode": run.convergence,
         "success_rate": sum(log.success for log in run.episodes) / len(run.episodes),
-        "hyperparameters": hyper_to_dict(run.hyper),
+        "hyperparameters": {k: v.value if isinstance(v, Enum) else v for k, v in hyper.items()},
     }
 
 
@@ -251,8 +244,11 @@ def write_episode_csv(run: RunRecord, path: str | Path) -> None:
     Path(path).write_text("\n".join(episode_csv_lines(run)) + "\n")
 
 
-def write_summary_json(run: RunRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summarize(run), indent=2, sort_keys=True) + "\n")
+def write_summary_json(run: RunRecord, path: str | Path) -> dict:
+    """Write the run's summary to ``path`` and return it."""
+    summary = summarize(run)
+    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary
 
 
 def write_comparison_json(comparison: dict, path: str | Path) -> None:

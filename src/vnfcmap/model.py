@@ -229,15 +229,6 @@ class Inventory(Sequence):
             self.hosted[positions],
         )
 
-    def __iter__(self):
-        return map(
-            VirtualMachine,
-            range(1, len(self) + 1),
-            self.compute_caps,
-            self.storage_caps,
-            self.hosted,
-        )
-
 
 def classify_vms(vms: Sequence[VirtualMachine], component: VnfComponent) -> VmClassification:
     """Label every machine as occupied, sufficient, or insufficient for a component.

@@ -40,6 +40,19 @@ test "$code" = 2
 grep -q 'error: argument --seed: ' seed.err
 if grep -q Traceback seed.err || test -e negative-seed; then exit 1; fi
 "${vnfcmap[@]}" sweep --scenario scenario.json --episodes 20 --seeds 2 --workers 2 --out-dir sweep
+# Every hyperparameter off its default, through the process pool: each
+# seed's summary records the six values the flags gave.
+"${vnfcmap[@]}" sweep --scenario scenario.json --seeds 2 --workers 2 --episodes 20 --alpha 0.05 --gamma 0.9 --epsilon 0.3 --reward-mode efficiency --alpha-schedule harmonic --out-dir hyper-sweep
+python - <<'PY'
+import glob, json
+expected = {"alpha": 0.05, "gamma": 0.9, "epsilon": 0.3, "episodes": 20, "reward_mode": "efficiency", "alpha_schedule": "harmonic"}
+paths = sorted(glob.glob("hyper-sweep/seed-*/summary.json"))
+assert len(paths) == 2, paths
+for path in paths:
+    recorded = json.load(open(path))["hyperparameters"]
+    assert recorded == expected, (path, recorded)
+print("sweep recorded", expected, "in", len(paths), "summaries")
+PY
 "${vnfcmap[@]}" compare --runs run sweep/seed-0 sweep/seed-1
 # Two summaries whose fields are each finite but sum beyond the float
 # range: compare names the field and exits 2, writing no Infinity.

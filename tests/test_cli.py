@@ -10,6 +10,7 @@ import re
 import socket
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import vnfcmap
 from vnfcmap import agents, cli, infra, scenario as scenario_mod, service
 from vnfcmap.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from vnfcmap.infra import VmPlacement
+from vnfcmap.mdp import Hyperparameters
 from vnfcmap.metrics import CSV_COLUMNS
 from vnfcmap.model import PhysicalMachine, VirtualMachine, make_slice
 from vnfcmap.oracle import AssignmentProblem, ObjectiveMode, solve_exact_matching
@@ -113,11 +115,33 @@ def test_unwritable_output_path_is_validation_error(
     assert str(tmp_path) in err
 
 
+def _hyper_defaults():
+    """Each field of ``Hyperparameters`` and its default, an enum as its value."""
+    return {f.name: getattr(f.default, "value", f.default) for f in fields(Hyperparameters)}
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_every_hyperparameter_has_a_flag_of_its_name_and_default(command):
+    parser = cli._build_parser()
+    base = [command, "--scenario", "s.json", "--out-dir", "out"]
+    parsed = vars(parser.parse_args(base))
+    for name, default in _hyper_defaults().items():
+        assert parsed[name] == default, name
+        given = vars(parser.parse_args([*base, f"--{name.replace('_', '-')}", str(default)]))
+        assert given[name] == default, name
+
+
 def test_train_writes_run_artifacts(small_scenario, tmp_path):
     run_dir = tmp_path / "run"
-    code = main(
-        ["train", "--scenario", str(small_scenario), "--episodes", "40", "--out-dir", str(run_dir)]
-    )
+    hyper = {
+        "alpha": 0.05, "gamma": 0.9, "epsilon": 0.3, "episodes": 40,
+        "reward_mode": "efficiency", "alpha_schedule": "harmonic",
+    }
+    defaults = _hyper_defaults()
+    assert hyper.keys() == defaults.keys()
+    assert all(value != defaults[name] for name, value in hyper.items())
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in hyper.items()]
+    code = main(["train", "--scenario", str(small_scenario), *flags, "--out-dir", str(run_dir)])
     assert code == EXIT_OK
     csv_lines = (run_dir / "episodes.csv").read_text().splitlines()
     assert csv_lines[0] == ",".join(CSV_COLUMNS)
@@ -125,6 +149,7 @@ def test_train_writes_run_artifacts(small_scenario, tmp_path):
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["variant"] == "off-tab"
     assert summary["episodes"] == 40
+    assert summary["hyperparameters"] == hyper
     model = json.loads((run_dir / "model.json").read_text())
     assert model["kind"] == "tabular"
 
@@ -167,15 +192,25 @@ def test_train_writes_the_recorded_bytes(variant, tmp_path):
     assert digests == _TRAIN_GOLDEN[variant]
 
 
-def test_epsilon_out_of_range_is_validation_error(small_scenario, tmp_path, capsys):
-    code = main(
-        [
-            "train", "--scenario", str(small_scenario), "--epsilon", "1.5",
-            "--out-dir", str(tmp_path / "x"),
-        ]
-    )
-    assert code == EXIT_VALIDATION
-    assert "epsilon" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "scenario, flag, value, error",
+    [
+        ("small", "--epsilon", "1.5", "epsilon must be in [0, 1], got 1.5"),
+        # Two faults: the flags are checked before the scenario is read.
+        ("missing.json", "--alpha", "2", "alpha must be in [0, 1], got 2.0"),
+    ],
+    ids=["epsilon", "alpha-and-missing-scenario"],
+)
+def test_hyperparameter_out_of_range_is_validation_error(
+    small_scenario, tmp_path, capsys, command, scenario, flag, value, error
+):
+    path = small_scenario if scenario == "small" else tmp_path / scenario
+    out_dir = tmp_path / "x"
+    argv = [command, "--scenario", str(path), flag, value, "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out_dir.exists()
 
 
 def test_bad_scenario_file_is_validation_error(tmp_path, capsys):

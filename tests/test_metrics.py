@@ -175,8 +175,8 @@ def test_csv_layout_and_determinism(tmp_path):
 def test_summary_json_roundtrip(tmp_path):
     record = _record([2.0] * 25)
     path = tmp_path / "summary.json"
-    write_summary_json(record, path)
+    written = write_summary_json(record, path)
     loaded = load_summary_json(path)
-    assert loaded == summarize(record)
+    assert loaded == written == summarize(record)
     assert loaded["hyperparameters"]["alpha"] == 0.1
     assert json.loads(path.read_text())["episodes"] == 25
