@@ -33,8 +33,10 @@ from .metrics import CONVERGENCE_WINDOW, EpisodeLog, RunRecord
 from .model import capacity_ratios
 from .scenario import (
     INTEGER,
+    NUMBER,
     Scenario,
     ScenarioFormatError,
+    _is_number,
     decode_document,
     read_regular_file,
     require,
@@ -655,28 +657,23 @@ class PolicySnapshot:
 
 
 def _checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
-    """``doc[name]`` as a read-only float array of ``shape`` with finite
-    entries only."""
+    """``doc[name]`` as a read-only float array of ``shape`` whose entries each
+    pass ``NUMBER``."""
     value = require(doc, name)
-    try:
-        array = np.array(value)
-    except ValueError:  # lists of unequal lengths
-        raise ScenarioFormatError(name, "must be an array of numbers") from None
-    # Strings and booleans would convert to floats; an int beyond int64 makes an object array.
-    if array.dtype.kind not in "iuf":
+    # An object array holds the decoded entries themselves, booleans included;
+    # a ragged nesting leaves lists among them.
+    nesting = np.array(value, dtype=object)
+    entries = nesting.ravel().tolist()
+    # An entry passes _is_number by its type alone, and then NUMBER by its value,
+    # so the first runs once per type and the second once per distinct value.
+    # Types go first: a set of values would merge True into 1.
+    if not all(map(_is_number, {type(v): v for v in entries}.values())):
         raise ScenarioFormatError(name, "must be an array of numbers")
-    array = array.astype(float, copy=False)
-    if array.shape != shape:
-        raise ScenarioFormatError(name, f"expected shape {shape}, got {array.shape}")
-    if not np.isfinite(array).all():
+    if nesting.shape != shape:
+        raise ScenarioFormatError(name, f"expected shape {shape}, got {nesting.shape}")
+    if not all(map(NUMBER.valid, set(entries))):
         raise ScenarioFormatError(name, "every entry must be finite")
-    # Booleans mixed with numbers convert like 0 and 1; the shape check above
-    # makes ``value`` a regular nesting of len(shape) levels.
-    entries = value
-    for _ in shape[1:]:
-        entries = chain.from_iterable(entries)
-    if bool in set(map(type, entries)):
-        raise ScenarioFormatError(name, "must be an array of numbers")
+    array = nesting.astype(float)
     array.flags.writeable = False
     return array
 

@@ -65,25 +65,22 @@ def reward_auc(rewards: Sequence[float]) -> float:
     return total
 
 
-def convergence_episode(
-    rewards: Sequence[float],
-    window: int = CONVERGENCE_WINDOW,
-    band: float = CONVERGENCE_BAND,
-) -> Optional[int]:
-    """First episode whose rolling mean, and every later one, stays near the
-    final rolling mean.
+def convergence_episode(rewards: Sequence[float]) -> Optional[int]:
+    """First episode whose rolling mean over ``CONVERGENCE_WINDOW`` episodes,
+    and every later one, stays near the final rolling mean.
 
-    "Near" means strictly inside a band of ``band * |final|``, falling back to
-    an absolute 0.1 when the final rolling mean is below 1 in magnitude.
-    Returns None when no episode qualifies.
+    "Near" means strictly inside a band of ``CONVERGENCE_BAND * |final|``,
+    falling back to an absolute 0.1 when the final rolling mean is below 1 in
+    magnitude. Returns None when no episode qualifies.
     """
+    window = CONVERGENCE_WINDOW
     if len(rewards) < 2 * window:
         raise ValueError(f"need at least {2 * window} episodes, got {len(rewards)}")
     rolling = [
         sum(rewards[k : k + window]) / window for k in range(len(rewards) - window + 1)
     ]
     final = rolling[-1]
-    tolerance = band * abs(final) if abs(final) >= 1 else 0.1
+    tolerance = CONVERGENCE_BAND * abs(final) if abs(final) >= 1 else 0.1
     converged_from: Optional[int] = None
     for e in range(len(rolling), 0, -1):
         if abs(rolling[e - 1] - final) < tolerance:

@@ -27,8 +27,11 @@ one-pass read in ``scenario._read_vms`` and for ``scenario._read_entry``'s
 walk of its field table; their amounts are checked by ``REFERENCE_AMOUNT``,
 the amount rule written with ``math.isfinite`` on an object of any type, which
 is also the reference for ``scenario.NUMBER`` and ``scenario.AMOUNT``
-themselves. The generator draws one demand row per
-``rng.integers`` call, so it can serve as an oracle for the block draw in
+themselves. The model-file array reader judges entries by the dtype numpy
+infers for the whole nesting, so it can serve as an oracle for
+``agents._checked_array``, which judges each entry by ``scenario.NUMBER``;
+they part on ints that fit no numpy integer dtype. The generator draws one
+demand row per ``rng.integers`` call, so it can serve as an oracle for the block draw in
 ``scenario._draw_requirements``. The placement
 reads check ``placement.x`` entry by entry and gather each PM's column from the
 rows, so they can serve as oracles for ``infra.VmPlacement``'s int8 array, the
@@ -403,6 +406,33 @@ REFERENCE_AMOUNT = FieldKind(
     and (not isinstance(v, int) or abs(v) <= MAX_INTEGER_AMOUNT),
     f"must be a finite number <= {MAX_AMOUNT:g} and, if an integer, of magnitude <= 2**53",
 )
+
+
+def reference_checked_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    """A model file's ``values`` or ``weights`` read by the dtype numpy infers:
+    an int that no int64 or uint64 array holds with its neighbours makes an
+    object array, refused as not numbers."""
+    value = require(doc, name)
+    try:
+        array = np.array(value)
+    except ValueError:  # lists of unequal lengths
+        raise ScenarioFormatError(name, "must be an array of numbers") from None
+    if array.dtype.kind not in "iuf":
+        raise ScenarioFormatError(name, "must be an array of numbers")
+    array = array.astype(float, copy=False)
+    if array.shape != shape:
+        raise ScenarioFormatError(name, f"expected shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ScenarioFormatError(name, "every entry must be finite")
+    # Booleans mixed with numbers convert like 0 and 1; the shape check above
+    # makes ``value`` a regular nesting of len(shape) levels.
+    entries = value
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise ScenarioFormatError(name, "must be an array of numbers")
+    array.flags.writeable = False
+    return array
 
 
 def reference_read_component(raw: dict, path: str, kind: VnfcKind) -> VnfComponent:

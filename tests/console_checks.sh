@@ -242,6 +242,23 @@ except urllib.error.HTTPError as reply:
     assert (reply.code, field) == (400, "slice.components[0].compute_req"), (reply.code, field)
     print("2**53 + 1 refused:", field)
 PY
+# A model file's numbers follow the rule of every other outside number: a
+# first weight of 2**64, which no numpy integer dtype holds, is read as the
+# float it rounds to, and a trained POST /map naming that model maps.
+python - <<'PY'
+import json, os, urllib.request
+model = json.load(open("lin/model.json"))
+model["weights"][0] = 18446744073709551616
+with open("wide-weight.json", "w") as handle:
+    json.dump(model, handle)
+scenario = json.load(open("scenario.json"))
+policy = {"kind": "trained", "model": os.path.abspath("wide-weight.json")}
+body = {"slice": scenario["slice"], "vms": scenario["vms"], "policy": policy}
+request = urllib.request.Request("http://127.0.0.1:8765/map", data=json.dumps(body).encode())
+with urllib.request.urlopen(request, timeout=30) as reply:
+    assert reply.status == 200, reply.status
+    print("weight 2**64:", json.load(reply)["status"])
+PY
 # A method the service does not serve gets a 501 JSON answer naming
 # the request, as every refusal of the request line or headers does.
 python - <<'PY'

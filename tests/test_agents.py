@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (
     features,
+    reference_checked_array,
     reference_episode,
     reference_greedy_rollout,
     reference_train,
@@ -50,7 +51,7 @@ from vnfcmap.mdp import (
 )
 from vnfcmap.model import VirtualMachine, VmLabel, classify_vms, make_slice, resource_grid
 from vnfcmap.oracle import AssignmentProblem, solve_exact_enumeration
-from vnfcmap.scenario import GenerationParams, Scenario, generate
+from vnfcmap.scenario import GenerationParams, Scenario, ScenarioFormatError, generate
 
 
 _TABULAR_VARIANTS = pytest.mark.parametrize(
@@ -1055,3 +1056,122 @@ def test_loaded_policy_arrays_are_read_only(tmp_path):
         array = getattr(load_policy(path), name)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def _beyond_int64(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and not -(2**63) <= v < 2**63
+
+
+def _as_floats(value):
+    """``value`` with each int beyond int64 written as the float it rounds to,
+    or as an infinity where ``float()`` overflows."""
+    if isinstance(value, list):
+        return [_as_floats(v) for v in value]
+    if _beyond_int64(value):
+        if abs(value) < 2**1024 - 2**970:
+            return float(value)
+        return math.inf if value > 0 else -math.inf
+    return value
+
+
+def _leaves(value):
+    """The entries of ``value`` that are not lists, at any depth."""
+    if isinstance(value, list):
+        for entry in value:
+            yield from _leaves(entry)
+    else:
+        yield value
+
+
+def _is_regular(value, shape) -> bool:
+    if not shape:
+        return not isinstance(value, list)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_is_regular(v, shape[1:]) for v in value)
+    )
+
+
+def _fault_kinds(value, shape) -> set[str]:
+    """Which faults ``value`` holds: a nesting other than a regular one of
+    ``shape``, a leaf that is not a number, a number beyond the finite floats."""
+    kinds = set() if _is_regular(value, shape) else {"shape"}
+    for v in _leaves(value):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            kinds.add("type")
+        elif not -math.inf < _as_floats(v) < math.inf:
+            kinds.add("finite")
+    return kinds
+
+
+def _array_outcome(reader, value, shape):
+    """The array ``reader`` returns, as its shape and bytes, or its refusal."""
+    try:
+        array = reader({"weights": value}, "weights", shape)
+    except ScenarioFormatError as exc:
+        return exc.field, exc.detail
+    assert array.dtype == np.float64 and not array.flags.writeable
+    return array.shape, array.tobytes()
+
+
+_MODEL_LEAVES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers()
+    | st.integers(-(2**1100), 2**1100)
+    | st.sampled_from([2**63, 2**64, -(2**63) - 1, 2**1023, 2**1024 - 2**970, -(2**1024)])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=2)
+)
+
+
+@st.composite
+def _model_arrays(draw):
+    """A shape and a nesting of leaves near it: regular, off by an entry at
+    some level, or any nesting of lists."""
+    shape = draw(st.sampled_from([(3,), (2, 2), (2, 1, 3)]))
+    slack = draw(st.integers(0, 1))
+
+    def nested(dims):
+        if not dims:
+            return _MODEL_LEAVES
+        return st.lists(nested(dims[1:]), min_size=dims[0] - slack, max_size=dims[0] + slack)
+
+    anything = st.recursive(_MODEL_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+    return shape, draw(nested(shape) | anything)
+
+
+@settings(derandomize=True, database=None, max_examples=1000)
+@given(_model_arrays())
+@example(((2, 2), [[0, 0], [0]]))
+@example(((2, 2), [[0, 0], [0, [0]]]))
+@example(((2, 2), [[0, "0.5"], [0, 0]]))
+@example(((2, 2), [[0, None], [0, 0]]))
+@example(((2, 2), [[0, {}], [0, 0]]))
+@example(((2, 2), [[0, True], [0, 0.5]]))
+@example(((2, 2), [[0, 0, 0], [0, 0, 0]]))
+@example(((2, 2), [[0, math.nan], [0, 0]]))
+@example(((2, 2), [[0, -math.inf], [0, 0]]))
+@example(((3,), 0))
+@example(((3,), [2**63, -1, 0.5]))
+@example(((3,), [2**64, 0, 0]))
+@example(((3,), [-(2**63) - 1, 0, 0]))
+@example(((3,), [2**1023, 0, 0]))
+@example(((3,), [2**1024, 0, 0]))
+def test_model_arrays_read_like_the_dtype_reader_on_ints_written_as_floats(case):
+    shape, value = case
+    got = _array_outcome(agents._checked_array, value, shape)
+    as_written = _array_outcome(reference_checked_array, value, shape)
+    if len(_fault_kinds(value, shape)) > 1:
+        # Each reader refuses, naming whichever fault it checks first.
+        assert got[0] == as_written[0] == "weights", (got, as_written)
+        return
+    assert got == _array_outcome(reference_checked_array, _as_floats(value), shape)
+    # So the readers part only on an int beyond int64, which the dtype reader
+    # refuses when numpy finds no integer dtype for it and its neighbours.
+    if got != as_written:
+        assert as_written == ("weights", "must be an array of numbers"), as_written
+        assert any(map(_beyond_int64, _leaves(value))), value

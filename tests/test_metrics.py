@@ -100,9 +100,11 @@ def test_convergence_requires_two_windows():
         convergence_episode([1.0] * 19)
 
 
-def test_convergence_can_fail_with_zero_band():
+def test_convergence_is_none_when_the_final_rolling_mean_is_nan():
+    # No rolling mean is strictly near NaN, not even NaN itself.
     rewards = [1.0, 2.0] * 20
-    assert convergence_episode(rewards, band=0.0) is None
+    rewards[-1] = math.nan
+    assert convergence_episode(rewards) is None
 
 
 def test_run_record_aggregates():

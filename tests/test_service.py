@@ -184,23 +184,30 @@ _MIXED_BOOLEAN_VALUES[7][11][11] = False
 
 
 @pytest.mark.parametrize(
-    "policy_doc,field",
+    "policy_doc,detail",
     [
-        (_policy_file("tabular", 12, values=np.zeros((2, 12, 12))), "values"),
-        (_policy_file("tabular", 12, values=_NAN_VALUES), "values"),
-        (_policy_file("linear", 12, weights=np.zeros(2)), "weights"),
-        (_policy_file("tabular", 12, k=2, values=_TWO_COMPONENT_VALUES), "num_components"),
-        (_policy_file("quadratic", 12, weights=np.zeros(7)), "kind"),
-        ([_LINEAR_12], "<document>"),
-        (_without(_LINEAR_12, "kind"), "kind"),
-        (_without(_TABULAR_12, "variant"), "variant"),
-        (_TABULAR_12 | {"num_components": "8"}, "num_components"),
-        (_TABULAR_12 | {"num_vms": 12.0}, "num_vms"),
-        (_TABULAR_12 | {"values": 10**400}, "values"),
-        (_TABULAR_12 | {"values": np.zeros((8, 12, 12)).astype(str).tolist()}, "values"),
-        (_LINEAR_12 | {"weights": [True] * 7}, "weights"),
-        (_LINEAR_12 | {"weights": [True, 0, 0, 0, 0, 1, 0]}, "weights"),
-        (_TABULAR_12 | {"values": _MIXED_BOOLEAN_VALUES}, "values"),
+        (_policy_file("tabular", 12, values=np.zeros((2, 12, 12))), "values: expected shape"),
+        (_policy_file("tabular", 12, values=_NAN_VALUES), "values: every entry must be finite"),
+        (_policy_file("linear", 12, weights=np.zeros(2)), "weights: expected shape"),
+        (_policy_file("tabular", 12, k=2, values=_TWO_COMPONENT_VALUES), "num_components: "),
+        (_policy_file("quadratic", 12, weights=np.zeros(7)), "kind: "),
+        ([_LINEAR_12], "<document>: "),
+        (_without(_LINEAR_12, "kind"), "kind: "),
+        (_without(_TABULAR_12, "variant"), "variant: "),
+        (_TABULAR_12 | {"num_components": "8"}, "num_components: "),
+        (_TABULAR_12 | {"num_vms": 12.0}, "num_vms: "),
+        (_TABULAR_12 | {"values": 10**400}, "values: "),
+        (
+            _TABULAR_12 | {"values": np.zeros((8, 12, 12)).astype(str).tolist()},
+            "values: must be an array of numbers",
+        ),
+        (_LINEAR_12 | {"weights": [True] * 7}, "weights: must be an array of numbers"),
+        (
+            _LINEAR_12 | {"weights": [True, 0, 0, 0, 0, 1, 0]},
+            "weights: must be an array of numbers",
+        ),
+        (_TABULAR_12 | {"values": _MIXED_BOOLEAN_VALUES}, "values: must be an array of numbers"),
+        (_LINEAR_12 | {"weights": [2**1024, 0, 0, 0, 0, 0, 0]}, "weights: every entry must be finite"),
     ],
     ids=[
         "tabular-wrong-shape",
@@ -218,16 +225,17 @@ _MIXED_BOOLEAN_VALUES[7][11][11] = False
         "boolean-weights",
         "boolean-mixed-into-weights",
         "boolean-mixed-into-values",
+        "weight-beyond-float",
     ],
 )
-def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, field):
+def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, detail):
     scenario = generate(31, GenerationParams(num_vms=12))
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(policy_doc))
     status, body = handle_map(_request_doc(scenario, {"kind": "trained", "model": str(model_path)}))
     assert status == 400
     assert body["error"]["field"] == "policy.model"
-    assert body["error"]["detail"].startswith(f"{field}: ")
+    assert body["error"]["detail"].startswith(detail)
 
 
 def test_trained_policy_refuses_a_model_path_that_is_not_a_regular_file(tmp_path):
@@ -261,6 +269,34 @@ def _roomy_request(policy):
     for vm in doc["vms"]:
         vm["compute_cap"] = vm["storage_cap"] = 100.0
     return doc
+
+
+_HUGE_VALUES = np.zeros((8, 12, 12)).tolist()
+_HUGE_VALUES[2][5][9] = 2**64
+
+
+@pytest.mark.parametrize(
+    "name,entries",
+    [
+        ("weights", [2**64, 0, 0, 0, 0, 1, 0]),
+        ("weights", [-(2**63) - 1, 0, 0, 0, 0, 1, 0]),
+        ("weights", [2**1023, 0, 0, 0, 0, 1, 0]),
+        ("values", _HUGE_VALUES),
+    ],
+    ids=["2**64", "-(2**63)-1", "2**1023", "tabular-2**64"],
+)
+def test_a_model_int_beyond_int64_maps_as_its_float(tmp_path, name, entries):
+    # scenario.NUMBER takes any int below the float overflow, as it does in a
+    # run summary; numpy's int64 and uint64 hold none of these.
+    base = _LINEAR_12 if name == "weights" else _TABULAR_12
+    floats = json.loads(json.dumps(entries), parse_int=float)
+    answers = []
+    for label, written in (("int", entries), ("float", floats)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(base | {name: written}))
+        answers.append(handle_map(_roomy_request({"kind": "trained", "model": str(path)})))
+    assert answers[0][0] == 200
+    assert answers[0] == answers[1]
 
 
 def test_trained_policy_serves_a_model_rewritten_at_the_same_path(tmp_path):
