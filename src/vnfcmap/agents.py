@@ -34,6 +34,7 @@ from .model import capacity_ratios
 from .scenario import (
     INTEGER,
     NUMBER,
+    FieldKind,
     Scenario,
     ScenarioFormatError,
     _is_number,
@@ -442,6 +443,20 @@ def _run_episodes(
     can differ, so a NaN is read through ``max``). Computing the same dot
     products in another order would move the weights in the last bit.
 
+    Divergence: ``linear_update`` runs ``_diverged`` after every update; the
+    kernel runs it only when a float ``bound`` on max |w| has crossed
+    ``DIVERGENCE_LIMIT``, with a NaN bound counted as crossed. The bound
+    starts at the exact max |w|, and each update ``w += phi * c``, where
+    ``c`` is the step size times the TD error, adds ``phi_max * |c|`` to it,
+    ``phi_max`` being the largest |feature| in any block. Round-to-nearest is
+    monotone and symmetric, so |fl(phi_k * c)| <= fl(phi_max * |c|) and
+    |fl(w_k + fl(phi_k * c))| <= fl(bound + fl(phi_max * |c|)): while the
+    bound is within the limit, ``_diverged`` would return False. A NaN or an
+    infinity in ``c``, the weights or the features makes the bound NaN or
+    infinite, and the check runs on that step. A check that passes resets
+    the bound to the exact max |w|, so the raising update, its count and
+    its weights are ``linear_update``'s.
+
     Draws: each step's uniform comes from ``rng`` and each episode's anchor
     from the environment's generator, one stream when the two share a bit
     generator. ``_Draws`` reads them from blocks of raw ``PCG64`` words with
@@ -492,6 +507,9 @@ def _play(
     else:
         blocks, w = list(q._blocks), q.weights
         scores, delta = np.empty(num_vms), np.empty(FEATURE_DIM)
+        # bound >= max |w| after every update; see _run_episodes.
+        phi_max = float(np.abs(q._blocks).max())
+        bound = float(np.abs(w).max())
     logs = []
     for episode_index in range(first, first + count):
         i, a = 0, anchor_index(num_vms)
@@ -542,11 +560,15 @@ def _play(
                         bootstrap = float(scores.max())
                 td_error = reward + gamma * bootstrap - w.dot(phi)
                 step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
+                c = step_size * td_error
                 # phi * c is c * phi with the operands swapped, exact in IEEE.
-                w += np.multiply(phi, step_size * td_error, out=delta)
+                w += np.multiply(phi, c, out=delta)
                 q.updates += 1
-                if _diverged(w):
-                    raise DivergenceError(w, q.updates)
+                bound += phi_max * abs(c)
+                if not bound <= DIVERGENCE_LIMIT:  # NaN included
+                    if _diverged(w):
+                        raise DivergenceError(w, q.updates)
+                    bound = float(np.abs(w).max())
 
             total += reward
             length += 1
@@ -697,6 +719,9 @@ class _FileBytes:
         return len(self.data)
 
 
+_SIZE = FieldKind(lambda v: INTEGER.valid(v) and v > 0, "must be a positive integer")
+
+
 @lru_cache(maxsize=1)
 def _policy_from_bytes(contents: _FileBytes) -> PolicySnapshot:
     doc = decode_document(contents.data)
@@ -707,7 +732,7 @@ def _policy_from_bytes(contents: _FileBytes) -> PolicySnapshot:
     if kind not in ("tabular", "linear"):
         raise ScenarioFormatError("kind", f"must be 'tabular' or 'linear', got {kind!r}")
     require(doc, "variant")  # every policy file names its learner, though nothing reads it
-    k, m = require(doc, "num_components", kind=INTEGER), require(doc, "num_vms", kind=INTEGER)
+    k, m = require(doc, "num_components", kind=_SIZE), require(doc, "num_vms", kind=_SIZE)
     return PolicySnapshot(
         kind=kind,
         num_components=k,

@@ -32,6 +32,12 @@ sha256sum -c - <<'SUMS'
 799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39  recorded/episodes.csv
 9f5966edb28956fed15248e480d7297919e016eb1ed2e770b30525e0b087b57c  recorded/model.json
 SUMS
+# A linear run's bytes also pin the gemv and dot that numpy's BLAS computes.
+"${vnfcmap[@]}" train --scenario scenario.json --variant off-lin --seed 0 --out-dir recorded-lin
+sha256sum -c - <<'SUMS'
+eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94  recorded-lin/episodes.csv
+247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2  recorded-lin/model.json
+SUMS
 # A negative seed is a usage error naming --seed, before any directory is made.
 code=0
 "${vnfcmap[@]}" train --scenario scenario.json --seed -1 --out-dir negative-seed 2> seed.err || code=$?

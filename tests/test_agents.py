@@ -42,6 +42,7 @@ from vnfcmap.agents import (
     train,
 )
 from vnfcmap.mdp import (
+    INFEASIBLE_PENALTY,
     Action,
     AlphaSchedule,
     Hyperparameters,
@@ -56,6 +57,9 @@ from vnfcmap.scenario import GenerationParams, Scenario, ScenarioFormatError, ge
 
 _TABULAR_VARIANTS = pytest.mark.parametrize(
     "variant", [AgentVariant.ON_POLICY_TABULAR, AgentVariant.OFF_POLICY_TABULAR], ids=lambda v: v.value
+)
+_LINEAR_VARIANTS = pytest.mark.parametrize(
+    "variant", [AgentVariant.ON_POLICY_LINEAR, AgentVariant.OFF_POLICY_LINEAR], ids=lambda v: v.value
 )
 
 
@@ -762,6 +766,75 @@ def test_an_infinite_weight_diverges_instead_of_turning_every_weight_nan():
         learner.q.weights[:] = [0.5, 1, 0, math.inf, 0, 0, 0.5]
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError):
             run_episode(env, learner, hyper, np.random.default_rng(seed + 1), 1)
+
+
+def _linear_play(one_call, variant, weights, hyper, episodes, seed, num_components=None, blocks=None):
+    """``episodes`` episodes of a linear learner that starts from ``weights``
+    and, when given, reads ``blocks`` as its features, played by one
+    ``agents._run_episodes`` call or by as many ``reference_episode`` calls:
+    the logs and the weight bytes, or where a ``DivergenceError`` stopped it."""
+    rng = np.random.default_rng(seed)
+    env = MappingEnvironment(_KERNEL_SCENARIO, rng, hyper.reward_mode, num_components)
+    learner = make_learner(variant, _KERNEL_SCENARIO, num_components)
+    learner.q.weights[:] = weights
+    if blocks is not None:
+        learner.q._blocks = blocks
+    try:
+        if one_call:
+            logs = agents._run_episodes(env, learner, hyper, rng, 1, episodes)
+        else:
+            logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, episodes + 1)]
+    except DivergenceError as error:
+        return "diverged", error.updates, error.weights.tobytes()
+    return "ran", logs, _estimate_bytes(learner)
+
+
+@_LINEAR_VARIANTS
+def test_kernel_checks_divergence_when_its_bound_crosses_the_limit_then_resets_the_bound(
+    variant, monkeypatch
+):
+    # One component: every step ends its episode, and feature 6, the
+    # progress, is 0, so w[6] = 1e9 - 2|r| enters no score and no update.
+    # Every feature row is the bias alone but the last machine's, which adds
+    # a 4 that no greedy tie reaches, so phi_max is 4. Under alpha 1 the
+    # first update moves w[0] from 0 to machine 1's reward r, and every
+    # later update by 0.
+    hyper = Hyperparameters(alpha=1.0, epsilon=0.0)
+    env = MappingEnvironment(_KERNEL_SCENARIO, np.random.default_rng(0), hyper.reward_mode, 1)
+    reward = env.reward_table[0][0] if env.fit_mask[0][0] else INFEASIBLE_PENALTY
+    assert reward != 0
+    blocks = np.zeros((1, _KERNEL_SCENARIO.num_vms, FEATURE_DIM))
+    blocks[0, :, 0] = 1.0
+    blocks[0, -1, 1] = 4.0
+    weights = np.zeros(FEATURE_DIM)
+    weights[6] = DIVERGENCE_LIMIT - 2 * abs(reward)
+    play = (variant, weights, hyper, 5, 0, 1, blocks)
+    reference = _linear_play(False, *play)
+    checked = []
+    exact = agents._diverged
+    monkeypatch.setattr(agents, "_diverged", lambda w: checked.append(w.tolist()) or exact(w))
+    assert _linear_play(True, *play) == reference
+    assert reference[0] == "ran"
+    # After the first update the bound, 1e9 - 2|r| + 4|r|, is past the
+    # limit, so the exact check runs and passes. The bound restarts at the
+    # exact max |w|, 1e9 - 2|r|, which the later updates leave where it is.
+    assert checked == [[reward, 0.0, 0.0, 0.0, 0.0, 0.0, weights[6]]]
+
+
+@_LINEAR_VARIANTS
+@pytest.mark.parametrize("halvings", [1, 20, 52])
+def test_kernel_diverges_like_reference_from_weights_near_the_limit(variant, halvings):
+    # The largest weight is 1e9 (1 - 2**-halvings): the bound crosses the
+    # limit within a few updates, some exact checks pass and reset it, and
+    # the run must raise on the reference's update with its weights.
+    rng = np.random.default_rng(halvings)
+    hyper = Hyperparameters(alpha=1.0, epsilon=0.1)
+    for trial in range(3):
+        direction = rng.standard_normal(FEATURE_DIM)
+        weights = direction / np.abs(direction).max() * (DIVERGENCE_LIMIT * (1 - 2.0**-halvings))
+        runs = [_linear_play(one_call, variant, weights, hyper, 20, trial) for one_call in (True, False)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "diverged"
 
 
 def _one_call_and_reference(variant, scenario, hyper, seed, episodes, num_components=None, row=None):

@@ -166,7 +166,10 @@ def test_identical_invocations_are_byte_identical(small_scenario, tmp_path):
 # sha256 of the files ``train`` writes on ``generate(1)`` at seed 0 and the
 # default flags. The tabular variants use only Python float arithmetic, no
 # BLAS, so the bytes are the same on every machine with the same numpy
-# random streams; they change only where a run's behaviour does.
+# random streams; they change only where a run's behaviour does. The linear
+# variants also read BLAS's ``gemv`` and ``dot``, recorded here with numpy's
+# bundled OpenBLAS 0.3.31 on x86-64; another BLAS may round a dot product
+# differently and move the weights in the last bit.
 _TRAIN_GOLDEN = {
     "on-tab": {
         "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
@@ -177,6 +180,16 @@ _TRAIN_GOLDEN = {
         "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
         "summary.json": "e6c3c11be5c72f26a2e1aaf04b8659b9a240f646fefd077b22556aaf8410c58e",
         "model.json": "9f5966edb28956fed15248e480d7297919e016eb1ed2e770b30525e0b087b57c",
+    },
+    "on-lin": {
+        "episodes.csv": "eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94",
+        "summary.json": "c763182a8d9cde5c9592a91b9aec6e89864d6945178988679b17cd4701701efe",
+        "model.json": "9e68808f07f35e7aee0c1c2e09b6873708dec18f48d366898d2b9b0d3fc818e5",
+    },
+    "off-lin": {
+        "episodes.csv": "eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94",
+        "summary.json": "888d95f391ca4cc3655da02e94e14e79582db0e6f955184a3bcce459ff8176f5",
+        "model.json": "247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2",
     },
 }
 

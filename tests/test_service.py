@@ -208,6 +208,12 @@ _MIXED_BOOLEAN_VALUES[7][11][11] = False
         ),
         (_TABULAR_12 | {"values": _MIXED_BOOLEAN_VALUES}, "values: must be an array of numbers"),
         (_LINEAR_12 | {"weights": [2**1024, 0, 0, 0, 0, 0, 0]}, "weights: every entry must be finite"),
+        *(
+            (base | {field: size}, f"{field}: must be a positive integer")
+            for base in (_TABULAR_12, _LINEAR_12)
+            for field in ("num_components", "num_vms")
+            for size in (0, -5)
+        ),
     ],
     ids=[
         "tabular-wrong-shape",
@@ -226,6 +232,12 @@ _MIXED_BOOLEAN_VALUES[7][11][11] = False
         "boolean-mixed-into-weights",
         "boolean-mixed-into-values",
         "weight-beyond-float",
+        *(
+            f"{kind}-{field.replace('_', '-')}-{size}"
+            for kind in ("tabular", "linear")
+            for field in ("num_components", "num_vms")
+            for size in (0, -5)
+        ),
     ],
 )
 def test_trained_policy_rejects_malformed_model_file(tmp_path, policy_doc, detail):
