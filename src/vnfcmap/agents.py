@@ -399,6 +399,24 @@ class _Draws:
         bit_generator.state = state
 
 
+def _flat_view(array: np.ndarray) -> memoryview:
+    """``array``'s items as one flat, zero-copy memoryview in their own
+    format; ``array`` must be C-contiguous."""
+    return memoryview(array).cast("B").cast(array.dtype.char)
+
+
+def _writable_view(array: np.ndarray, name: str) -> memoryview:
+    """``_flat_view`` of a float64 array the kernel writes in place, which
+    refuses any other array before the kernel draws or writes anything."""
+    flags = array.flags
+    if array.dtype != np.float64 or not (flags.c_contiguous and flags.writeable):
+        raise ValueError(
+            f"the training kernel writes the {name} in place, so it must be "
+            "a writable, C-contiguous float64 array"
+        )
+    return _flat_view(array)
+
+
 def run_episode(
     env: MappingEnvironment,
     learner: Learner,
@@ -429,19 +447,36 @@ def _run_episodes(
     step. Tables, flags and a fixed step size are read once per call, not
     once per episode.
 
-    Tabular: a running argmax, ``greedy[i, a]``, is taken from the values
-    once per call and kept as the exact argmax of ``values[i, a]`` after
-    every step, so the greedy pick and the bootstrap max are lookups; visits
-    are counted only under the harmonic schedule, which reads them. Linear:
-    the greedy pick is the argmax of ``LinearQ``'s ``blocks[i] @ w`` and the
-    update is ``linear_update``'s step. The kernel makes the same BLAS call
-    on the same operands: ``blocks[i].dot(w, out=scores)`` for
+    Every value a step computes is a Python float, which is IEEE binary64
+    as a numpy ``float64`` scalar is, and the kernel reads and writes the
+    estimate through flat, zero-copy memoryviews, which hold the stored
+    bits. A table or weight vector that is not a writable, C-contiguous
+    float64 array is refused with ``ValueError`` before any draw or write.
+
+    Tabular: row (i, a) of ``q.values`` starts at flat offset
+    ``(i * m + a) * m``. A running argmax, ``greedy[i * m + a]``, is taken
+    from the values once per call and kept as the exact argmax of
+    ``values[i, a]`` after every step, so the greedy pick and the bootstrap
+    max are lookups; the row is scanned again only when its greedy entry
+    decreases. The bootstrap reads row (i + 1, j), which is the next step's
+    own row and which this step does not write, so its greedy entry and
+    value are carried into the next step: a step reads at most three
+    entries and writes one. Visits are counted only under the harmonic
+    schedule, which reads them.
+
+    Linear: the greedy pick is the argmax of ``LinearQ``'s ``blocks[i] @ w``
+    and the update is ``linear_update``'s step. The kernel makes the same
+    BLAS call on the same operands: ``blocks[i].dot(w, out=scores)`` for
     ``blocks[i] @ w`` and ``w.dot(phi)`` for ``w @ phi`` (float64 and
     C-contiguous, so both entry points reach one ``gemv`` and one ``dot``),
     and it reads the bootstrap max at the argmax, which is ``scores.max()``
     bit for bit unless it is NaN (``max`` may return another NaN, whose sign
     can differ, so a NaN is read through ``max``). Computing the same dot
-    products in another order would move the weights in the last bit.
+    products in another order would move the weights in the last bit. The
+    weights move by seven writes ``w_k += phi_k * c``, ``c`` being the step
+    size times the TD error and ``phi_k`` read from ``phi.tolist()``: each is
+    ``w += c * phi``'s operation on one weight, in its operand order, so a
+    NaN propagates as it does there.
 
     Divergence: ``linear_update`` runs ``_diverged`` after every update; the
     kernel runs it only when a float ``bound`` on max |w| has crossed
@@ -503,10 +538,16 @@ def _play(
     harmonic = hyper.alpha_schedule is AlphaSchedule.HARMONIC
     tabular = isinstance(q, QTable)
     if tabular:
-        values, visits, greedy = q.values, q.visits, q.values.argmax(-1)
+        values = q.values
+        flat_q = _writable_view(values, "Q-table")
+        # The running argmax, one entry per row (i, a), at flat index i * m + a.
+        greedy = _flat_view(values.argmax(-1))
+        if harmonic:
+            flat_visits = _flat_view(q.visits)
     else:
         blocks, w = list(q._blocks), q.weights
-        scores, delta = np.empty(num_vms), np.empty(FEATURE_DIM)
+        flat_w = _writable_view(w, "weights")
+        scores = np.empty(num_vms)
         # bound >= max |w| after every update; see _run_episodes.
         phi_max = float(np.abs(q._blocks).max())
         bound = float(np.abs(w).max())
@@ -517,38 +558,51 @@ def _play(
         total = 0.0
         length = 0
         exploratory = 0
+        if tabular:
+            # Row (i, a), its first value's flat offset r, its greedy entry g
+            # and g's value best.
+            row = a
+            r = row * num_vms
+            g = greedy[row]
+            best = flat_q[r + g]
         while True:
             u = random()
             if u < epsilon:
                 j = _explore_index(u, epsilon, num_vms)
                 exploratory += 1
             elif tabular:
-                j = greedy.item(i, a)
+                j = g
             else:
-                j = blocks[i].dot(w, out=scores).argmax().item()
+                blocks[i].dot(w, out=scores)
+                j = int(scores.argmax())
             feasible = j not in occupied and fit_mask[i][j]
             reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
             done = not feasible or i == last_index
 
             if tabular:
-                bootstrap = 0.0 if done else values.item(i + 1, j, greedy.item(i + 1, j))
+                # The next step's row, (i + 1, j), is the one the bootstrap
+                # reads, and this step writes none of it.
+                if done:
+                    bootstrap = 0.0
+                else:
+                    next_row = (i + 1) * num_vms + j
+                    next_r = next_row * num_vms
+                    next_g = greedy[next_row]
+                    bootstrap = next_best = flat_q[next_r + next_g]
                 target = reward + gamma * bootstrap
-                current = values.item(i, a, j)
+                current = best if j == g else flat_q[r + j]
                 step_size = alpha
                 if harmonic:
-                    visited = visits.item(i, a, j)
+                    visited = flat_visits[r + j]
                     step_size = _effective_alpha(hyper, visited)
-                    visits[i, a, j] = visited + 1
+                    flat_visits[r + j] = visited + 1
                 updated = current - step_size * (current - target)
-                values[i, a, j] = updated
-                g = greedy.item(i, a)
+                flat_q[r + j] = updated
                 if j == g:
                     if updated < current:
-                        greedy[i, a] = values[i, a].argmax()
-                else:
-                    best = values.item(i, a, g)
-                    if updated > best or (updated == best and j < g):
-                        greedy[i, a] = j
+                        greedy[row] = int(values[i, a].argmax())
+                elif updated > best or (updated == best and j < g):
+                    greedy[row] = j
             else:
                 phi = blocks[i][j]
                 if done:
@@ -558,11 +612,19 @@ def _play(
                     bootstrap = scores.item(scores.argmax())
                     if bootstrap != bootstrap:  # max may return another NaN
                         bootstrap = float(scores.max())
-                td_error = reward + gamma * bootstrap - w.dot(phi)
+                td_error = reward + gamma * bootstrap - w.dot(phi).item()
                 step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
                 c = step_size * td_error
-                # phi * c is c * phi with the operands swapped, exact in IEEE.
-                w += np.multiply(phi, c, out=delta)
+                # w += c * phi, one weight at a time: phi_k * c is c * phi_k
+                # with the operands swapped, exact in IEEE.
+                f0, f1, f2, f3, f4, f5, f6 = phi.tolist()
+                flat_w[0] += f0 * c
+                flat_w[1] += f1 * c
+                flat_w[2] += f2 * c
+                flat_w[3] += f3 * c
+                flat_w[4] += f4 * c
+                flat_w[5] += f5 * c
+                flat_w[6] += f6 * c
                 q.updates += 1
                 bound += phi_max * abs(c)
                 if not bound <= DIVERGENCE_LIMIT:  # NaN included
@@ -576,6 +638,8 @@ def _play(
                 break
             occupied.add(j)
             i, a = i + 1, j
+            if tabular:
+                row, r, g, best = next_row, next_r, next_g, next_best
         # Only a feasible placement of the last component ends an episode
         # successfully.
         logs.append(EpisodeLog(episode_index, total, length, exploratory, feasible))

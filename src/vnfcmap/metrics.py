@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .mdp import Hyperparameters
 from .scenario import NUMBER, STRING, ScenarioFormatError, read_document, require
@@ -30,19 +30,36 @@ CONVERGENCE_WINDOW = 10
 CONVERGENCE_BAND = 0.10
 
 
-@dataclass(frozen=True)
-class EpisodeLog:
+class _EpisodeFields(NamedTuple):
     episode_index: int
     total_reward: float
     length: int
     exploratory_actions: int
     success: bool
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+
+class EpisodeLog(_EpisodeFields):
+    """One episode's outcome. The training kernel makes one per episode, so
+    it is a plain immutable tuple, the cheapest record to build. A run's
+    statistics and files are computed from its logs."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        episode_index: int,
+        total_reward: float,
+        length: int,
+        exploratory_actions: int,
+        success: bool,
+    ) -> EpisodeLog:
+        if length < 1:
             raise ValueError("episodes have at least one step")
-        if not 0 <= self.exploratory_actions <= self.length:
+        if not 0 <= exploratory_actions <= length:
             raise ValueError("exploratory actions cannot exceed the episode length")
+        return tuple.__new__(
+            cls, (episode_index, total_reward, length, exploratory_actions, success)
+        )
 
 
 def exploration_ratio(log: EpisodeLog) -> float:

@@ -32,6 +32,12 @@ sha256sum -c - <<'SUMS'
 799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39  recorded/episodes.csv
 9f5966edb28956fed15248e480d7297919e016eb1ed2e770b30525e0b087b57c  recorded/model.json
 SUMS
+# The harmonic step size also reads and writes the visit counts.
+"${vnfcmap[@]}" train --scenario scenario.json --variant on-tab --alpha-schedule harmonic --seed 0 --out-dir recorded-harmonic
+sha256sum -c - <<'SUMS'
+799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39  recorded-harmonic/episodes.csv
+b758ac9d540278d3ec2b5563abf23bf8bbe7aafc6003cbd58453087d8931d3d9  recorded-harmonic/model.json
+SUMS
 # A linear run's bytes also pin the gemv and dot that numpy's BLAS computes.
 "${vnfcmap[@]}" train --scenario scenario.json --variant off-lin --seed 0 --out-dir recorded-lin
 sha256sum -c - <<'SUMS'

@@ -837,16 +837,21 @@ def test_kernel_diverges_like_reference_from_weights_near_the_limit(variant, hal
         assert runs[0][0] == "diverged"
 
 
-def _one_call_and_reference(variant, scenario, hyper, seed, episodes, num_components=None, row=None):
+def _one_call_and_reference(
+    variant, scenario, hyper, seed, episodes, num_components=None, row=None, table=None
+):
     """The logs and learner bytes of ``episodes`` episodes played by one
     ``agents._run_episodes`` call, then by as many ``reference_episode``
-    calls, each from a fresh learner whose first component's Q rows, when
-    ``row`` is given, all hold ``row``."""
+    calls, each from a fresh learner whose Q-values, when ``table`` is given,
+    are ``table``, and whose first component's Q rows, when ``row`` is
+    given, all hold ``row``."""
     runs = []
     for one_call in (True, False):
         rng = np.random.default_rng(seed)
         env = MappingEnvironment(scenario, rng, hyper.reward_mode, num_components)
         learner = make_learner(variant, scenario, num_components)
+        if table is not None:
+            learner.q.values[...] = table
         if row is not None:
             learner.q.values[0, :, :] = row
         if one_call:
@@ -895,6 +900,29 @@ def test_running_argmax_follows_hand_built_updates(variant, row, epsilon):
     first = reference[0][0]
     assert (first.length, first.total_reward, first.success) == (1, -1.0, False)
     assert kernel == reference
+
+
+@_TABULAR_VARIANTS
+@pytest.mark.parametrize("schedule", list(AlphaSchedule), ids=lambda s: s.value)
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+def test_carried_greedy_entry_matches_reference_from_tied_tables(variant, schedule, epsilon, k, alpha):
+    # The kernel carries the next row's greedy entry and its value from the
+    # bootstrap into the next step. Tables of -1, 0 and 0.5 tie in almost
+    # every row, so a wrong row or a stale value changes a pick or a
+    # bootstrap. On identical machines, which earn equal rewards, a full
+    # step raises an entry to an exact tie with its row's greedy one, and
+    # a tie broken toward the higher id changes a later pick.
+    hyper = Hyperparameters(alpha=alpha, epsilon=epsilon, alpha_schedule=schedule)
+    for scenario in (_KERNEL_SCENARIO, _uniform_scenario()):
+        shape = (k, scenario.num_vms, scenario.num_vms)
+        for seed in range(3):
+            table = np.random.default_rng(seed).choice([-1.0, 0.0, 0.5], size=shape)
+            kernel, reference = _one_call_and_reference(
+                variant, scenario, hyper, seed, 60, num_components=k, table=table
+            )
+            assert kernel == reference
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1055,45 @@ def test_kernel_refuses_a_generator_other_than_pcg64(bit_generator, refused):
         assert _estimate_bytes(learner) == _estimate_bytes(make_learner(variant, _KERNEL_SCENARIO))
         assert pcg.bit_generator.state == np.random.default_rng(5).bit_generator.state
         assert other.random(4).tolist() == np.random.Generator(bit_generator(5)).random(4).tolist()
+
+
+def _unwritable_snapshots(scenario):
+    """(case, snapshot, its estimate array, the array's name in the refusal)
+    of policy snapshots whose estimate the kernel cannot write in place."""
+    k, m = len(scenario.subnet.components), scenario.num_vms
+    values = np.random.default_rng(9).standard_normal((k, m, m))
+    read_only = values.copy()
+    read_only.flags.writeable = False
+    tables = {
+        "read-only": read_only,
+        "non-contiguous": np.repeat(values, 2, axis=-1)[..., ::2],
+        "float32": values.astype(np.float32),
+    }
+    for case, table in tables.items():
+        yield case, agents.PolicySnapshot("tabular", k, m, values=table), table, "Q-table"
+    weights = np.linspace(-1.0, 1.0, FEATURE_DIM)
+    weights.flags.writeable = False
+    yield "read-only weights", agents.PolicySnapshot("linear", k, m, weights=weights), weights, "weights"
+
+
+@pytest.mark.parametrize("kind", ["one", "apart"])
+def test_kernel_refuses_an_estimate_it_cannot_write_in_place(kind):
+    # A policy file's snapshot shares its read-only arrays with the estimator
+    # it builds; the kernel refuses such an estimate before any draw or write.
+    hyper = Hyperparameters(epsilon=0.5)
+    for case, snapshot, array, name in _unwritable_snapshots(_KERNEL_SCENARIO):
+        tabular = snapshot.kind == "tabular"
+        variant = AgentVariant.OFF_POLICY_TABULAR if tabular else AgentVariant.OFF_POLICY_LINEAR
+        learner = agents.Learner(variant, snapshot.estimator_for(_KERNEL_SCENARIO))
+        before = array.tobytes()
+        env_rng, actions = _generators(kind)
+        states = _states(env_rng, actions)
+        env = MappingEnvironment(_KERNEL_SCENARIO, env_rng, hyper.reward_mode)
+        refusal = f"writes the {name} in place, so it must be a writable, C-contiguous float64 array$"
+        with pytest.raises(ValueError, match=f"^the training kernel {refusal}"):
+            agents._run_episodes(env, learner, hyper, actions, 1, 5)
+        assert array.tobytes() == before, case
+        assert _states(env_rng, actions) == states, case
 
 
 def test_paired_variants_coincide_with_shared_seed():

@@ -194,15 +194,41 @@ _TRAIN_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("variant", sorted(_TRAIN_GOLDEN))
-def test_train_writes_the_recorded_bytes(variant, tmp_path):
+# The same files under ``--alpha-schedule harmonic``, whose step size reads
+# the visit counts (tabular) or the update count (linear).
+_HARMONIC_GOLDEN = {
+    "on-tab": {
+        "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
+        "summary.json": "c452c31eb448e8af431b2077cd3f394e0cd44f4327b6477fe37217bc7f46e355",
+        "model.json": "b758ac9d540278d3ec2b5563abf23bf8bbe7aafc6003cbd58453087d8931d3d9",
+    },
+    "on-lin": {
+        "episodes.csv": "8a26c91797682627e7d27a35ba603e85ad4277b4fb9aece3d5150be33f5f55a0",
+        "summary.json": "77e600494857de5841642eb1aa16da22b8cc3b6ca2dc477ba465fa80b5990ff2",
+        "model.json": "d2d4d7b2186628c46da4bbe4df06c05cdbb685b3ac17c881bd1063f17da4ae92",
+    },
+}
+
+
+def _train_digests(tmp_path, variant, *flags):
+    """sha256 of each file ``train`` writes on ``generate(1)`` at seed 0."""
     path = tmp_path / "scenario.json"
     save(generate(1), path)
     out = tmp_path / "run"
-    argv = ["train", "--scenario", str(path), "--variant", variant, "--seed", "0", "--out-dir", str(out)]
-    assert main(argv) == EXIT_OK
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _TRAIN_GOLDEN[variant]}
-    assert digests == _TRAIN_GOLDEN[variant]
+    argv = ["train", "--scenario", str(path), "--variant", variant, "--seed", "0", *flags]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("variant", sorted(_TRAIN_GOLDEN))
+def test_train_writes_the_recorded_bytes(variant, tmp_path):
+    assert _train_digests(tmp_path, variant) == _TRAIN_GOLDEN[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(_HARMONIC_GOLDEN))
+def test_harmonic_train_writes_the_recorded_bytes(variant, tmp_path):
+    digests = _train_digests(tmp_path, variant, "--alpha-schedule", "harmonic")
+    assert digests == _HARMONIC_GOLDEN[variant]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

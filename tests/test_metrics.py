@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,10 +38,44 @@ def test_exploration_ratio_examples():
 
 
 def test_episode_log_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exploratory actions cannot exceed the episode length$"):
         _log(1, 0.0, length=2, exploratory=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exploratory actions cannot exceed the episode length$"):
+        _log(1, 0.0, length=2, exploratory=-1)
+    with pytest.raises(ValueError, match="^episodes have at least one step$"):
         _log(1, 0.0, length=0)
+
+
+def test_episode_log_by_keyword_and_its_repr():
+    log = EpisodeLog(
+        episode_index=1, total_reward=0.0, length=6, exploratory_actions=3, success=True
+    )
+    assert log == _log(1, 0.0, length=6, exploratory=3)
+    assert (log.episode_index, log.total_reward, log.length) == (1, 0.0, 6)
+    assert (log.exploratory_actions, log.success) == (3, True)
+    # The benchmark's train-grid workload hashes repr(run.episodes).
+    assert repr(log) == (
+        "EpisodeLog(episode_index=1, total_reward=0.0, length=6, exploratory_actions=3, success=True)"
+    )
+
+
+def test_episode_log_is_immutable():
+    log = _log(1, 0.5)
+    with pytest.raises(AttributeError):
+        log.total_reward = 1.0
+    with pytest.raises(AttributeError):
+        log.note = "extra"
+    assert log.total_reward == 0.5
+
+
+def test_episode_log_survives_pickling():
+    # A sweep's worker processes hand back their run records pickled.
+    logs = (_log(1, -1.0, length=1, success=False), _log(2, 0.25, length=8, exploratory=2))
+    record = RunRecord(variant="on-lin", seed=3, hyper=Hyperparameters(), episodes=logs)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record
+    assert [type(log) for log in copy.episodes] == [EpisodeLog, EpisodeLog]
+    assert repr(copy.episodes) == repr(logs)
 
 
 def test_auc_constant_curve():
