@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from operator import length_hint
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -405,14 +404,15 @@ def _flat_view(array: np.ndarray) -> memoryview:
     return memoryview(array).cast("B").cast(array.dtype.char)
 
 
-def _writable_view(array: np.ndarray, name: str) -> memoryview:
-    """``_flat_view`` of a float64 array the kernel writes in place, which
-    refuses any other array before the kernel draws or writes anything."""
-    flags = array.flags
-    if array.dtype != np.float64 or not (flags.c_contiguous and flags.writeable):
+def _writable_view(array: Optional[np.ndarray], name: str, dtype: type) -> memoryview:
+    """``_flat_view`` of an array the kernel writes in place, which refuses
+    anything but a writable, C-contiguous ``dtype`` array before the kernel
+    draws or writes anything."""
+    writable = isinstance(array, np.ndarray) and array.flags.c_contiguous and array.flags.writeable
+    if not writable or array.dtype != dtype:
         raise ValueError(
             f"the training kernel writes the {name} in place, so it must be "
-            "a writable, C-contiguous float64 array"
+            f"a writable, C-contiguous {np.dtype(dtype).name} array"
         )
     return _flat_view(array)
 
@@ -450,8 +450,11 @@ def _run_episodes(
     Every value a step computes is a Python float, which is IEEE binary64
     as a numpy ``float64`` scalar is, and the kernel reads and writes the
     estimate through flat, zero-copy memoryviews, which hold the stored
-    bits. A table or weight vector that is not a writable, C-contiguous
-    float64 array is refused with ``ValueError`` before any draw or write.
+    bits. Every array the kernel writes passes one check before any draw or
+    write, ``_writable_view``: the Q-table and the weights must be writable,
+    C-contiguous float64 arrays, and under the harmonic schedule the visit
+    counts a writable, C-contiguous int64 array (a ``QTable`` built over
+    given values keeps none). Any other is refused with ``ValueError``.
 
     Tabular: row (i, a) of ``q.values`` starts at flat offset
     ``(i * m + a) * m``. A running argmax, ``greedy[i * m + a]``, is taken
@@ -500,9 +503,10 @@ def _run_episodes(
     ``DivergenceError``'s too, each generator is left where those calls
     would leave it. Only ``PCG64``, the bit generator of
     ``np.random.default_rng``, is read: another raises ``TypeError`` before
-    any draw or table write. NEP 19 does not promise ``Generator`` streams
-    across numpy versions; the tests' step-by-step reference, which still
-    calls numpy once per draw, is the guard.
+    any draw or write, and before the arrays are checked. NEP 19 does not
+    promise ``Generator`` streams across numpy versions; the tests'
+    step-by-step reference, which still calls numpy once per draw, is the
+    guard.
     """
     # A call draws at most one word per step and one per anchor, unless an
     # anchor's draw is rejected, so short calls draw short blocks.
@@ -512,25 +516,7 @@ def _run_episodes(
         anchors = actions
     else:
         anchors = _Draws(env._rng, block)
-    try:
-        return _play(env, learner, hyper, first, count, actions.random, anchors.index)
-    finally:
-        actions.rewind()
-        if anchors is not actions:
-            anchors.rewind()
-
-
-def _play(
-    env: MappingEnvironment,
-    learner: Learner,
-    hyper: Hyperparameters,
-    first: int,
-    count: int,
-    random: Callable[[], float],
-    anchor_index: Callable[[int], int],
-) -> list[EpisodeLog]:
-    """``_run_episodes``' loop over its two draws: ``random()`` and
-    ``anchor_index(m)``, uniform over 0..m-1."""
+    random, anchor_index = actions.random, anchors.index
     q = learner.q
     fit_mask, reward_table = env.fit_mask, env.reward_table
     last_index, num_vms = env.num_components - 1, env.num_vms
@@ -539,111 +525,116 @@ def _play(
     tabular = isinstance(q, QTable)
     if tabular:
         values = q.values
-        flat_q = _writable_view(values, "Q-table")
+        flat_q = _writable_view(values, "Q-table", np.float64)
+        if harmonic:
+            flat_visits = _writable_view(q.visits, "visit-count table", np.int64)
         # The running argmax, one entry per row (i, a), at flat index i * m + a.
         greedy = _flat_view(values.argmax(-1))
-        if harmonic:
-            flat_visits = _flat_view(q.visits)
     else:
         blocks, w = list(q._blocks), q.weights
-        flat_w = _writable_view(w, "weights")
+        flat_w = _writable_view(w, "weights", np.float64)
         scores = np.empty(num_vms)
-        # bound >= max |w| after every update; see _run_episodes.
+        # bound >= max |w| after every update; see Divergence above.
         phi_max = float(np.abs(q._blocks).max())
         bound = float(np.abs(w).max())
     logs = []
-    for episode_index in range(first, first + count):
-        i, a = 0, anchor_index(num_vms)
-        occupied: set[int] = set()
-        total = 0.0
-        length = 0
-        exploratory = 0
-        if tabular:
-            # Row (i, a), its first value's flat offset r, its greedy entry g
-            # and g's value best.
-            row = a
-            r = row * num_vms
-            g = greedy[row]
-            best = flat_q[r + g]
-        while True:
-            u = random()
-            if u < epsilon:
-                j = _explore_index(u, epsilon, num_vms)
-                exploratory += 1
-            elif tabular:
-                j = g
-            else:
-                blocks[i].dot(w, out=scores)
-                j = int(scores.argmax())
-            feasible = j not in occupied and fit_mask[i][j]
-            reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
-            done = not feasible or i == last_index
-
+    try:
+        for episode_index in range(first, first + count):
+            i, a = 0, anchor_index(num_vms)
+            occupied: set[int] = set()
+            total = 0.0
+            length = 0
+            exploratory = 0
             if tabular:
-                # The next step's row, (i + 1, j), is the one the bootstrap
-                # reads, and this step writes none of it.
-                if done:
-                    bootstrap = 0.0
+                # Row (i, a), its first value's flat offset r, its greedy
+                # entry g and g's value best.
+                row = a
+                r = row * num_vms
+                g = greedy[row]
+                best = flat_q[r + g]
+            while True:
+                u = random()
+                if u < epsilon:
+                    j = _explore_index(u, epsilon, num_vms)
+                    exploratory += 1
+                elif tabular:
+                    j = g
                 else:
-                    next_row = (i + 1) * num_vms + j
-                    next_r = next_row * num_vms
-                    next_g = greedy[next_row]
-                    bootstrap = next_best = flat_q[next_r + next_g]
-                target = reward + gamma * bootstrap
-                current = best if j == g else flat_q[r + j]
-                step_size = alpha
-                if harmonic:
-                    visited = flat_visits[r + j]
-                    step_size = _effective_alpha(hyper, visited)
-                    flat_visits[r + j] = visited + 1
-                updated = current - step_size * (current - target)
-                flat_q[r + j] = updated
-                if j == g:
-                    if updated < current:
-                        greedy[row] = int(values[i, a].argmax())
-                elif updated > best or (updated == best and j < g):
-                    greedy[row] = j
-            else:
-                phi = blocks[i][j]
-                if done:
-                    bootstrap = 0.0
-                else:
-                    blocks[i + 1].dot(w, out=scores)
-                    bootstrap = scores.item(scores.argmax())
-                    if bootstrap != bootstrap:  # max may return another NaN
-                        bootstrap = float(scores.max())
-                td_error = reward + gamma * bootstrap - w.dot(phi).item()
-                step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
-                c = step_size * td_error
-                # w += c * phi, one weight at a time: phi_k * c is c * phi_k
-                # with the operands swapped, exact in IEEE.
-                f0, f1, f2, f3, f4, f5, f6 = phi.tolist()
-                flat_w[0] += f0 * c
-                flat_w[1] += f1 * c
-                flat_w[2] += f2 * c
-                flat_w[3] += f3 * c
-                flat_w[4] += f4 * c
-                flat_w[5] += f5 * c
-                flat_w[6] += f6 * c
-                q.updates += 1
-                bound += phi_max * abs(c)
-                if not bound <= DIVERGENCE_LIMIT:  # NaN included
-                    if _diverged(w):
-                        raise DivergenceError(w, q.updates)
-                    bound = float(np.abs(w).max())
+                    blocks[i].dot(w, out=scores)
+                    j = int(scores.argmax())
+                feasible = j not in occupied and fit_mask[i][j]
+                reward = reward_table[i][j] if feasible else INFEASIBLE_PENALTY
+                done = not feasible or i == last_index
 
-            total += reward
-            length += 1
-            if done:
-                break
-            occupied.add(j)
-            i, a = i + 1, j
-            if tabular:
-                row, r, g, best = next_row, next_r, next_g, next_best
-        # Only a feasible placement of the last component ends an episode
-        # successfully.
-        logs.append(EpisodeLog(episode_index, total, length, exploratory, feasible))
-    return logs
+                if tabular:
+                    # The next step's row, (i + 1, j), is the one the
+                    # bootstrap reads, and this step writes none of it.
+                    if done:
+                        bootstrap = 0.0
+                    else:
+                        next_row = (i + 1) * num_vms + j
+                        next_r = next_row * num_vms
+                        next_g = greedy[next_row]
+                        bootstrap = next_best = flat_q[next_r + next_g]
+                    target = reward + gamma * bootstrap
+                    current = best if j == g else flat_q[r + j]
+                    step_size = alpha
+                    if harmonic:
+                        visited = flat_visits[r + j]
+                        step_size = _effective_alpha(hyper, visited)
+                        flat_visits[r + j] = visited + 1
+                    updated = current - step_size * (current - target)
+                    flat_q[r + j] = updated
+                    if j == g:
+                        if updated < current:
+                            greedy[row] = int(values[i, a].argmax())
+                    elif updated > best or (updated == best and j < g):
+                        greedy[row] = j
+                else:
+                    phi = blocks[i][j]
+                    if done:
+                        bootstrap = 0.0
+                    else:
+                        blocks[i + 1].dot(w, out=scores)
+                        bootstrap = scores.item(scores.argmax())
+                        if bootstrap != bootstrap:  # max may return another NaN
+                            bootstrap = float(scores.max())
+                    td_error = reward + gamma * bootstrap - w.dot(phi).item()
+                    step_size = _effective_alpha(hyper, q.updates) if harmonic else alpha
+                    c = step_size * td_error
+                    # w += c * phi, one weight at a time: phi_k * c is c * phi_k
+                    # with the operands swapped, exact in IEEE.
+                    f0, f1, f2, f3, f4, f5, f6 = phi.tolist()
+                    flat_w[0] += f0 * c
+                    flat_w[1] += f1 * c
+                    flat_w[2] += f2 * c
+                    flat_w[3] += f3 * c
+                    flat_w[4] += f4 * c
+                    flat_w[5] += f5 * c
+                    flat_w[6] += f6 * c
+                    q.updates += 1
+                    bound += phi_max * abs(c)
+                    if not bound <= DIVERGENCE_LIMIT:  # NaN included
+                        if _diverged(w):
+                            raise DivergenceError(w, q.updates)
+                        bound = float(np.abs(w).max())
+
+                total += reward
+                length += 1
+                if done:
+                    break
+                occupied.add(j)
+                i, a = i + 1, j
+                if tabular:
+                    row, r, g, best = next_row, next_r, next_g, next_best
+            # Only a feasible placement of the last component ends an episode
+            # successfully.
+            logs.append(EpisodeLog(episode_index, total, length, exploratory, feasible))
+        return logs
+    finally:
+        actions.rewind()
+        if anchors is not actions:
+            anchors.rewind()
 
 
 def train(
@@ -769,26 +760,24 @@ def load_policy(path: str | Path) -> PolicySnapshot:
 
     The file is read on every call, and parsed only when its bytes differ from
     the last file parsed."""
-    return _policy_from_bytes(_FileBytes(read_regular_file(path)))
+    global _last_policy
+    contents = read_regular_file(path)
+    # One read of the pair: a handler thread may replace it meanwhile.
+    last = _last_policy
+    if last[0] != contents:
+        last = _last_policy = (contents, _policy_from_bytes(contents))
+    return last[1]
 
 
-@dataclass(frozen=True)
-class _FileBytes:
-    """File contents as a cache key. Its hash is the length, so that looking up
-    bytes read again compares them, which costs far less than hashing them."""
-
-    data: bytes
-
-    def __hash__(self) -> int:
-        return len(self.data)
-
+# The bytes of the last policy file parsed and its snapshot; a failed parse
+# leaves it as it was.
+_last_policy: tuple[Optional[bytes], Optional[PolicySnapshot]] = (None, None)
 
 _SIZE = FieldKind(lambda v: INTEGER.valid(v) and v > 0, "must be a positive integer")
 
 
-@lru_cache(maxsize=1)
-def _policy_from_bytes(contents: _FileBytes) -> PolicySnapshot:
-    doc = decode_document(contents.data)
+def _policy_from_bytes(contents: bytes) -> PolicySnapshot:
+    doc = decode_document(contents)
     version = require(doc, "version")
     if version != POLICY_FILE_VERSION:
         raise ScenarioFormatError("version", f"has unsupported value {version!r}")

@@ -38,11 +38,28 @@ sha256sum -c - <<'SUMS'
 799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39  recorded-harmonic/episodes.csv
 b758ac9d540278d3ec2b5563abf23bf8bbe7aafc6003cbd58453087d8931d3d9  recorded-harmonic/model.json
 SUMS
-# A linear run's bytes also pin the gemv and dot that numpy's BLAS computes.
+# A linear run's bytes also pin the gemv and dot that numpy's BLAS computes,
+# whose last bits differ between the kernel families of numpy's bundled
+# OpenBLAS: model.json is checked against the digest recorded for the core
+# name OpenBLAS reports here (SkylakeX: AVX-512, Haswell: AVX2), and a core
+# with none recorded fails, naming it.
 "${vnfcmap[@]}" train --scenario scenario.json --variant off-lin --seed 0 --out-dir recorded-lin
-sha256sum -c - <<'SUMS'
+core=$(python - <<'PY'
+import ctypes, glob, os, numpy
+lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_-*.so"))
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+PY
+)
+case "$core" in
+  SkylakeX) model=247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2 ;;
+  Haswell) model=0512107f6110bd3fe4e7a076934611e17224d805dab94fd907050a94bd32f96d ;;
+  *) echo "no recorded-lin/model.json digest is recorded for the OpenBLAS core $core" >&2; exit 1 ;;
+esac
+sha256sum -c - <<SUMS
 eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94  recorded-lin/episodes.csv
-247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2  recorded-lin/model.json
+$model  recorded-lin/model.json
 SUMS
 # A negative seed is a usage error naming --seed, before any directory is made.
 code=0

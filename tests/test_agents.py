@@ -1,6 +1,8 @@
 import itertools
 import math
 import pickle
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1096,6 +1098,71 @@ def test_kernel_refuses_an_estimate_it_cannot_write_in_place(kind):
         assert _states(env_rng, actions) == states, case
 
 
+def _unwritable_visit_tables(scenario):
+    """(case, Q-table) of writable Q-tables whose visit counts the kernel
+    cannot write in place: none at all, as over given values, read-only,
+    strided and int32."""
+    k, m = len(scenario.subnet.components), scenario.num_vms
+    values = np.random.default_rng(9).standard_normal((k, m, m))
+    yield "given values", QTable(k, m, values.copy())
+    visits = np.random.default_rng(10).integers(0, 50, (k, m, m))
+    read_only = visits.copy()
+    read_only.flags.writeable = False
+    tables = {
+        "read-only": read_only,
+        "non-contiguous": np.repeat(visits, 2, axis=-1)[..., ::2],
+        "int32": visits.astype(np.int32),
+    }
+    for case, table in tables.items():
+        q = QTable(k, m)
+        q.values[...] = values
+        q.visits = table
+        yield case, q
+
+
+def _table_bytes(q):
+    return q.values.tobytes(), None if q.visits is None else q.visits.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["one", "apart"])
+def test_kernel_refuses_a_visit_table_it_cannot_write_in_place(kind):
+    # The harmonic step size reads and writes the visit counts, so they pass
+    # the same check as the Q-table, before any draw or write.
+    hyper = Hyperparameters(epsilon=0.5, alpha_schedule=AlphaSchedule.HARMONIC)
+    for case, q in _unwritable_visit_tables(_KERNEL_SCENARIO):
+        learner = agents.Learner(AgentVariant.OFF_POLICY_TABULAR, q)
+        before = _table_bytes(q)
+        env_rng, actions = _generators(kind)
+        states = _states(env_rng, actions)
+        env = MappingEnvironment(_KERNEL_SCENARIO, env_rng, hyper.reward_mode)
+        refusal = "writes the visit-count table in place, so it must be a writable, C-contiguous int64 array$"
+        with pytest.raises(ValueError, match=f"^the training kernel {refusal}"):
+            agents._run_episodes(env, learner, hyper, actions, 1, 5)
+        assert _table_bytes(q) == before, case
+        assert _states(env_rng, actions) == states, case
+
+
+@_TABULAR_VARIANTS
+def test_table_over_given_values_trains_like_reference_under_a_fixed_step_size(variant):
+    # A fixed step size reads no visit counts, so a table that keeps none trains.
+    k, m = len(_KERNEL_SCENARIO.subnet.components), _KERNEL_SCENARIO.num_vms
+    values = np.random.default_rng(9).standard_normal((k, m, m))
+    hyper = Hyperparameters(epsilon=0.3)
+    runs = []
+    for one_call in (True, False):
+        rng = np.random.default_rng(2)
+        env = MappingEnvironment(_KERNEL_SCENARIO, rng, hyper.reward_mode)
+        learner = agents.Learner(variant, QTable(k, m, values.copy()))
+        if one_call:
+            logs = agents._run_episodes(env, learner, hyper, rng, 1, 60)
+        else:
+            logs = [reference_episode(env, learner, hyper, rng, e) for e in range(1, 61)]
+        runs.append((logs, _table_bytes(learner.q), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert runs[0][1][0] != values.tobytes()
+    assert runs[0][1][1] is None
+
+
 def test_paired_variants_coincide_with_shared_seed():
     scenario = generate(81)
     hyper = Hyperparameters(episodes=120)
@@ -1172,16 +1239,67 @@ def test_snapshot_rejects_wrong_inventory_size(tmp_path):
         snapshot.estimator_for(smaller)
 
 
-def test_unchanged_policy_file_is_parsed_once(tmp_path):
+def test_unchanged_policy_file_is_parsed_once(tmp_path, monkeypatch):
     scenario = generate(85)
-    _, learner = train(AgentVariant.OFF_POLICY_LINEAR, scenario, Hyperparameters(episodes=20), 0)
-    path = tmp_path / "model.json"
-    save_policy(learner, path)
-    agents._policy_from_bytes.cache_clear()
-    first, second = load_policy(path), load_policy(path)
+    paths = []
+    for variant in (AgentVariant.OFF_POLICY_LINEAR, AgentVariant.ON_POLICY_LINEAR):
+        _, learner = train(variant, scenario, Hyperparameters(episodes=20), 0)
+        paths.append(tmp_path / f"{variant.value}.json")
+        save_policy(learner, paths[-1])
+    parsed = []
+    decode = agents.decode_document
+    monkeypatch.setattr(agents, "decode_document", lambda data: parsed.append(data) or decode(data))
+    monkeypatch.setattr(agents, "_last_policy", (None, None))
+    first, second = load_policy(paths[0]), load_policy(paths[0])
     assert second is first
-    info = agents._policy_from_bytes.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert len(parsed) == 1
+    # Another file's bytes are parsed, and so are the first file's again after them.
+    other = load_policy(paths[1])
+    assert other is not first and load_policy(paths[1]) is other
+    again = load_policy(paths[0])
+    assert again is not first
+    assert parsed == [paths[0].read_bytes(), paths[1].read_bytes(), paths[0].read_bytes()]
+    # A file that fails to parse is parsed on every call and replaces nothing.
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    for _ in range(2):
+        with pytest.raises(ScenarioFormatError):
+            load_policy(broken)
+    assert load_policy(paths[0]) is again
+    assert parsed[3:] == [b"{", b"{"]
+
+
+def test_threads_loading_two_policy_files_each_get_their_own(tmp_path):
+    # The decision service's handler threads share the last parsed file; a
+    # thread must never return the snapshot of a file another thread read.
+    scenario = generate(85)
+    paths = {}
+    for value in (1.0, 2.0):
+        learner = make_learner(AgentVariant.OFF_POLICY_LINEAR, scenario)
+        learner.q.weights[:] = value
+        paths[value] = tmp_path / f"{value}.json"
+        save_policy(learner, paths[value])
+    wrong = []
+
+    def load(first):
+        for k in range(300):
+            value = (1.0, 2.0)[(first + k) % 2]
+            weights = load_policy(paths[value]).weights
+            if weights[0] != value:
+                wrong.append((value, weights[0]))
+
+    threads = [threading.Thread(target=load, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_loaded_policy_arrays_are_read_only(tmp_path):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import copy
+import ctypes
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy
 import pytest
 from _reference import reference_placement_refusal, reference_placement_report
 from hypothesis import given, settings
@@ -167,9 +169,13 @@ def test_identical_invocations_are_byte_identical(small_scenario, tmp_path):
 # default flags. The tabular variants use only Python float arithmetic, no
 # BLAS, so the bytes are the same on every machine with the same numpy
 # random streams; they change only where a run's behaviour does. The linear
-# variants also read BLAS's ``gemv`` and ``dot``, recorded here with numpy's
-# bundled OpenBLAS 0.3.31 on x86-64; another BLAS may round a dot product
-# differently and move the weights in the last bit.
+# variants also read BLAS's ``gemv`` and ``dot``, whose last bits differ
+# between the kernels of numpy's bundled OpenBLAS (0.3.31 on x86-64), which
+# it picks from the CPU at run time. So a linear ``model.json`` digest is
+# recorded per kernel family, under the core name OpenBLAS reports for it:
+# ``SkylakeX`` for its AVX-512 kernels (forced to ``Cooperlake`` or
+# ``SapphireRapids``, this build names ``SkylakeX`` too) and ``Haswell`` for
+# its AVX2 kernels (``Zen`` included). A core with no recorded digest fails.
 _TRAIN_GOLDEN = {
     "on-tab": {
         "episodes.csv": "799d97a7277cf1b069fa12f86632909b57a98444dee804873f84d710e1fd8f39",
@@ -184,12 +190,18 @@ _TRAIN_GOLDEN = {
     "on-lin": {
         "episodes.csv": "eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94",
         "summary.json": "c763182a8d9cde5c9592a91b9aec6e89864d6945178988679b17cd4701701efe",
-        "model.json": "9e68808f07f35e7aee0c1c2e09b6873708dec18f48d366898d2b9b0d3fc818e5",
+        "model.json": {
+            "SkylakeX": "9e68808f07f35e7aee0c1c2e09b6873708dec18f48d366898d2b9b0d3fc818e5",
+            "Haswell": "4046aa3b44ddf72feceb24804c5c5d8483e7a2308b789a567a1aa9b2f47ee347",
+        },
     },
     "off-lin": {
         "episodes.csv": "eaf4043bb7a2d2ee12328ac64b94370eeb31963ff4e4271bd816ff1af79e6d94",
         "summary.json": "888d95f391ca4cc3655da02e94e14e79582db0e6f955184a3bcce459ff8176f5",
-        "model.json": "247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2",
+        "model.json": {
+            "SkylakeX": "247f562cd119f4f4970d87a72075cca395677ea8e5db32da416b5ad0aac0e5b2",
+            "Haswell": "0512107f6110bd3fe4e7a076934611e17224d805dab94fd907050a94bd32f96d",
+        },
     },
 }
 
@@ -205,9 +217,41 @@ _HARMONIC_GOLDEN = {
     "on-lin": {
         "episodes.csv": "8a26c91797682627e7d27a35ba603e85ad4277b4fb9aece3d5150be33f5f55a0",
         "summary.json": "77e600494857de5841642eb1aa16da22b8cc3b6ca2dc477ba465fa80b5990ff2",
-        "model.json": "d2d4d7b2186628c46da4bbe4df06c05cdbb685b3ac17c881bd1063f17da4ae92",
+        "model.json": {
+            "SkylakeX": "d2d4d7b2186628c46da4bbe4df06c05cdbb685b3ac17c881bd1063f17da4ae92",
+            "Haswell": "11bf47901167efb204112c8deb539ae7c552422f349e2a8fdd5aa673b04deeb4",
+        },
     },
 }
+
+
+def _openblas_core() -> str:
+    """The core name of the kernel numpy's bundled OpenBLAS runs on this host,
+    as ``scipy_openblas_get_corename64_`` in ``numpy.libs`` reports it."""
+    libs = sorted(Path(numpy.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_-*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError) as exc:
+        pytest.fail(
+            "cannot read the OpenBLAS core name from scipy_openblas_get_corename64_ in "
+            f"numpy.libs/libscipy_openblas64_-*.so: {exc!r}"
+        )
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _recorded(variant, golden):
+    """``golden``'s digests of ``variant``'s files, each one recorded per
+    OpenBLAS core read for this host's core."""
+    expected = {}
+    for name, digest in golden[variant].items():
+        if isinstance(digest, dict):
+            core = _openblas_core()
+            if core not in digest:
+                pytest.fail(f"no {variant} {name} digest is recorded for the OpenBLAS core {core}")
+            digest = digest[core]
+        expected[name] = digest
+    return expected
 
 
 def _train_digests(tmp_path, variant, *flags):
@@ -222,13 +266,13 @@ def _train_digests(tmp_path, variant, *flags):
 
 @pytest.mark.parametrize("variant", sorted(_TRAIN_GOLDEN))
 def test_train_writes_the_recorded_bytes(variant, tmp_path):
-    assert _train_digests(tmp_path, variant) == _TRAIN_GOLDEN[variant]
+    assert _train_digests(tmp_path, variant) == _recorded(variant, _TRAIN_GOLDEN)
 
 
 @pytest.mark.parametrize("variant", sorted(_HARMONIC_GOLDEN))
 def test_harmonic_train_writes_the_recorded_bytes(variant, tmp_path):
     digests = _train_digests(tmp_path, variant, "--alpha-schedule", "harmonic")
-    assert digests == _HARMONIC_GOLDEN[variant]
+    assert digests == _recorded(variant, _HARMONIC_GOLDEN)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
